@@ -7,8 +7,7 @@ multivariate polynomials over that ring for everything else.
 """
 
 from .exactalg import (ONE, SQRT2, T, S, Z, ZERO, SparsePoly, Sqrt2Rational,
-                       poly_add, poly_eval, poly_mul, poly_substitute, svar,
-                       tvar, var_name, weighted_degree, zvar)
+                       svar, tvar, var_name, zvar)
 from .partitions import (BarQuotient, ResidueSplit, Stats, StrictPartition,
                          bar_core, bar_quotient, color, delta0, delta1,
                          enumerate_added, is_added_member, residue_split,
@@ -29,8 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ONE", "SQRT2", "T", "S", "Z", "ZERO", "SparsePoly", "Sqrt2Rational",
-    "poly_add", "poly_eval", "poly_mul", "poly_substitute", "svar", "tvar",
-    "var_name", "weighted_degree", "zvar",
+    "svar", "tvar", "var_name", "zvar",
     "BarQuotient", "ResidueSplit", "Stats", "StrictPartition", "bar_core",
     "bar_quotient", "color", "delta0", "delta1", "enumerate_added",
     "is_added_member", "residue_split", "stats",

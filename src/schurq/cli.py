@@ -50,6 +50,20 @@ def _boson_json(elt):
             for key, poly in sorted(elt.components.items())]
 
 
+# the point parameters each verify family accepts
+_POINT_PARAMS = {"main1": "mn", "main2": "mn", "trapezoid": "mn",
+                 "f-power": "imn", "phi-consistency": "imn",
+                 "core-states": "m", "symfunc-props": "", "all": ""}
+
+
+def _reject_foreign_params(args):
+    taken = _POINT_PARAMS[args.family]
+    foreign = [k for k in "imn" if k not in taken]
+    if any(getattr(args, k) is not None for k in foreign):
+        raise ValueError("%s takes no %s" % (
+            args.family, "/".join("--" + k for k in foreign)))
+
+
 def _single_check(args):
     """Dispatch an explicitly parameterized check, or None to run a grid."""
     fam = args.family
@@ -79,6 +93,7 @@ def _single_check(args):
 
 
 def _cmd_verify(args):
+    _reject_foreign_params(args)
     if args.family == "all":
         results = run_suite(SuiteConfig(max_m=args.max_m, max_n=args.max_n))
     else:

@@ -2,6 +2,9 @@
 polynomials over it.
 
 Scalars are a + b*sqrt(2) with rational a, b (Fraction keeps lowest terms).
+A polynomial stores a rational coefficient as a plain Fraction and keeps a
+Sqrt2Rational only where the sqrt(2) part is nonzero, so the symmetric-
+function kernel, which never leaves Q, runs on Fraction arithmetic.
 Polynomials live in three indexed variable families:
 
     t1, t2, t3, ...   (family T)
@@ -14,6 +17,7 @@ exact; no floating point anywhere.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 # family tags; the numeric order fixes t < s < z for term ordering
 T, S, Z = 0, 1, 2
@@ -130,12 +134,14 @@ ONE = Sqrt2Rational(1)
 SQRT2 = Sqrt2Rational(0, 1)
 
 
-def scalar_mul(x, y):
-    return _promote_scalar(x) * _promote_scalar(y)
-
-
-def scalar_inv(x):
-    return _promote_scalar(x).inv()
+def _poly_coeff(x):
+    """The canonical polynomial coefficient of a scalar: a Fraction when the
+    sqrt(2) part is zero, else the Sqrt2Rational itself."""
+    if isinstance(x, Sqrt2Rational):
+        return x if x.b else x.a
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError("not a scalar in Q(sqrt2): %r" % (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +195,29 @@ def _mono_sort_key(mono):
 class SparsePoly:
     """Sparse multivariate polynomial over Q(sqrt2), canonical form.
 
-    Treat instances as immutable: every operation returns a fresh value.
+    Immutable: every operation returns a fresh value, so caches may hand the
+    same instance to every caller.  `terms` is a read-only view mapping each
+    monomial to its coefficient (see _poly_coeff).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _promote_scalar(coeff)
-                if not coeff.is_zero():
+                if type(coeff) is not Fraction:
+                    coeff = _poly_coeff(coeff)
+                if coeff:
                     clean[mono] = coeff
-        self.terms = clean
+        object.__setattr__(self, "_terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparsePoly is immutable")
+
+    @property
+    def terms(self):
+        return MappingProxyType(self._terms)
 
     # -- constructors --
 
@@ -211,34 +227,33 @@ class SparsePoly:
 
     @staticmethod
     def constant(c):
-        return SparsePoly({(): _promote_scalar(c)})
+        return SparsePoly({(): c})
 
     @staticmethod
     def variable(v):
-        return SparsePoly({((v, 1),): ONE})
+        return SparsePoly({((v, 1),): Fraction(1)})
 
     # -- predicates --
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda kv: kv[0])))
+        return hash(frozenset(self._terms.items()))
 
     @staticmethod
     def _promote(x):
         if isinstance(x, SparsePoly):
             return x
-        s = _promote_scalar(x)
-        if s is None:
-            return None
-        return SparsePoly.constant(s)
+        if isinstance(x, (int, Fraction, Sqrt2Rational)):
+            return SparsePoly.constant(x)
+        return None
 
     # -- ring operations --
 
@@ -246,15 +261,14 @@ class SparsePoly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, ZERO) + coeff
+        terms = dict(self._terms)
+        _accumulate(terms, other._terms)
         return SparsePoly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly({m: -c for m, c in self.terms.items()})
+        return SparsePoly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._promote(other)
@@ -270,8 +284,8 @@ class SparsePoly:
         if other is None:
             return NotImplemented
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 if m in terms:
@@ -294,41 +308,46 @@ class SparsePoly:
 
     def variables(self):
         vs = set()
-        for mono in self.terms:
+        for mono in self._terms:
             for v, _ in mono:
                 vs.add(v)
         return vs
 
     def weighted_degree(self):
         """Max weighted degree over terms; None for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return None
-        return max(_mono_degree(m) for m in self.terms)
+        return max(_mono_degree(m) for m in self._terms)
 
     def is_homogeneous(self):
-        degs = {_mono_degree(m) for m in self.terms}
+        degs = {_mono_degree(m) for m in self._terms}
         return len(degs) <= 1
 
     def substitute(self, mapping):
-        """Ring-homomorphic substitution; unmapped variables pass through."""
-        out = SparsePoly.zero()
-        for mono, coeff in self.terms.items():
+        """Ring-homomorphic substitution; unmapped variables pass through.
+
+        Each power image**e is built once per call and shared by every
+        monomial that contains it."""
+        powers = {}
+        terms = {}
+        for mono, coeff in self._terms.items():
             term = SparsePoly.constant(coeff)
             for v, e in mono:
-                image = mapping.get(v)
-                if image is None:
-                    image = SparsePoly.variable(v)
-                else:
-                    image = SparsePoly._promote(image)
-                term = term * image ** e
-            out = out + term
-        return out
+                power = powers.get((v, e))
+                if power is None:
+                    image = mapping.get(v)
+                    if image is None:
+                        image = SparsePoly.variable(v)
+                    power = powers[(v, e)] = SparsePoly._promote(image) ** e
+                term = term * power
+            _accumulate(terms, term._terms)
+        return SparsePoly(terms)
 
     def evaluate(self, point):
         """Exact evaluation at a full assignment variable -> scalar."""
         total = ZERO
-        for mono, coeff in self.terms.items():
-            val = coeff
+        for mono, coeff in self._terms.items():
+            val = _promote_scalar(coeff)
             for v, e in mono:
                 if v not in point:
                     raise ValueError("no value assigned to %s" % var_name(v))
@@ -339,19 +358,19 @@ class SparsePoly:
     # -- rendering --
 
     def ordered_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         chunks = []
         for mono, coeff in self.ordered_terms():
             mono_str = "*".join(
                 var_name(v) if e == 1 else "%s^%d" % (var_name(v), e)
                 for v, e in mono)
-            if coeff.b == 0:
-                negative = coeff.a < 0
-                mag = abs(coeff.a)
+            if isinstance(coeff, Fraction):
+                negative = coeff < 0
+                mag = abs(coeff)
                 if mono_str and mag == 1:
                     body = mono_str
                 elif mono_str:
@@ -372,21 +391,11 @@ class SparsePoly:
         return "SparsePoly(%s)" % self
 
 
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
-def poly_substitute(p, mapping):
-    return p.substitute(mapping)
-
-
-def poly_eval(p, point):
-    return p.evaluate(point)
-
-
-def weighted_degree(p):
-    return p.weighted_degree()
+def _accumulate(terms, more):
+    """Add the monomial -> coefficient dict `more` into `terms` in place;
+    cancelled coefficients stay as zeros for SparsePoly() to drop."""
+    for mono, coeff in more.items():
+        if mono in terms:
+            terms[mono] = terms[mono] + coeff
+        else:
+            terms[mono] = coeff

@@ -17,6 +17,11 @@ from .exactalg import (SparsePoly, Sqrt2Rational, svar, tvar, zvar, S, T)
 
 _H_CACHE = {0: SparsePoly.constant(1)}
 _Q_CACHE = {0: SparsePoly.constant(1)}
+# S_lam by zero-stripped partition, Q_lam by even-padded strict tuple,
+# Q_{m,n} by (m, n) with m > n; SparsePoly is immutable, so sharing is safe
+_SCHUR_CACHE = {}
+_SCHUR_Q_CACHE = {}
+_PAIR_CACHE = {}
 
 
 def h_poly(n):
@@ -87,11 +92,12 @@ def schur(lam):
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 0 for p in lam):
         raise ValueError("not a partition: %r" % (lam,))
     lam = tuple(p for p in lam if p > 0)
-    d = len(lam)
-    if d == 0:
-        return SparsePoly.constant(1)
-    rows = [[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)]
-    return poly_det(rows)
+    got = _SCHUR_CACHE.get(lam)
+    if got is None:
+        d = len(lam)
+        rows = [[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)]
+        got = _SCHUR_CACHE[lam] = poly_det(rows)
+    return got
 
 
 def qq_pair(m, n):
@@ -102,11 +108,14 @@ def qq_pair(m, n):
         return SparsePoly.zero()
     if m < n:
         return -qq_pair(n, m)
-    acc = q_poly(m) * q_poly(n)
-    for i in range(1, n + 1):
-        term = SparsePoly.constant(2) * q_poly(m + i) * q_poly(n - i)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    got = _PAIR_CACHE.get((m, n))
+    if got is None:
+        got = q_poly(m) * q_poly(n)
+        for i in range(1, n + 1):
+            term = SparsePoly.constant(2) * q_poly(m + i) * q_poly(n - i)
+            got = got + (term if i % 2 == 0 else -term)
+        _PAIR_CACHE[(m, n)] = got
+    return got
 
 
 def pfaffian(rows):
@@ -153,11 +162,12 @@ def schur_q(lam):
         raise ValueError("Q-function index must be strict: %r" % (lam,))
     if len(parts) % 2 == 1:
         parts = parts + (0,)
-    d = len(parts)
-    if d == 0:
-        return SparsePoly.constant(1)
-    rows = [[qq_pair(parts[i], parts[j]) for j in range(d)] for i in range(d)]
-    return pfaffian(rows)
+    got = _SCHUR_Q_CACHE.get(parts)
+    if got is None:
+        d = len(parts)
+        rows = [[qq_pair(parts[i], parts[j]) for j in range(d)] for i in range(d)]
+        got = _SCHUR_Q_CACHE[parts] = pfaffian(rows)
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def _sorted_added(core, i, n):
 def check_main1(m, n):
     """Signed sum of quotient Schur functions over color-1 additions equals
     the doubled-variable rectangle Schur function."""
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be non-negative")
     if n > m:
         raise ValueError("needs n <= m")
     t0 = time.perf_counter()

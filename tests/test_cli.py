@@ -63,6 +63,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "needs --i, --m and --n" in err
 
+    def test_negative_m_named(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "main1", "--m", "-1", "--n", "0")
+        assert code == 2
+        assert "m and n must be non-negative" in err
+
+    def test_params_the_family_does_not_take(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "symfunc-props", "--m", "3")
+        assert code == 2 and out == ""
+        assert "symfunc-props takes no --i/--m/--n" in err
+        code, _, err = run_cli(capsys, "verify", "core-states", "--m", "2", "--n", "1")
+        assert code == 2
+        assert "core-states takes no --i/--n" in err
+
 
 class TestEnumerateCommand:
     def test_text(self, capsys):

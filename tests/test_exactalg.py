@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurq.exactalg import (ONE, SQRT2, ZERO, SparsePoly, Sqrt2Rational,
-                             poly_add, poly_eval, poly_mul, poly_substitute,
-                             scalar_inv, scalar_mul, svar, tvar, var_name,
-                             weighted_degree, zvar)
+                             svar, tvar, var_name, zvar)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
@@ -63,6 +61,7 @@ class TestSqrt2Rational:
         x = Sqrt2Rational(3, 2)  # 3 + 2*sqrt2, norm 1
         assert x.inv() == Sqrt2Rational(3, -2)
         assert x * x.inv() == 1
+        assert SQRT2.inv() == Sqrt2Rational(0, Fraction(1, 2))
         with pytest.raises(ZeroDivisionError):
             ZERO.inv()
 
@@ -81,10 +80,6 @@ class TestSqrt2Rational:
         assert str(Sqrt2Rational(1, 1)) == "(1+1*r2)"
         assert str(Sqrt2Rational(0, -2)) == "(0-2*r2)"
         assert str(Sqrt2Rational(Fraction(1, 2), Fraction(-3, 4))) == "(1/2-3/4*r2)"
-
-    def test_scalar_helpers(self):
-        assert scalar_mul(SQRT2, SQRT2) == 2
-        assert scalar_inv(SQRT2) == Sqrt2Rational(0, Fraction(1, 2))
 
     @given(scalars, scalars, scalars)
     def test_ring_axioms(self, x, y, z):
@@ -162,6 +157,32 @@ class TestSparsePoly:
         assert str(SparsePoly.constant(-1) * t1) == "-t1"
         assert str(SparsePoly.constant(SQRT2) * t1) == "(0+1*r2)*t1"
 
+    def test_rational_coefficients_are_canonical(self):
+        t1 = SparsePoly.variable(tvar(1))
+        forms = [SparsePoly.constant(c) * t1
+                 for c in (3, Fraction(3), Sqrt2Rational(3, 0))]
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(p) for p in forms}) == 1
+        assert all(type(c) is Fraction for p in forms for c in p.terms.values())
+
+    def test_sqrt2_coefficients_survive_and_cancel(self):
+        s1 = SparsePoly.variable(svar(1))
+        half_root = SparsePoly.constant(SQRT2 / 2) * s1
+        assert str(half_root) == "(0+1/2*r2)*s1"
+        assert str(half_root * half_root) == "1/2*s1^2"
+        assert (half_root - half_root).is_zero()
+        assert (half_root + s1 - half_root) == s1
+        assert SparsePoly({((svar(1), 1),): Sqrt2Rational(0, 0)}).is_zero()
+
+    def test_immutable(self):
+        p = SparsePoly.variable(tvar(1))
+        for name in ("terms", "_terms", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, {})
+        with pytest.raises(TypeError):
+            p.terms[()] = Fraction(1)
+        assert str(p) == "t1"
+
     def test_weighted_degree(self):
         t1, t3 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(3))
         s5 = SparsePoly.variable(svar(5))
@@ -203,13 +224,13 @@ class TestSparsePoly:
         with pytest.raises(ValueError):
             p.evaluate({tvar(1): ONE})  # t2 missing
 
-    def test_module_level_helpers(self):
+    def test_operators_and_methods(self):
         t1 = SparsePoly.variable(tvar(1))
-        assert poly_add(t1, t1) == SparsePoly.constant(2) * t1
-        assert poly_mul(t1, t1) == t1 ** 2
-        assert poly_substitute(t1, {tvar(1): t1 + 1}) == t1 + 1
-        assert poly_eval(t1, {tvar(1): SQRT2}) == SQRT2
-        assert weighted_degree(t1) == 1
+        assert t1 + t1 == SparsePoly.constant(2) * t1
+        assert t1 * t1 == t1 ** 2
+        assert t1.substitute({tvar(1): t1 + 1}) == t1 + 1
+        assert t1.evaluate({tvar(1): SQRT2}) == SQRT2
+        assert t1.weighted_degree() == 1
 
     @settings(max_examples=60)
     @given(polys, polys, polys)

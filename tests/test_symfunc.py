@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.exactalg import SparsePoly, Sqrt2Rational, svar, tvar, zvar
+from schurq.exactalg import T, SparsePoly, Sqrt2Rational, svar, tvar, zvar
 from schurq.symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
                             power_sum_specialize, q_poly, qq_pair, schur,
                             schur_q, subst_2t2, subst_odd, subst_q_u, subst_u)
+from schurq.verify import _partitions_of, _strict_partitions_of
 
 
 def _series_mul(f, g, order):
@@ -330,3 +331,186 @@ class TestBialternant:
         point = {zvar(k + 1): Sqrt2Rational(zs[k]) for k in range(3)}
         specialized = power_sum_specialize(schur(lam), 3)
         assert specialized.evaluate(point) == bialternant_eval(lam, zs)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: memoized and reused-power paths against slow references
+# ---------------------------------------------------------------------------
+
+def _schur_ref(lam):
+    d = len(lam)
+    return poly_det([[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)])
+
+
+def _pair_ref(m, n):
+    if m == n:
+        return SparsePoly.zero()
+    if m < n:
+        return -_pair_ref(n, m)
+    acc = q_poly(m) * q_poly(n)
+    for i in range(1, n + 1):
+        term = SparsePoly.constant(2 * (-1) ** i) * q_poly(m + i) * q_poly(n - i)
+        acc = acc + term
+    return acc
+
+
+def _schur_q_ref(lam):
+    parts = lam + (0,) if len(lam) % 2 else lam
+    return pfaffian([[_pair_ref(a, b) for b in parts] for a in parts])
+
+
+def _naive_substitute(p, mapping):
+    """Term-by-term substitution, every power built afresh."""
+    out = SparsePoly.zero()
+    for mono, coeff in p.terms.items():
+        term = SparsePoly.constant(coeff)
+        for v, e in mono:
+            term = term * mapping.get(v, SparsePoly.variable(v)) ** e
+        out = out + term
+    return out
+
+
+def _t(j):
+    return SparsePoly.variable(tvar(j))
+
+
+def _s(j):
+    return SparsePoly.variable(svar(j))
+
+
+def _power_sum_map(n_vars, max_index):
+    return {tvar(j): SparsePoly.constant(Fraction(1, j)) *
+            sum((SparsePoly.variable(zvar(i)) ** j for i in range(1, n_vars + 1)),
+                SparsePoly.zero())
+            for j in range(1, max_index + 1)}
+
+
+class TestMemoAgainstFreshComputation:
+    def test_schur(self):
+        for w in range(9):
+            for lam in _partitions_of(w):
+                got = schur(lam)
+                assert got == _schur_ref(lam)
+                assert schur(lam + (0,)) is got
+
+    def test_schur_q(self):
+        for w in range(9):
+            for lam in _strict_partitions_of(w):
+                got = schur_q(lam)
+                assert got == _schur_q_ref(lam)
+                assert schur_q(lam + (0,)) is got
+
+    def test_qq_pair(self):
+        for w in range(9):
+            for lam in _strict_partitions_of(w):
+                if 1 <= len(lam) <= 2:
+                    m, n = (lam + (0, 0))[:2]
+                    assert qq_pair(m, n) == _pair_ref(m, n)
+                    assert qq_pair(n, m) == _pair_ref(n, m)
+                    assert qq_pair(m, n) is qq_pair(m, n)
+
+    def test_caller_cannot_change_a_cached_value(self):
+        first = schur((2, 1))
+        with pytest.raises(TypeError):
+            first.terms[()] = Fraction(1)
+        with pytest.raises(AttributeError):
+            first.terms = {}
+        for derived in (first + 1, -first, first * 2,
+                        first.substitute({tvar(1): _t(2)})):
+            assert derived is not first
+        assert str(schur((2, 1))) == "1/3*t1^3 - t3"
+
+
+class TestSubstitutionAgainstNaive:
+    def test_t_substitutions_on_schur(self):
+        doubling = {tvar(j): SparsePoly.constant(2) * _t(2 * j) for j in range(1, 7)}
+        shift = {tvar(j): _t(j) - _s(j) for j in range(1, 7, 2)}
+        odd = {tvar(j): SparsePoly.zero() for j in range(2, 7, 2)}
+        odd.update(shift)
+        power_sums = [_power_sum_map(n_vars, 6) for n_vars in (1, 2, 3)]
+        for w in range(7):
+            for lam in _partitions_of(w):
+                p = schur(lam)
+                assert subst_2t2(p) == _naive_substitute(p, doubling)
+                assert subst_u(p) == _naive_substitute(p, shift)
+                assert subst_odd(p) == _naive_substitute(p, odd)
+                for n_vars, mapping in enumerate(power_sums, 1):
+                    assert power_sum_specialize(p, n_vars) == \
+                        _naive_substitute(p, mapping)
+
+    def test_q_shift_on_schur_q(self):
+        shift = {svar(j): _t(j) - _s(j) for j in range(1, 7, 2)}
+        for w in range(7):
+            for lam in _strict_partitions_of(w):
+                p = schur_q(lam)
+                assert subst_q_u(p) == _naive_substitute(p, shift)
+
+
+class TestSympyOracle:
+    """S_lam and Q_lam in finitely many variables x, computed by sympy from
+    their classical definitions, against the t- and s-polynomials read
+    through t_k = p_k/k and s_k = 2 p_k/k (p_k the power sums).  With 5
+    variables p_1..p_5 are algebraically independent, and with 3 so are
+    p_1, p_3, p_5, so equality up to weight 5 is equality of polynomials."""
+
+    @staticmethod
+    def _read(p, ring_, gens):
+        power = lambda k: sum((x ** k for x in gens), ring_.zero)
+        out = ring_.zero
+        for mono, coeff in p.terms.items():
+            term = ring_(coeff.numerator) / coeff.denominator
+            for (family, k), e in mono:
+                scale = Fraction(1, k) if family == T else Fraction(2, k)
+                term *= (power(k) * ring_(scale.numerator) / scale.denominator) ** e
+            out += term
+        return out
+
+    def test_schur_is_the_bialternant(self):
+        sympy = pytest.importorskip("sympy")
+        from itertools import permutations
+        from sympy.combinatorics import Permutation
+        from sympy.polys.rings import ring
+        n_vars = 5
+        ring_, *xs = ring(["x%d" % i for i in range(1, n_vars + 1)], sympy.QQ)
+
+        def alternant(exps):
+            total = ring_.zero
+            for perm in permutations(range(n_vars)):
+                term = ring_(Permutation(list(perm)).signature())
+                for i, e in enumerate(exps):
+                    term *= xs[perm[i]] ** e
+                total += term
+            return total
+
+        vandermonde = alternant(range(n_vars - 1, -1, -1))
+        for w in range(6):
+            for lam in _partitions_of(w):
+                padded = lam + (0,) * (n_vars - len(lam))
+                want = alternant([padded[j] + n_vars - 1 - j
+                                  for j in range(n_vars)]).exquo(vandermonde)
+                assert self._read(schur(lam), ring_, xs) == want
+
+    def test_schur_q_is_the_symmetrized_product(self):
+        # Q_lam = 2^l sum over w in S_N/S_(N-l) of
+        # w(x^lam prod_{i<=l, i<j} (x_i + x_j)/(x_i - x_j))
+        sympy = pytest.importorskip("sympy")
+        from itertools import permutations
+        from sympy.polys.fields import field
+        n_vars = 3
+        field_, *xs = field(["x%d" % i for i in range(1, n_vars + 1)], sympy.QQ)
+        for w in range(6):
+            for lam in _strict_partitions_of(w):
+                total = field_.zero
+                for head in permutations(range(n_vars), len(lam)):
+                    order = list(head) + [j for j in range(n_vars) if j not in head]
+                    ys = [xs[k] for k in order]
+                    term = field_.one
+                    for i, part in enumerate(lam):
+                        term *= ys[i] ** part
+                        for j in range(i + 1, n_vars):
+                            term *= (ys[i] + ys[j]) / (ys[i] - ys[j])
+                    total += term
+                want = total * 2 ** len(lam)
+                assert want.denom == 1
+                got = self._read(schur_q(lam), field_.ring, [x.numer for x in xs])
+                assert got == want.numer

@@ -220,3 +220,71 @@ class TestCrossChecks:
         for m in range(5):
             want = (-1) ** ((m + 1) * m // 2)
             assert delta0(bar_core(-m), m) == want
+
+
+class TestNegativeControls:
+    """Each check must be able to fail: a perturbed ingredient gives FAIL and
+    CLI exit 1, also when the Schur and Q caches are already warm."""
+
+    @staticmethod
+    def _assert_fails(capsys, check, argv):
+        from schurq.cli import main
+        assert check().passed is False
+        assert main(["verify"] + argv) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_flipped_delta0_sign_fails_main2(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.delta0
+        flipped = P("6,2,1")
+
+        def delta0(mu, m):
+            sign = original(mu, m)
+            return -sign if mu == flipped else sign
+
+        assert check_main2(2, 2).passed
+        monkeypatch.setattr(schurq.verify, "delta0", delta0)
+        self._assert_fails(capsys, lambda: check_main2(2, 2),
+                           ["main2", "--m", "2", "--n", "2"])
+
+    def test_dropped_member_fails_main1(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.enumerate_added
+
+        def enumerate_added(core, i, n):
+            return sorted(original(core, i, n), key=lambda p: p.parts)[1:]
+
+        assert check_main1(4, 2).passed
+        monkeypatch.setattr(schurq.verify, "enumerate_added", enumerate_added)
+        self._assert_fails(capsys, lambda: check_main1(4, 2),
+                           ["main1", "--m", "4", "--n", "2"])
+
+    def test_swapped_quotient_fails_phi_consistency(self, monkeypatch, capsys):
+        import schurq.fock
+        from schurq.partitions import BarQuotient
+        original = schurq.fock.bar_quotient
+
+        def bar_quotient(lam, k=None):
+            quot = original(lam, k)
+            return BarQuotient(q0=quot.q1, q1=quot.q0)
+
+        assert check_phi_consistency(1, 4, 2).passed
+        monkeypatch.setattr(schurq.fock, "bar_quotient", bar_quotient)
+        self._assert_fails(capsys, lambda: check_phi_consistency(1, 4, 2),
+                           ["phi-consistency", "--i", "1", "--m", "4", "--n", "2"])
+
+    def test_perturbed_f_coefficient_fails_f_power(self, monkeypatch, capsys):
+        import schurq.fock
+        original = schurq.fock.f_apply
+
+        def f_apply(i, vec):
+            out = original(i, vec)
+            terms = dict(out.terms)
+            top = max(terms)
+            terms[top] = terms[top] * 2
+            return schurq.fock.FockVector(terms)
+
+        assert check_f_power(1, 2, 2).passed
+        monkeypatch.setattr(schurq.fock, "f_apply", f_apply)
+        self._assert_fails(capsys, lambda: check_f_power(1, 2, 2),
+                           ["f-power", "--i", "1", "--m", "2", "--n", "2"])
