@@ -61,9 +61,12 @@ class TestSqrt2Rational:
         x = Sqrt2Rational(3, 2)  # 3 + 2*sqrt2, norm 1
         assert x.inv() == Sqrt2Rational(3, -2)
         assert x * x.inv() == 1
-        assert SQRT2.inv() == Sqrt2Rational(0, Fraction(1, 2))
         with pytest.raises(ZeroDivisionError):
             ZERO.inv()
+
+    def test_scalar_helpers(self):
+        assert SQRT2 * SQRT2 == 2
+        assert SQRT2.inv() == Sqrt2Rational(0, Fraction(1, 2))
 
     def test_division(self):
         assert (ONE + SQRT2) / (ONE + SQRT2) == 1
