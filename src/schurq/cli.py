@@ -32,7 +32,11 @@ def _parse_parts(text):
 
 def _parse_state(text):
     if text.startswith("c:"):
-        return FockVector.basis(bar_core(int(text[2:])))
+        try:
+            m = int(text[2:])
+        except ValueError:
+            raise ValueError("cannot parse core state %r" % text) from None
+        return FockVector.basis(bar_core(m))
     return FockVector.basis(StrictPartition.from_string(text))
 
 

@@ -31,6 +31,8 @@ class Sqrt2Rational:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b=0):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("Sqrt2Rational components must be exact, not float")
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
 

@@ -16,6 +16,10 @@ quadratic expressions in the modes:
     F0 = sqrt(2) * sum_m (-1)^(m+1) b_{3m} b_{-3m+1}
     F1 =           sum_m (-1)^m     b_{3m-1} b_{-3m+2}
 
+Each mode term is one single-node action A_p = (-1)^p b_{p+1} b_{-p}, so
+F0 = sqrt(2) * sum A_p over p = 0, 2 (mod 3) and F1 = 2 * sum A_p over
+p = 1 (mod 3), with p over 0 and the parts of the words.
+
 Words map to charged-boson components by splitting the modes mod 3 into a
 neutral family (phi_j = b_{3j}), a charged family (psi_k = b_{3k+1}) and its
 dual (psistar_k = (-1)^(3k+1) b_{-3k-1}), rewriting the vacuum against a
@@ -26,9 +30,12 @@ words then read off as Q- and S-polynomials.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
-from .exactalg import ONE, SparsePoly, Sqrt2Rational, ZERO
-from .partitions import StrictPartition, bar_core, bar_quotient, is_added_member, stats
+from .exactalg import (ONE, SQRT2, SparsePoly, Sqrt2Rational, _accumulate,
+                       _poly_coeff, _promote_scalar)
+from .partitions import (StrictPartition, bar_core, bar_quotient, color,
+                         is_added_member, stats)
 from .symfunc import schur, schur_q
 
 
@@ -42,13 +49,26 @@ def _check_word(word):
 
 
 class FockVector:
-    """Finite linear combination of words with Sqrt2Rational coefficients."""
+    """Immutable linear combination of words: `terms` is a read-only view
+    word -> coefficient, normalized by _poly_coeff as in SparsePoly."""
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        for word, coeff in (terms or {}).items():
-            if not coeff.is_zero():
-                self.terms[_check_word(word)] = coeff
+        clean = {}
+        if terms:
+            for word, coeff in terms.items():
+                coeff = _poly_coeff(coeff)
+                if coeff:
+                    clean[_check_word(word)] = coeff
+        object.__setattr__(self, "_terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FockVector is immutable")
+
+    @property
+    def terms(self):
+        return MappingProxyType(self._terms)
 
     @staticmethod
     def zero():
@@ -64,69 +84,59 @@ class FockVector:
         return FockVector({lam.even_padded(): ONE})
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            c = out.get(word, ZERO) + coeff
-            if c.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = c
-        return FockVector(out)
+        terms = dict(self._terms)
+        _accumulate(terms, other._terms)
+        return FockVector(terms)
 
     def __neg__(self):
-        return FockVector({w: -c for w, c in self.terms.items()})
+        return FockVector({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        if not isinstance(scalar, Sqrt2Rational):
-            scalar = Sqrt2Rational(scalar)
-        if scalar.is_zero():
-            return FockVector()
-        return FockVector({w: c * scalar for w, c in self.terms.items()})
+        scalar = _poly_coeff(scalar)
+        return FockVector({w: c * scalar for w, c in self._terms.items()})
 
     def coefficient(self, word):
-        return self.terms.get(tuple(word), ZERO)
+        return _promote_scalar(self._terms.get(tuple(word), Fraction(0)))
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         lines = []
-        for word in sorted(self.terms, reverse=True):
+        for word in sorted(self._terms, reverse=True):
             ket = "|%s>" % ",".join(str(x) for x in word) if word else "|vac>"
-            lines.append("%s * %s" % (self.terms[word], ket))
+            lines.append("%s * %s" % (self._terms[word], ket))
         return "\n".join(lines)
 
     def __repr__(self):
-        return "FockVector(%r)" % (self.terms,)
+        return "FockVector(%r)" % (self._terms,)
 
 
 def _beta_word(n, word):
-    """Apply b_n to a single word; list of (Fraction coefficient, word)."""
+    """Apply b_n to a single word; dict word -> Fraction coefficient."""
     if not word:
-        return [] if n < 0 else [(Fraction(1), (n,))]
+        return {} if n < 0 else {(n,): Fraction(1)}
     head, rest = word[0], word[1:]
     if n > head:
-        return [(Fraction(1), (n,) + word)]
+        return {(n,) + word: Fraction(1)}
     if n == head:
         # b_n b_n = (1/2) (-1)^n delta_{2n,0}: only the zero mode survives
-        return [(Fraction(1, 2), rest)] if n == 0 else []
-    out = []
+        return {rest: Fraction(1, 2)} if n == 0 else {}
+    out = {}
     if n == -head:
-        sign = Fraction(-1) if head % 2 else Fraction(1)
-        out.append((sign, rest))
-    for c, w in _beta_word(n, rest):
-        for c2, w2 in _beta_word(head, w):
-            out.append((-c * c2, w2))
+        out[rest] = Fraction(-1) if head % 2 else Fraction(1)
+    for w, c in _beta_word(n, rest).items():
+        out[(head,) + w] = -c  # b_head on w (all modes below head) prepends it
     return out
 
 
@@ -134,12 +144,7 @@ def beta_apply(n, vec):
     """The mode operator b_n applied to a vector."""
     out = {}
     for word, coeff in vec.terms.items():
-        for frac, new_word in _beta_word(n, word):
-            c = out.get(new_word, ZERO) + coeff * frac
-            if c.is_zero():
-                out.pop(new_word, None)
-            else:
-                out[new_word] = c
+        _accumulate(out, {w: coeff * c for w, c in _beta_word(n, word).items()})
     return FockVector(out)
 
 
@@ -155,21 +160,17 @@ def single_node_action(i, vec):
 
 
 def f_apply(i, vec):
-    """One application of the lowering operator F0 or F1."""
+    """One application of F0 or F1: the single-node actions of the p with
+    color(p + 1) == i, summed (the m and 1-m mode terms of F1 coincide,
+    hence its factor 2; b_{-p} kills a word without the part p > 0)."""
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
-    top = max((w[0] for w in vec.terms if w), default=0)
-    reach = top // 3 + 2
-    out = FockVector()
-    for m in range(-reach, reach + 1):
-        if i == 0:
-            term = beta_apply(3 * m, beta_apply(-3 * m + 1, vec))
-            scalar = Sqrt2Rational(0, -1 if m % 2 == 0 else 1)  # sqrt2 * (-1)^(m+1)
-        else:
-            term = beta_apply(3 * m - 1, beta_apply(-3 * m + 2, vec))
-            scalar = Sqrt2Rational(-1 if m % 2 else 1)
-        out = out + term.scale(scalar)
-    return out
+    out = {}
+    for p in {0}.union(*vec.terms):
+        if color(p + 1) == i:
+            _accumulate(out, single_node_action(p, vec).terms)
+    scalar = SQRT2 if i == 0 else 2
+    return FockVector({w: c * scalar for w, c in out.items()})
 
 
 def f_power_normalized(i, n, vec):
@@ -314,58 +315,63 @@ def to_normal_words(word):
 # ---------------------------------------------------------------------------
 
 class BosonElement:
-    """Element of the charged-boson space: polynomials indexed by a parity
-    sigma in {0,1} and an integer charge."""
+    """Immutable element of the charged-boson space: `components` is a
+    read-only view (sigma in {0,1}, charge) -> nonzero polynomial."""
+
+    __slots__ = ("_components",)
 
     def __init__(self, components=None):
-        self.components = {}
+        clean = {}
         for key, poly in (components or {}).items():
             if not poly.is_zero():
                 sigma, charge = key
                 if sigma not in (0, 1):
                     raise ValueError("sector parity must be 0 or 1")
-                self.components[(sigma, int(charge))] = poly
+                clean[(sigma, int(charge))] = poly
+        object.__setattr__(self, "_components", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BosonElement is immutable")
+
+    @property
+    def components(self):
+        return MappingProxyType(self._components)
 
     @staticmethod
     def zero():
         return BosonElement()
 
     def is_zero(self):
-        return not self.components
+        return not self._components
 
     def __eq__(self, other):
         if not isinstance(other, BosonElement):
             return NotImplemented
-        return self.components == other.components
+        return self._components == other._components
 
     def __add__(self, other):
-        out = dict(self.components)
-        for key, poly in other.components.items():
-            tot = out.get(key, SparsePoly.zero()) + poly
-            if tot.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        return BosonElement(out)
+        components = dict(self._components)
+        _accumulate(components, other._components)
+        return BosonElement(components)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, scalar):
         return BosonElement({key: SparsePoly.constant(scalar) * poly
-                             for key, poly in self.components.items()})
+                             for key, poly in self._components.items()})
 
     def component(self, sigma, charge):
-        return self.components.get((sigma, charge), SparsePoly.zero())
+        return self._components.get((sigma, charge), SparsePoly.zero())
 
     def __str__(self):
-        if not self.components:
+        if not self._components:
             return "0"
         return "\n".join("(%d, %d): %s" % (sigma, charge, poly)
-                         for (sigma, charge), poly in sorted(self.components.items()))
+                         for (sigma, charge), poly in sorted(self._components.items()))
 
     def __repr__(self):
-        return "BosonElement(%r)" % (self.components,)
+        return "BosonElement(%r)" % (self._components,)
 
 
 def normal_word_image(nw):
@@ -382,13 +388,14 @@ def normal_word_image(nw):
 
 
 def phi(vec):
-    """The boson image of a Fock vector."""
-    out = BosonElement()
+    """The boson image of a Fock vector, summed in one dict per sector."""
+    sectors = {}
     for word, coeff in vec.terms.items():
+        scalar = SparsePoly.constant(coeff)
         for nw in to_normal_words(word):
             key, poly = normal_word_image(nw)
-            out = out + BosonElement({key: SparsePoly.constant(coeff) * poly})
-    return out
+            _accumulate(sectors.setdefault(key, {}), (scalar * poly).terms)
+    return BosonElement({key: SparsePoly(terms) for key, terms in sectors.items()})
 
 
 def phi_closed_form(lam, i, m, n):

@@ -34,7 +34,11 @@ class StrictPartition:
         text = text.strip()
         if text in ("", "-"):
             return StrictPartition(())
-        return StrictPartition(tuple(int(x) for x in text.split(",")))
+        try:
+            parts = tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise ValueError("cannot parse partition %r" % text) from None
+        return StrictPartition(parts)
 
     @property
     def size(self):

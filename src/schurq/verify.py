@@ -125,18 +125,11 @@ def check_f_power(i, m, n):
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     t0 = time.perf_counter()
-    if i == 1:
-        lhs = f_power_normalized(1, n, FockVector.basis(bar_core(m)))
-        rhs = FockVector.zero()
-        for lam in _sorted_added(bar_core(m), 1, n):
-            rhs = rhs + FockVector.basis(lam)
-        rhs = rhs.scale(2 ** n)
-    else:
-        lhs = f_power_normalized(0, n, FockVector.basis(bar_core(-m)))
-        rhs = FockVector.zero()
-        for lam in _sorted_added(bar_core(-m), 0, n):
-            rhs = rhs + FockVector.basis(lam).scale(Sqrt2Rational.sqrt2_pow(stats(lam).a))
-        rhs = rhs.scale(Sqrt2Rational.sqrt2_pow(-(m % 2)))
+    core = bar_core(m if i == 1 else -m)
+    lhs = f_power_normalized(i, n, FockVector.basis(core))
+    rhs = FockVector({lam.even_padded(): 2 ** n if i == 1
+                      else Sqrt2Rational.sqrt2_pow(stats(lam).a - m % 2)
+                      for lam in _sorted_added(core, i, n)})
     return _result("f-power", {"i": i, "m": m, "n": n}, lhs, rhs, t0)
 
 

@@ -210,6 +210,17 @@ class TestFockCommands:
         code, _, err = run_cli(capsys, "fock", "phi", "--state", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, text", [
+        (("fock", "phi", "--state", "c:x"), "'c:x'"),
+        (("fock", "phi", "--state", "2,x"), "'2,x'"),
+        (("quotient", "a"), "'a'"),
+    ])
+    def test_unparsable_argument_is_named(self, capsys, argv, text):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "cannot parse" in err and text in err
+        assert "invalid literal" not in err
+
 
 class TestParserBehavior:
     def test_unknown_family_is_usage_error(self, capsys):

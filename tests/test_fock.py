@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.exactalg import SQRT2, SparsePoly, Sqrt2Rational
+from schurq.exactalg import ONE, SQRT2, SparsePoly, Sqrt2Rational
 from schurq.partitions import StrictPartition, bar_core, enumerate_added
 from schurq.symfunc import schur, schur_q
 from schurq.fock import (BosonElement, FockVector, NormalWord, beta_apply,
@@ -24,6 +24,30 @@ words = st.lists(st.integers(min_value=0, max_value=10), min_size=0,
 strict_parts = st.lists(st.integers(min_value=1, max_value=12), min_size=0,
                         max_size=5, unique=True).map(
     lambda xs: StrictPartition(tuple(sorted(xs, reverse=True))))
+
+
+fock_coeffs = st.sampled_from([ONE, -ONE, Sqrt2Rational(Fraction(1, 2)),
+                               Sqrt2Rational(Fraction(-1, 2)), SQRT2, -SQRT2,
+                               ONE + SQRT2])
+
+fock_vectors = st.dictionaries(words, fock_coeffs, max_size=4).map(FockVector)
+
+
+def _mode_sum_f_apply(i, vec):
+    """F_i as its defining mode sum, cut at |m| <= top // 3 + 2 where top is
+    the largest mode in vec: every mode term beyond the cut kills vec."""
+    top = max((w[0] for w in vec.terms if w), default=0)
+    reach = top // 3 + 2
+    out = FockVector.zero()
+    for m in range(-reach, reach + 1):
+        if i == 0:
+            term = beta_apply(3 * m, beta_apply(-3 * m + 1, vec))
+            scalar = Sqrt2Rational(0, -1 if m % 2 == 0 else 1)  # sqrt2 * (-1)^(m+1)
+        else:
+            term = beta_apply(3 * m - 1, beta_apply(-3 * m + 2, vec))
+            scalar = Sqrt2Rational(-1 if m % 2 else 1)
+        out = out + term.scale(scalar)
+    return out
 
 
 def _vec(*pairs):
@@ -56,6 +80,40 @@ class TestFockVector:
         assert (v + w).coefficient((2, 0)).is_zero()
         assert (v - v).is_zero()
         assert v.scale(Fraction(1, 2)).coefficient((3, 1)) == 1
+
+    def test_immutable(self):
+        v = FockVector.from_word((2, 0))
+        with pytest.raises(AttributeError):
+            v.terms = {}
+        with pytest.raises(AttributeError):
+            v._terms = {}
+        with pytest.raises(TypeError):
+            v.terms[(2, 0)] = Fraction(2)
+        assert v == FockVector.from_word((2, 0))
+
+    def test_coefficient_rule(self):
+        # rational coefficients are stored as Fractions, as in SparsePoly
+        w = (4, 1)
+        assert FockVector.from_word(w, Sqrt2Rational(3, 0)) == FockVector.from_word(w, 3)
+        assert type(FockVector.from_word(w, Sqrt2Rational(3, 0)).terms[w]) is Fraction
+        assert FockVector.from_word(w, SQRT2).terms[w] == SQRT2
+        mixed = FockVector.from_word(w, ONE + SQRT2) + FockVector.from_word(w, -SQRT2)
+        assert mixed.terms[w] == 1 and type(mixed.terms[w]) is Fraction
+        gone = FockVector.from_word(w, SQRT2) + FockVector.from_word(w, -SQRT2)
+        assert gone.is_zero() and w not in gone.terms
+
+    def test_coefficient_is_a_scalar(self):
+        v = FockVector.from_word((4, 1), 3)
+        assert v.coefficient((4, 1)) == Sqrt2Rational(3)
+        assert isinstance(v.coefficient((4, 1)), Sqrt2Rational)
+        assert v.coefficient((5, 1)) == Sqrt2Rational(0)
+        assert isinstance(v.coefficient((5, 1)), Sqrt2Rational)
+
+    def test_float_scalar_rejected(self):
+        with pytest.raises(TypeError):
+            FockVector.from_word((2, 0)).scale(0.1)
+        with pytest.raises(TypeError):
+            FockVector.zero().scale(0.1)
 
     def test_rendering(self):
         v = FockVector.from_word((3, 0), SQRT2)
@@ -100,7 +158,7 @@ class TestBetaAction:
     def test_anticommutation_relation(self, m, n, word):
         v = FockVector.from_word(word)
         lhs = beta_apply(m, beta_apply(n, v)) + beta_apply(n, beta_apply(m, v))
-        rhs = v.scale((-1) ** m) if m + n == 0 else FockVector.zero()
+        rhs = v.scale(Fraction(-1) ** m) if m + n == 0 else FockVector.zero()
         assert lhs == rhs
 
     @settings(max_examples=30)
@@ -144,6 +202,22 @@ class TestLoweringOperators:
         # sqrt2^(2 - 1)
         out = f_power_normalized(0, 3, FockVector.basis(bar_core(-3)))
         assert out.coefficient((10, 6, 2, 0)) == SQRT2
+
+    def test_node_sum_matches_mode_sum_along_chains(self):
+        # every vector on the f-power chains of the cores for m, n <= 5, with
+        # both operators applied
+        for i in (0, 1):
+            for m in range(6):
+                vec = FockVector.basis(bar_core(m if i == 1 else -m))
+                for _ in range(6):
+                    for j in (0, 1):
+                        assert f_apply(j, vec) == _mode_sum_f_apply(j, vec)
+                    vec = f_apply(i, vec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fock_vectors, st.sampled_from((0, 1)))
+    def test_node_sum_matches_mode_sum(self, vec, i):
+        assert f_apply(i, vec) == _mode_sum_f_apply(i, vec)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=8), min_size=0,
@@ -230,6 +304,14 @@ class TestBosonElement:
         assert (a + b).is_zero()
         assert (a - a).is_zero()
         assert a.scale(3).component(0, 1) == SparsePoly.constant(3)
+
+    def test_immutable(self):
+        elt = BosonElement({(0, 1): SparsePoly.constant(2)})
+        with pytest.raises(AttributeError):
+            elt.components = {}
+        with pytest.raises(TypeError):
+            elt.components[(0, 1)] = SparsePoly.constant(3)
+        assert elt.component(0, 1) == SparsePoly.constant(2)
 
     def test_rendering(self):
         elt = BosonElement({(1, -7): SparsePoly.constant(SQRT2 * Fraction(1, 2))})

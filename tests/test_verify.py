@@ -3,7 +3,7 @@ and report structure."""
 
 import pytest
 
-from schurq.exactalg import SparsePoly
+from schurq.exactalg import SparsePoly, Sqrt2Rational
 from schurq.partitions import StrictPartition, bar_core, bar_quotient, delta1, enumerate_added
 from schurq.symfunc import schur, subst_u
 from schurq.verify import (CheckResult, SuiteConfig,
@@ -288,3 +288,40 @@ class TestNegativeControls:
         monkeypatch.setattr(schurq.fock, "f_apply", f_apply)
         self._assert_fails(capsys, lambda: check_f_power(1, 2, 2),
                            ["f-power", "--i", "1", "--m", "2", "--n", "2"])
+
+    def test_flipped_delta1_sign_fails_main1(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.delta1
+        flipped = P("11,8,4,1")
+
+        def delta1(mu, n):
+            sign = original(mu, n)
+            return -sign if mu == flipped else sign
+
+        assert flipped in enumerate_added(bar_core(4), 1, 2)
+        assert check_main1(4, 2).passed
+        monkeypatch.setattr(schurq.verify, "delta1", delta1)
+        self._assert_fails(capsys, lambda: check_main1(4, 2),
+                           ["main1", "--m", "4", "--n", "2"])
+
+    @pytest.mark.parametrize("skipped", [0, 2])
+    def test_f0_node_mask_missing_a_residue_fails_f_power(self, monkeypatch,
+                                                          capsys, skipped):
+        # F0 sums the parts p = 0 and p = 2 (mod 3); drop one class
+        import schurq.fock
+        original = schurq.fock.color
+
+        def color(j):
+            return 1 if (j - 1) % 3 == skipped else original(j)
+
+        assert check_f_power(0, 2, 2).passed
+        monkeypatch.setattr(schurq.fock, "color", color)
+        self._assert_fails(capsys, lambda: check_f_power(0, 2, 2),
+                           ["f-power", "--i", "0", "--m", "2", "--n", "2"])
+
+    def test_f0_scalar_two_instead_of_sqrt2_fails_f_power(self, monkeypatch, capsys):
+        import schurq.fock
+        assert check_f_power(0, 2, 2).passed
+        monkeypatch.setattr(schurq.fock, "SQRT2", Sqrt2Rational(2))
+        self._assert_fails(capsys, lambda: check_f_power(0, 2, 2),
+                           ["f-power", "--i", "0", "--m", "2", "--n", "2"])
