@@ -2,10 +2,11 @@
 polynomials over it.
 
 Scalars are a + b*sqrt(2) with rational a, b (Fraction keeps lowest terms).
-A polynomial stores a rational coefficient as a plain Fraction and keeps a
-Sqrt2Rational only where the sqrt(2) part is nonzero, so the symmetric-
-function kernel, which never leaves Q, runs on Fraction arithmetic.
-Polynomials live in three indexed variable families:
+A polynomial runs on ints: packed-int monomials, and integer numerators over
+one shared denominator.  Its sqrt(2) part is a second numerator dict, filled
+only in boson sectors and F0 coefficients, so the symmetric-function kernel,
+which never leaves Q, multiplies plain ints.  Polynomials live in three
+indexed variable families:
 
     t1, t2, t3, ...   (family T)
     s1, s3, s5, ...   (family S, odd indices only)
@@ -17,6 +18,7 @@ exact; no floating point anywhere.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 
 # family tags; the numeric order fixes t < s < z for term ordering
@@ -56,7 +58,8 @@ class Sqrt2Rational:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational scalar equals its Fraction, so it hashes as one
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __add__(self, other):
         other = _promote_scalar(other)
@@ -76,7 +79,7 @@ class Sqrt2Rational:
         return Sqrt2Rational(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
-        return _promote_scalar(other).__sub__(self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = _promote_scalar(other)
@@ -150,7 +153,17 @@ def _poly_coeff(x):
 # variables and monomials
 # ---------------------------------------------------------------------------
 # A variable is a pair (family, index); a monomial is a sorted tuple of
-# ((family, index), exponent) pairs with positive exponents.
+# ((family, index), exponent) pairs with positive exponents.  Inside
+# SparsePoly it is one int with a _WIDTH-bit slot per variable, assigned on
+# first use, so a product of monomials is a sum of ints.  Exponents stay
+# below _LIMIT, so the top (guard) bit of a slot is set only by an overflow.
+
+_WIDTH = 16
+_LIMIT = 1 << (_WIDTH - 1)
+_MASK = (1 << _WIDTH) - 1
+_SLOTS = {}   # variable -> bit offset of its slot
+_GUARD = 0    # the guard bits of every assigned slot
+
 
 def tvar(j):
     if j < 1:
@@ -174,11 +187,34 @@ def var_name(v):
     return "%s%d" % (_FAMILY_NAMES[v[0]], v[1])
 
 
-def _mono_mul(m1, m2):
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+def _pack(mono):
+    """The packed int of a tuple monomial."""
+    global _GUARD
+    packed = 0
+    for v, e in mono:
+        if e < 0:
+            raise ValueError("negative exponent of %s" % var_name(v))
+        if e >= _LIMIT:
+            raise OverflowError("exponent of %s exceeds %d" % (var_name(v), _LIMIT - 1))
+        offset = _SLOTS.get(v)
+        if offset is None:
+            offset = _SLOTS[v] = len(_SLOTS) * _WIDTH
+            _GUARD |= _LIMIT << offset
+        packed += e << offset
+    _check_guard((packed,))
+    return packed
+
+
+def _check_guard(monos):
+    for m in monos:
+        if m & _GUARD:
+            raise OverflowError("an exponent exceeds %d" % (_LIMIT - 1))
+
+
+def _unpack(packed):
+    """The sorted tuple monomial of a packed int."""
+    return tuple(sorted((v, e) for v, offset in _SLOTS.items()
+                        if (e := packed >> offset & _MASK)))
 
 
 def _mono_degree(mono):
@@ -195,31 +231,41 @@ def _mono_sort_key(mono):
 
 
 class SparsePoly:
-    """Sparse multivariate polynomial over Q(sqrt2), canonical form.
-
+    """Sparse multivariate polynomial over Q(sqrt2), in the canonical form
+    (_num + sqrt2*_root)/_den: _num and _root map packed monomials to
+    nonzero ints, and the positive int _den is coprime to them all.
     Immutable: every operation returns a fresh value, so caches may hand the
     same instance to every caller.  `terms` is a read-only view mapping each
-    monomial to its coefficient (see _poly_coeff).
+    tuple monomial to its coefficient (see _poly_coeff).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_num", "_root")
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if type(coeff) is not Fraction:
-                    coeff = _poly_coeff(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        object.__setattr__(self, "_terms", clean)
+    def __new__(cls, terms=None):
+        scalars = [(_pack(mono), _promote_scalar(_poly_coeff(coeff)))
+                   for mono, coeff in (terms or {}).items()]
+        den = lcm(*(x.denominator for _, c in scalars for x in (c.a, c.b)))
+        num, root = {}, {}
+        for m, c in scalars:
+            num[m] = num.get(m, 0) + int(c.a * den)
+            root[m] = root.get(m, 0) + int(c.b * den)
+        return _make(den, num, root)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        return MappingProxyType({_unpack(m): self._coeff(m)
+                                 for m in {**self._num, **self._root}})
+
+    def _coeff(self, m):
+        a = Fraction(self._num.get(m, 0), self._den)
+        b = self._root.get(m)
+        return Sqrt2Rational(a, Fraction(b, self._den)) if b else a
+
+    def _monos(self):
+        return self._num.keys() | self._root.keys()
 
     # -- constructors --
 
@@ -233,21 +279,26 @@ class SparsePoly:
 
     @staticmethod
     def variable(v):
-        return SparsePoly({((v, 1),): Fraction(1)})
+        return SparsePoly({((v, 1),): 1})
 
     # -- predicates --
 
     def is_zero(self):
-        return not self._terms
+        return not self._num and not self._root
 
     def __eq__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return (self._den == other._den and self._num == other._num
+                and self._root == other._root)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        if self._monos() <= {0}:
+            # a constant equals its coefficient, so it hashes as one
+            return hash(self._coeff(0))
+        return hash((self._den, frozenset(self._num.items()),
+                     frozenset(self._root.items())))
 
     @staticmethod
     def _promote(x):
@@ -263,38 +314,36 @@ class SparsePoly:
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        _accumulate(terms, other._terms)
-        return SparsePoly(terms)
+        return _linear_sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly({m: -c for m, c in self._terms.items()})
+        return _linear_sum(((-1, self),))
 
     def __sub__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _linear_sum(((1, self), (-1, other)))
 
     def __rsub__(self, other):
-        return self._promote(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                if m in terms:
-                    terms[m] = terms[m] + c
-                else:
-                    terms[m] = c
-        return SparsePoly(terms)
+        num = _product({}, self._num, other._num)
+        root = {}
+        if self._root or other._root:
+            # (A + sqrt2 B)(C + sqrt2 D) = AC + 2BD + sqrt2 (AD + BC)
+            _product(num, self._root, other._root, 2)
+            _product(root, self._num, other._root)
+            _product(root, self._root, other._num)
+            _check_guard(root)
+        _check_guard(num)
+        return _make(self._den * other._den, num, root)
 
     __rmul__ = __mul__
 
@@ -309,46 +358,43 @@ class SparsePoly:
     # -- structure --
 
     def variables(self):
-        vs = set()
-        for mono in self._terms:
-            for v, _ in mono:
-                vs.add(v)
-        return vs
+        used = 0
+        for m in self._monos():
+            used |= m
+        return {v for v, _ in _unpack(used)}
 
     def weighted_degree(self):
         """Max weighted degree over terms; None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(_mono_degree(m) for m in self._terms)
+        return max((_mono_degree(_unpack(m)) for m in self._monos()), default=None)
 
     def is_homogeneous(self):
-        degs = {_mono_degree(m) for m in self._terms}
-        return len(degs) <= 1
+        return len({_mono_degree(_unpack(m)) for m in self._monos()}) <= 1
 
     def substitute(self, mapping):
         """Ring-homomorphic substitution; unmapped variables pass through.
 
         Each power image**e is built once per call and shared by every
-        monomial that contains it."""
+        monomial that contains it; the images of the monomials are summed
+        in one pass."""
         powers = {}
-        terms = {}
-        for mono, coeff in self._terms.items():
-            term = SparsePoly.constant(coeff)
-            for v, e in mono:
-                power = powers.get((v, e))
-                if power is None:
-                    image = mapping.get(v)
-                    if image is None:
-                        image = SparsePoly.variable(v)
-                    power = powers[(v, e)] = SparsePoly._promote(image) ** e
-                term = term * power
-            _accumulate(terms, term._terms)
-        return SparsePoly(terms)
+
+        def image(m):
+            out = _UNIT
+            for v, e in _unpack(m):
+                if (v, e) not in powers:
+                    base = mapping.get(v, SparsePoly.variable(v))
+                    powers[v, e] = SparsePoly._promote(base) ** e
+                out = out * powers[v, e]
+            return out
+
+        pairs = [(c, image(m)) for m, c in self._num.items()]
+        pairs += [(c, _ROOT2 * image(m)) for m, c in self._root.items()]
+        return _linear_sum(pairs, self._den)
 
     def evaluate(self, point):
         """Exact evaluation at a full assignment variable -> scalar."""
         total = ZERO
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms.items():
             val = _promote_scalar(coeff)
             for v, e in mono:
                 if v not in point:
@@ -360,10 +406,10 @@ class SparsePoly:
     # -- rendering --
 
     def ordered_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
 
     def __str__(self):
-        if not self._terms:
+        if self.is_zero():
             return "0"
         chunks = []
         for mono, coeff in self.ordered_terms():
@@ -393,11 +439,46 @@ class SparsePoly:
         return "SparsePoly(%s)" % self
 
 
-def _accumulate(terms, more):
-    """Add the monomial -> coefficient dict `more` into `terms` in place;
-    cancelled coefficients stay as zeros for SparsePoly() to drop."""
-    for mono, coeff in more.items():
-        if mono in terms:
-            terms[mono] = terms[mono] + coeff
-        else:
-            terms[mono] = coeff
+def _make(den, num, root):
+    """The SparsePoly (num + sqrt2*root)/den, brought to canonical form."""
+    g = gcd(den, *num.values(), *root.values())
+    if g != 1 or 0 in num.values() or 0 in root.values():
+        num = {m: c // g for m, c in num.items() if c}
+        root = {m: c // g for m, c in root.items() if c}
+    p = object.__new__(SparsePoly)
+    object.__setattr__(p, "_den", den // g)
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_root", root)
+    return p
+
+
+def _product(out, a, b, scale=1):
+    """Add scale * a * b into out; dicts packed monomial -> int."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for m1, c1 in a.items():
+        c1 *= scale
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return out
+
+
+def _linear_sum(pairs, den=1):
+    """sum(w * p for w, p in pairs) / den for int weights w and SparsePoly
+    p, every term rescaled to one lcm denominator and summed in one pass."""
+    pairs = list(pairs)
+    common = lcm(*(p._den for _, p in pairs))
+    num, root = {}, {}
+    for w, p in pairs:
+        scale = w * (common // p._den)
+        for part, out in ((p._num, num), (p._root, root)):
+            get = out.get
+            for m, c in part.items():
+                out[m] = get(m, 0) + c * scale
+    return _make(common * den, num, root)
+
+
+_UNIT = SparsePoly.constant(1)
+_ROOT2 = SparsePoly.constant(SQRT2)

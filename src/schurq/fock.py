@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import (ONE, SQRT2, SparsePoly, Sqrt2Rational, _accumulate,
+from .exactalg import (ONE, SQRT2, SparsePoly, Sqrt2Rational, _linear_sum,
                        _poly_coeff, _promote_scalar)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
                          is_added_member, stats)
@@ -46,6 +46,16 @@ def _check_word(word):
     if any(word[i] <= word[i + 1] for i in range(len(word) - 1)):
         raise ValueError("word entries must be strictly decreasing")
     return word
+
+
+def _accumulate(terms, more):
+    """Add the key -> coefficient dict `more` into `terms` in place;
+    cancelled coefficients stay as zeros for the constructor to drop."""
+    for key, coeff in more.items():
+        if key in terms:
+            terms[key] = terms[key] + coeff
+        else:
+            terms[key] = coeff
 
 
 class FockVector:
@@ -92,6 +102,8 @@ class FockVector:
         return self._terms == other._terms
 
     def __add__(self, other):
+        if not isinstance(other, FockVector):
+            return NotImplemented
         terms = dict(self._terms)
         _accumulate(terms, other._terms)
         return FockVector(terms)
@@ -350,11 +362,15 @@ class BosonElement:
         return self._components == other._components
 
     def __add__(self, other):
+        if not isinstance(other, BosonElement):
+            return NotImplemented
         components = dict(self._components)
         _accumulate(components, other._components)
         return BosonElement(components)
 
     def __sub__(self, other):
+        if not isinstance(other, BosonElement):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, scalar):
@@ -388,14 +404,14 @@ def normal_word_image(nw):
 
 
 def phi(vec):
-    """The boson image of a Fock vector, summed in one dict per sector."""
+    """The boson image of a Fock vector, summed in one pass per sector."""
     sectors = {}
     for word, coeff in vec.terms.items():
         scalar = SparsePoly.constant(coeff)
         for nw in to_normal_words(word):
             key, poly = normal_word_image(nw)
-            _accumulate(sectors.setdefault(key, {}), (scalar * poly).terms)
-    return BosonElement({key: SparsePoly(terms) for key, terms in sectors.items()})
+            sectors.setdefault(key, []).append((1, scalar * poly))
+    return BosonElement({key: _linear_sum(pairs) for key, pairs in sectors.items()})
 
 
 def phi_closed_form(lam, i, m, n):

@@ -13,7 +13,8 @@ exactly, with no series truncation.
 
 from fractions import Fraction
 
-from .exactalg import (SparsePoly, Sqrt2Rational, svar, tvar, zvar, S, T)
+from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum, svar, tvar,
+                       zvar, S, T)
 
 _H_CACHE = {0: SparsePoly.constant(1)}
 _Q_CACHE = {0: SparsePoly.constant(1)}
@@ -29,10 +30,8 @@ def h_poly(n):
     if n < 0:
         return SparsePoly.zero()
     if n not in _H_CACHE:
-        acc = SparsePoly.zero()
-        for k in range(1, n + 1):
-            acc = acc + SparsePoly.constant(k) * SparsePoly.variable(tvar(k)) * h_poly(n - k)
-        _H_CACHE[n] = SparsePoly.constant(Fraction(1, n)) * acc
+        _H_CACHE[n] = _linear_sum(((k, SparsePoly.variable(tvar(k)) * h_poly(n - k))
+                                   for k in range(1, n + 1)), n)
     return _H_CACHE[n]
 
 
@@ -41,10 +40,8 @@ def q_poly(n):
     if n < 0:
         return SparsePoly.zero()
     if n not in _Q_CACHE:
-        acc = SparsePoly.zero()
-        for k in range(1, n + 1, 2):
-            acc = acc + SparsePoly.constant(k) * SparsePoly.variable(svar(k)) * q_poly(n - k)
-        _Q_CACHE[n] = SparsePoly.constant(Fraction(1, n)) * acc
+        _Q_CACHE[n] = _linear_sum(((k, SparsePoly.variable(svar(k)) * q_poly(n - k))
+                                   for k in range(1, n + 1, 2)), n)
     return _Q_CACHE[n]
 
 
@@ -67,7 +64,7 @@ def poly_det(rows):
         got = memo.get(key)
         if got is not None:
             return got
-        acc = SparsePoly.zero()
+        terms = []
         sign = 1
         for col in range(d):
             bit = 1 << col
@@ -75,11 +72,9 @@ def poly_det(rows):
                 continue
             entry = rows[row][col]
             if not entry.is_zero():
-                sub = minor(row + 1, colmask & ~bit)
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
+                terms.append((sign, entry * minor(row + 1, colmask & ~bit)))
             sign = -sign
-        memo[key] = acc
+        memo[key] = acc = _linear_sum(terms)
         return acc
 
     return minor(0, full)
@@ -110,11 +105,10 @@ def qq_pair(m, n):
         return -qq_pair(n, m)
     got = _PAIR_CACHE.get((m, n))
     if got is None:
-        got = q_poly(m) * q_poly(n)
-        for i in range(1, n + 1):
-            term = SparsePoly.constant(2) * q_poly(m + i) * q_poly(n - i)
-            got = got + (term if i % 2 == 0 else -term)
-        _PAIR_CACHE[(m, n)] = got
+        # Q_{m,n} = q_m q_n + 2 sum_{i=1..n} (-1)^i q_{m+i} q_{n-i}
+        got = _PAIR_CACHE[(m, n)] = _linear_sum(
+            (2 * (-1) ** i if i else 1, q_poly(m + i) * q_poly(n - i))
+            for i in range(n + 1))
     return got
 
 
@@ -130,23 +124,30 @@ def pfaffian(rows):
         for j in range(i, d):
             if not (rows[i][j] + rows[j][i]).is_zero():
                 raise ValueError("matrix is not skew-symmetric")
-    return _pf(rows, tuple(range(d)))
+    return _pf(rows, (1 << d) - 1, {})
 
 
-def _pf(rows, active):
-    if not active:
+def _pf(rows, mask, memo):
+    """Pfaffian of the rows and columns in `mask`, memoized over the mask."""
+    if not mask:
         return SparsePoly.constant(1)
-    first = active[0]
-    rest = active[1:]
-    acc = SparsePoly.zero()
-    for pos, j in enumerate(rest):
-        entry = rows[first][j]
-        if entry.is_zero():
+    got = memo.get(mask)
+    if got is not None:
+        return got
+    first = (mask & -mask).bit_length() - 1
+    rest = mask & ~(1 << first)
+    terms = []
+    sign = 1
+    for j in range(first + 1, len(rows)):
+        bit = 1 << j
+        if not rest & bit:
             continue
-        sub = _pf(rows, rest[:pos] + rest[pos + 1:])
-        term = entry * sub
-        acc = acc + (term if pos % 2 == 0 else -term)
-    return acc
+        entry = rows[first][j]
+        if not entry.is_zero():
+            terms.append((sign, entry * _pf(rows, rest & ~bit, memo)))
+        sign = -sign
+    memo[mask] = got = _linear_sum(terms)
+    return got
 
 
 def schur_q(lam):

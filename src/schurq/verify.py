@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import SparsePoly, Sqrt2Rational, svar, tvar, zvar
+from .exactalg import SparsePoly, Sqrt2Rational, _linear_sum, svar, tvar, zvar
 from .partitions import (bar_core, bar_quotient, delta0, delta1,
                          enumerate_added, stats)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
@@ -73,10 +73,8 @@ def check_main1(m, n):
     if n > m:
         raise ValueError("needs n <= m")
     t0 = time.perf_counter()
-    lhs = SparsePoly.zero()
-    for mu in _sorted_added(bar_core(m), 1, n):
-        term = SparsePoly.constant(delta1(mu, n)) * schur(bar_quotient(mu).q1)
-        lhs = lhs + term
+    lhs = _linear_sum((delta1(mu, n), schur(bar_quotient(mu).q1))
+                      for mu in _sorted_added(bar_core(m), 1, n))
     rhs = subst_2t2(schur((n,) * (m - n)))
     return _result("main1", {"m": m, "n": n}, lhs, rhs, t0)
 
@@ -88,15 +86,15 @@ def check_main2(m, n):
         raise ValueError("m and n must be non-negative")
     t0 = time.perf_counter()
     members = _sorted_added(bar_core(-m), 0, n)
-    lhs = SparsePoly.zero()
-    rhs = SparsePoly.zero()
+    lhs, rhs = [], []
     for mu in members:
         quot = bar_quotient(mu)
-        sign = SparsePoly.constant(delta0(mu, m))
-        lhs = lhs + sign * schur_q(quot.q0) * schur(quot.q1)
+        sign = delta0(mu, m)
+        lhs.append((sign, schur_q(quot.q0) * schur(quot.q1)))
         if not quot.q0:
-            rhs = rhs + sign * subst_u(schur(quot.q1))
-    return _result("main2", {"m": m, "n": n}, lhs, rhs, t0)
+            rhs.append((sign, subst_u(schur(quot.q1))))
+    return _result("main2", {"m": m, "n": n}, _linear_sum(lhs),
+                   _linear_sum(rhs), t0)
 
 
 def check_trapezoid(m, n):
@@ -108,13 +106,12 @@ def check_trapezoid(m, n):
     trapezoid = tuple(p for p in range(m, m - n, -1) if p > 0)
     lhs = subst_q_u(schur_q(trapezoid))
     sign = -1 if ((m + 1) * (m + 2 * n) // 2) % 2 else 1
-    rhs = SparsePoly.zero()
+    rhs = []
     for mu in _sorted_added(bar_core(-m), 0, n):
         quot = bar_quotient(mu)
         if not quot.q0:
-            coeff = SparsePoly.constant(sign * delta0(mu, m))
-            rhs = rhs + coeff * subst_odd(schur(quot.q1))
-    return _result("trapezoid", {"m": m, "n": n}, lhs, rhs, t0)
+            rhs.append((sign * delta0(mu, m), subst_odd(schur(quot.q1))))
+    return _result("trapezoid", {"m": m, "n": n}, lhs, _linear_sum(rhs), t0)
 
 
 def check_f_power(i, m, n):

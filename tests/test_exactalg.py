@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.exactalg import (ONE, SQRT2, ZERO, SparsePoly, Sqrt2Rational,
-                             svar, tvar, var_name, zvar)
+from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
+                             _LIMIT, svar, tvar, var_name, zvar)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
@@ -70,6 +70,16 @@ class TestSqrt2Rational:
         assert x * x.inv() == 1
         with pytest.raises(ZeroDivisionError):
             ZERO.inv()
+
+    def test_unsupported_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            "x" - SQRT2
+
+    def test_rational_scalar_hashes_as_its_fraction(self):
+        assert hash(Sqrt2Rational(3)) == hash(3)
+        assert hash(Sqrt2Rational(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+        assert len({Sqrt2Rational(3), 3}) == 1
+        assert len({Sqrt2Rational(3), Sqrt2Rational(3, 1)}) == 2
 
     def test_scalar_helpers(self):
         assert SQRT2 * SQRT2 == 2
@@ -193,6 +203,38 @@ class TestSparsePoly:
             p.terms[()] = Fraction(1)
         assert str(p) == "t1"
 
+    def test_unsupported_operand_raises_type_error(self):
+        t1 = SparsePoly.variable(tvar(1))
+        with pytest.raises(TypeError):
+            "x" - t1
+        with pytest.raises(TypeError):
+            t1 + "x"
+
+    def test_constant_hashes_as_its_coefficient(self):
+        assert hash(SparsePoly.constant(3)) == hash(3)
+        assert len({SparsePoly.constant(3), 3}) == 1
+        assert hash(SparsePoly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert hash(SparsePoly.constant(SQRT2)) == hash(SQRT2)
+        assert hash(SparsePoly.zero()) == hash(0)
+
+    def test_exponent_past_the_slot_raises(self):
+        top = SparsePoly({((tvar(1), _LIMIT - 1),): 1})
+        assert str(top) == "t1^%d" % (_LIMIT - 1)
+        with pytest.raises(OverflowError):
+            SparsePoly({((tvar(1), _LIMIT),): 1})
+        with pytest.raises(ValueError):
+            SparsePoly({((tvar(1), -1),): 1})
+
+    def test_product_overflow_raises_and_never_carries(self):
+        half = SparsePoly({((svar(1), _LIMIT // 2),): 1})
+        with pytest.raises(OverflowError):
+            half * half
+        top = SparsePoly({((svar(1), _LIMIT - 1),): 1})
+        with pytest.raises(OverflowError):
+            top * (SparsePoly.variable(svar(1)) + SparsePoly.variable(svar(3)))
+        # a full slot next to an empty one: the neighbour stays empty
+        assert (top * SparsePoly.variable(svar(3))).variables() == {svar(1), svar(3)}
+
     def test_weighted_degree(self):
         t1, t3 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(3))
         s5 = SparsePoly.variable(svar(5))
@@ -278,3 +320,100 @@ class TestSparsePoly:
     def test_str_round_trip_stability(self, p):
         # rendering is deterministic and equality-respecting
         assert str(p) == str(p + SparsePoly.zero())
+
+
+# ---------------------------------------------------------------------------
+# differential test: the packed-int kernel against tuple monomials and
+# Fraction / Sqrt2Rational coefficients
+# ---------------------------------------------------------------------------
+
+def _ref_clean(terms):
+    """Drop zeros; a coefficient is a Fraction unless its sqrt2 part is
+    nonzero."""
+    out = {}
+    for mono, coeff in terms.items():
+        coeff = Sqrt2Rational(0) + coeff
+        if not coeff.is_zero():
+            out[mono] = coeff if coeff.b else coeff.a
+    return out
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for mono, coeff in q.items():
+        out[mono] = out.get(mono, 0) + sign * coeff
+    return _ref_clean(out)
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_substitute(p, mapping):
+    out = {}
+    for mono, coeff in p.items():
+        term = {(): coeff}
+        for v, e in mono:
+            for _ in range(e):
+                term = _ref_mul(term, mapping.get(v, {((v, 1),): Fraction(1)}))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_str(p):
+    def degree(mono):
+        return sum(e if fam == Z else idx * e for (fam, idx), e in mono)
+
+    chunks = []
+    for mono, coeff in sorted(p.items(), key=lambda kv: (
+            -degree(kv[0]), tuple((v, -e) for v, e in kv[0]))):
+        mono_str = "*".join(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e)
+                            for v, e in mono)
+        negative = isinstance(coeff, Fraction) and coeff < 0
+        mag = abs(coeff) if isinstance(coeff, Fraction) else coeff
+        if mono_str and mag == 1:
+            body = mono_str
+        else:
+            body = "%s*%s" % (mag, mono_str) if mono_str else str(mag)
+        sep = ("-" if negative else "") if not chunks else (" - " if negative else " + ")
+        chunks.append(sep + body)
+    return "".join(chunks) or "0"
+
+
+_VARS = [tvar(1), tvar(2), tvar(3), svar(1), svar(3), zvar(1)]
+monomials = st.dictionaries(st.sampled_from(_VARS), st.integers(1, 3),
+                            max_size=3).map(lambda d: tuple(sorted(d.items())))
+term_dicts = st.dictionaries(
+    monomials, st.one_of(st.integers(min_value=-6, max_value=6), scalars),
+    max_size=5)
+
+
+class TestAgainstReferenceKernel:
+    @settings(max_examples=80)
+    @given(term_dicts, term_dicts, term_dicts, term_dicts)
+    def test_operations_match(self, a, b, image_t, image_s):
+        p, q = SparsePoly(a), SparsePoly(b)
+        ref_p, ref_q = _ref_clean(a), _ref_clean(b)
+        assert dict(p.terms) == ref_p
+        results = [(p * q, _ref_mul(ref_p, ref_q)),
+                   (p + q, _ref_add(ref_p, ref_q)),
+                   (p - q, _ref_add(ref_p, ref_q, -1)),
+                   (p.substitute({tvar(1): SparsePoly(image_t),
+                                  svar(1): SparsePoly(image_s)}),
+                    _ref_substitute(ref_p, {tvar(1): _ref_clean(image_t),
+                                            svar(1): _ref_clean(image_s)}))]
+        for got, want in results:
+            assert dict(got.terms) == want
+            assert str(got) == _ref_str(want)
+            rebuilt = SparsePoly(want)
+            assert rebuilt == got and hash(rebuilt) == hash(got)
+        assert hash(p * q) == hash(q * p)
+        assert hash((p + q) - q) == hash(p)

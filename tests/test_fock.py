@@ -81,6 +81,12 @@ class TestFockVector:
         assert (v - v).is_zero()
         assert v.scale(Fraction(1, 2)).coefficient((3, 1)) == 1
 
+    def test_unsupported_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            FockVector.zero() + 1
+        with pytest.raises(TypeError):
+            FockVector.zero() - SparsePoly.zero()
+
     def test_immutable(self):
         v = FockVector.from_word((2, 0))
         with pytest.raises(AttributeError):
@@ -304,6 +310,12 @@ class TestBosonElement:
         assert (a + b).is_zero()
         assert (a - a).is_zero()
         assert a.scale(3).component(0, 1) == SparsePoly.constant(3)
+
+    def test_unsupported_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            BosonElement.zero() - 1
+        with pytest.raises(TypeError):
+            BosonElement.zero() + FockVector.zero()
 
     def test_immutable(self):
         elt = BosonElement({(0, 1): SparsePoly.constant(2)})

@@ -6,6 +6,7 @@ series computed here from scratch, independently of the production
 recurrences.
 """
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -419,6 +420,42 @@ class TestMemoAgainstFreshComputation:
                         first.substitute({tvar(1): _t(2)})):
             assert derived is not first
         assert str(schur((2, 1))) == "1/3*t1^3 - t3"
+
+
+def _pf_unmemoized(rows, active):
+    """First-row Pfaffian expansion over a tuple of active indices, with
+    no memo."""
+    if not active:
+        return SparsePoly.constant(1)
+    first, rest = active[0], active[1:]
+    acc = SparsePoly.zero()
+    for pos, j in enumerate(rest):
+        if not rows[first][j].is_zero():
+            term = rows[first][j] * _pf_unmemoized(rows, rest[:pos] + rest[pos + 1:])
+            acc = acc + (term if pos % 2 == 0 else -term)
+    return acc
+
+
+class TestPfaffianMemo:
+    def test_random_skew_matrices(self):
+        gens = [SparsePoly.zero(), SparsePoly.constant(1), _t(1), _t(2),
+                _s(1), _s(3), _t(1) - _s(1)]
+        rng = random.Random(7)
+        for d in (2, 4, 6, 8):
+            for _ in range(12):
+                rows = [[SparsePoly.zero()] * d for _ in range(d)]
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        entry = SparsePoly.constant(rng.randint(-3, 3)) * rng.choice(gens)
+                        rows[i][j], rows[j][i] = entry, -entry
+                assert pfaffian(rows) == _pf_unmemoized(rows, tuple(range(d)))
+
+    def test_every_schur_q_through_weight_10(self):
+        for w in range(11):
+            for lam in _strict_partitions_of(w):
+                parts = lam + (0,) if len(lam) % 2 else lam
+                rows = [[qq_pair(a, b) for b in parts] for a in parts]
+                assert schur_q(lam) == _pf_unmemoized(rows, tuple(range(len(parts))))
 
 
 class TestSubstitutionAgainstNaive:
