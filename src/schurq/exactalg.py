@@ -4,9 +4,10 @@ polynomials over it.
 Scalars are a + b*sqrt(2) with rational a, b (Fraction keeps lowest terms).
 A polynomial runs on ints: packed-int monomials, and integer numerators over
 one shared denominator.  Its sqrt(2) part is a second numerator dict, filled
-only in boson sectors and F0 coefficients, so the symmetric-function kernel,
-which never leaves Q, multiplies plain ints.  Polynomials live in three
-indexed variable families:
+only in boson sectors, so the symmetric-function kernel, which never leaves
+Q, multiplies plain ints.  Fock vectors (fock.FockVector) share this integer
+form, _IntCombination, with words in place of monomials.  Polynomials live
+in three indexed variable families:
 
     t1, t2, t3, ...   (family T)
     s1, s3, s5, ...   (family S, odd indices only)
@@ -116,11 +117,7 @@ class Sqrt2Rational:
         return out
 
     def __str__(self):
-        # contract: `a`, `a/b`, or `(a+b*r2)`
-        if self.b == 0:
-            return str(self.a)
-        sign = "+" if self.b > 0 else "-"
-        return "(%s%s%s*r2)" % (self.a, sign, abs(self.b))
+        return _scalar_str(*_int_parts(self))
 
     def __repr__(self):
         return "Sqrt2Rational(%r, %r)" % (str(self.a), str(self.b))
@@ -139,14 +136,103 @@ ONE = Sqrt2Rational(1)
 SQRT2 = Sqrt2Rational(0, 1)
 
 
-def _poly_coeff(x):
-    """The canonical polynomial coefficient of a scalar: a Fraction when the
-    sqrt(2) part is zero, else the Sqrt2Rational itself."""
+def _int_parts(x):
+    """Ints (p, q, d) with d > 0 and the scalar x = (p + q*sqrt2)/d."""
     if isinstance(x, Sqrt2Rational):
-        return x if x.b else x.a
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError("not a scalar in Q(sqrt2): %r" % (x,))
+        a, b = x.a, x.b
+    elif isinstance(x, (int, Fraction)):
+        a, b = x, 0
+    else:
+        raise TypeError("not a scalar in Q(sqrt2): %r" % (x,))
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+
+def _ratio_str(n, d):
+    """str(Fraction(n, d)) for ints n and d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else "%d/%d" % (n // g, d // g)
+
+
+def _scalar_str(p, q, d):
+    """The rendering of the scalar (p + q*sqrt2)/d: `a`, `a/b`, or
+    `(a+b*r2)`, with a and b rational in lowest terms."""
+    if not q:
+        return _ratio_str(p, d)
+    return "(%s%s%s*r2)" % (_ratio_str(p, d), "+" if q > 0 else "-",
+                            _ratio_str(abs(q), d))
+
+
+class _IntCombination:
+    """A finite combination (_num + sqrt2*_root)/_den of int keys over
+    Q(sqrt2), in canonical form: _num and _root map keys to nonzero ints,
+    and the positive int _den is coprime to them all, so equal combinations
+    have equal parts.  SparsePoly (keys: packed monomials) and
+    fock.FockVector (keys: words as bitsets) store their values this way.
+    Immutable: operations build new values through _make."""
+
+    __slots__ = ("_den", "_num", "_root")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @classmethod
+    def _make(cls, den, num, root):
+        """The combination (num + sqrt2*root)/den, brought to canonical form."""
+        g = gcd(den, *num.values(), *root.values())
+        if g != 1 or 0 in num.values() or 0 in root.values():
+            num = {k: c // g for k, c in num.items() if c}
+            root = {k: c // g for k, c in root.items() if c}
+        out = object.__new__(cls)
+        object.__setattr__(out, "_den", den // g)
+        object.__setattr__(out, "_num", num)
+        object.__setattr__(out, "_root", root)
+        return out
+
+    @classmethod
+    def _of(cls, pairs):
+        """The combination of (key, scalar) pairs; repeated keys add up."""
+        parts = [(k, _int_parts(c)) for k, c in pairs]
+        den = lcm(*(d for _, (_, _, d) in parts))
+        num, root = {}, {}
+        for k, (p, q, d) in parts:
+            num[k] = num.get(k, 0) + p * (den // d)
+            root[k] = root.get(k, 0) + q * (den // d)
+        return cls._make(den, num, root)
+
+    def _coeff(self, key):
+        """The coefficient of a key: a Fraction when its sqrt(2) part is
+        zero, else a Sqrt2Rational."""
+        a = Fraction(self._num.get(key, 0), self._den)
+        b = self._root.get(key)
+        return Sqrt2Rational(a, Fraction(b, self._den)) if b else a
+
+    def _coeff_str(self, key):
+        """str(self._coeff(key)), from the ints."""
+        return _scalar_str(self._num.get(key, 0), self._root.get(key, 0), self._den)
+
+    def _keys(self):
+        return self._num.keys() | self._root.keys()
+
+    def _same(self, other):
+        return (self._den == other._den and self._num == other._num
+                and self._root == other._root)
+
+    def _scaled(self, scalar):
+        """This combination times a scalar, on the int numerators:
+        (A + sqrt2 B)(p + sqrt2 q) = pA + 2qB + sqrt2 (qA + pB)."""
+        p, q, d = _int_parts(scalar)
+        num = {k: p * c for k, c in self._num.items()} if p else {}
+        root = {k: p * c for k, c in self._root.items()} if p else {}
+        if q:
+            for k, c in self._root.items():
+                num[k] = num.get(k, 0) + 2 * q * c
+            for k, c in self._num.items():
+                root[k] = root.get(k, 0) + q * c
+        return self._make(self._den * d, num, root)
+
+    def is_zero(self):
+        return not self._num and not self._root
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +248,7 @@ _WIDTH = 16
 _LIMIT = 1 << (_WIDTH - 1)
 _MASK = (1 << _WIDTH) - 1
 _SLOTS = {}   # variable -> bit offset of its slot
+_VARS = []    # the variable of each slot, in offset order
 _GUARD = 0    # the guard bits of every assigned slot
 
 
@@ -198,7 +285,8 @@ def _pack(mono):
             raise OverflowError("exponent of %s exceeds %d" % (var_name(v), _LIMIT - 1))
         offset = _SLOTS.get(v)
         if offset is None:
-            offset = _SLOTS[v] = len(_SLOTS) * _WIDTH
+            offset = _SLOTS[v] = len(_VARS) * _WIDTH
+            _VARS.append(v)
             _GUARD |= _LIMIT << offset
         packed += e << offset
     _check_guard((packed,))
@@ -212,9 +300,16 @@ def _check_guard(monos):
 
 
 def _unpack(packed):
-    """The sorted tuple monomial of a packed int."""
-    return tuple(sorted((v, e) for v, offset in _SLOTS.items()
-                        if (e := packed >> offset & _MASK)))
+    """The sorted tuple monomial of a packed int, read slot by slot up to
+    its highest occupied slot."""
+    mono = []
+    for v in _VARS:
+        if not packed:
+            break
+        if e := packed & _MASK:
+            mono.append((v, e))
+        packed >>= _WIDTH
+    return tuple(sorted(mono))
 
 
 def _mono_degree(mono):
@@ -230,42 +325,22 @@ def _mono_sort_key(mono):
     return (-_mono_degree(mono), tuple((v, -e) for v, e in mono))
 
 
-class SparsePoly:
-    """Sparse multivariate polynomial over Q(sqrt2), in the canonical form
-    (_num + sqrt2*_root)/_den: _num and _root map packed monomials to
-    nonzero ints, and the positive int _den is coprime to them all.
-    Immutable: every operation returns a fresh value, so caches may hand the
-    same instance to every caller.  `terms` is a read-only view mapping each
-    tuple monomial to its coefficient (see _poly_coeff).
+class SparsePoly(_IntCombination):
+    """Sparse multivariate polynomial over Q(sqrt2): an _IntCombination
+    of packed monomials.  Immutable: every operation returns a fresh value,
+    so caches may hand the same instance to every caller.  `terms` is a
+    read-only view mapping each tuple monomial to its coefficient (a
+    Fraction unless the sqrt(2) part is nonzero).
     """
 
-    __slots__ = ("_den", "_num", "_root")
+    __slots__ = ()
 
     def __new__(cls, terms=None):
-        scalars = [(_pack(mono), _promote_scalar(_poly_coeff(coeff)))
-                   for mono, coeff in (terms or {}).items()]
-        den = lcm(*(x.denominator for _, c in scalars for x in (c.a, c.b)))
-        num, root = {}, {}
-        for m, c in scalars:
-            num[m] = num.get(m, 0) + int(c.a * den)
-            root[m] = root.get(m, 0) + int(c.b * den)
-        return _make(den, num, root)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparsePoly is immutable")
+        return cls._of((_pack(mono), c) for mono, c in (terms or {}).items())
 
     @property
     def terms(self):
-        return MappingProxyType({_unpack(m): self._coeff(m)
-                                 for m in {**self._num, **self._root}})
-
-    def _coeff(self, m):
-        a = Fraction(self._num.get(m, 0), self._den)
-        b = self._root.get(m)
-        return Sqrt2Rational(a, Fraction(b, self._den)) if b else a
-
-    def _monos(self):
-        return self._num.keys() | self._root.keys()
+        return MappingProxyType({_unpack(m): self._coeff(m) for m in self._keys()})
 
     # -- constructors --
 
@@ -275,7 +350,8 @@ class SparsePoly:
 
     @staticmethod
     def constant(c):
-        return SparsePoly({(): c})
+        p, q, d = _int_parts(c)
+        return SparsePoly._make(d, {0: p}, {0: q})
 
     @staticmethod
     def variable(v):
@@ -283,18 +359,14 @@ class SparsePoly:
 
     # -- predicates --
 
-    def is_zero(self):
-        return not self._num and not self._root
-
     def __eq__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        return (self._den == other._den and self._num == other._num
-                and self._root == other._root)
+        return self._same(other)
 
     def __hash__(self):
-        if self._monos() <= {0}:
+        if self._keys() <= {0}:
             # a constant equals its coefficient, so it hashes as one
             return hash(self._coeff(0))
         return hash((self._den, frozenset(self._num.items()),
@@ -343,7 +415,7 @@ class SparsePoly:
             _product(root, self._root, other._num)
             _check_guard(root)
         _check_guard(num)
-        return _make(self._den * other._den, num, root)
+        return SparsePoly._make(self._den * other._den, num, root)
 
     __rmul__ = __mul__
 
@@ -359,16 +431,16 @@ class SparsePoly:
 
     def variables(self):
         used = 0
-        for m in self._monos():
+        for m in self._keys():
             used |= m
         return {v for v, _ in _unpack(used)}
 
     def weighted_degree(self):
         """Max weighted degree over terms; None for the zero polynomial."""
-        return max((_mono_degree(_unpack(m)) for m in self._monos()), default=None)
+        return max((_mono_degree(_unpack(m)) for m in self._keys()), default=None)
 
     def is_homogeneous(self):
-        return len({_mono_degree(_unpack(m)) for m in self._monos()}) <= 1
+        return len({_mono_degree(_unpack(m)) for m in self._keys()}) <= 1
 
     def substitute(self, mapping):
         """Ring-homomorphic substitution; unmapped variables pass through.
@@ -405,30 +477,27 @@ class SparsePoly:
 
     # -- rendering --
 
-    def ordered_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-
     def __str__(self):
         if self.is_zero():
             return "0"
         chunks = []
-        for mono, coeff in self.ordered_terms():
+        for mono, m in sorted(((_unpack(m), m) for m in self._keys()),
+                              key=lambda pair: _mono_sort_key(pair[0])):
             mono_str = "*".join(
                 var_name(v) if e == 1 else "%s^%d" % (var_name(v), e)
                 for v, e in mono)
-            if isinstance(coeff, Fraction):
-                negative = coeff < 0
-                mag = abs(coeff)
-                if mono_str and mag == 1:
-                    body = mono_str
-                elif mono_str:
-                    body = "%s*%s" % (mag, mono_str)
-                else:
-                    body = str(mag)
-            else:
+            if m in self._root:
                 negative = False
-                cs = str(coeff)
+                cs = self._coeff_str(m)
                 body = "%s*%s" % (cs, mono_str) if mono_str else cs
+            else:
+                n = self._num[m]
+                negative = n < 0
+                if mono_str and abs(n) == self._den:
+                    body = mono_str
+                else:
+                    mag = _ratio_str(abs(n), self._den)
+                    body = "%s*%s" % (mag, mono_str) if mono_str else mag
             if not chunks:
                 chunks.append(("-" if negative else "") + body)
             else:
@@ -437,19 +506,6 @@ class SparsePoly:
 
     def __repr__(self):
         return "SparsePoly(%s)" % self
-
-
-def _make(den, num, root):
-    """The SparsePoly (num + sqrt2*root)/den, brought to canonical form."""
-    g = gcd(den, *num.values(), *root.values())
-    if g != 1 or 0 in num.values() or 0 in root.values():
-        num = {m: c // g for m, c in num.items() if c}
-        root = {m: c // g for m, c in root.items() if c}
-    p = object.__new__(SparsePoly)
-    object.__setattr__(p, "_den", den // g)
-    object.__setattr__(p, "_num", num)
-    object.__setattr__(p, "_root", root)
-    return p
 
 
 def _product(out, a, b, scale=1):
@@ -466,9 +522,11 @@ def _product(out, a, b, scale=1):
 
 
 def _linear_sum(pairs, den=1):
-    """sum(w * p for w, p in pairs) / den for int weights w and SparsePoly
-    p, every term rescaled to one lcm denominator and summed in one pass."""
+    """sum(w * p for w, p in pairs) / den for int weights w and
+    combinations p of one type (SparsePoly for an empty sum), every term
+    rescaled to one lcm denominator and summed in one pass."""
     pairs = list(pairs)
+    cls = type(pairs[0][1]) if pairs else SparsePoly
     common = lcm(*(p._den for _, p in pairs))
     num, root = {}, {}
     for w, p in pairs:
@@ -477,7 +535,7 @@ def _linear_sum(pairs, den=1):
             get = out.get
             for m, c in part.items():
                 out[m] = get(m, 0) + c * scale
-    return _make(common * den, num, root)
+    return cls._make(common * den, num, root)
 
 
 _UNIT = SparsePoly.constant(1)

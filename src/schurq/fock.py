@@ -5,10 +5,20 @@ The fermion algebra has generators b_n (n in Z) with
     b_m b_n + b_n b_m = (-1)^m delta_{m+n,0}
 
 acting on a vacuum killed by every b_n with n < 0 (so b_0^2 = 1/2).  States
-are stored as linear combinations of *words*: strictly decreasing tuples of
+are linear combinations of *words*: strictly decreasing tuples of
 non-negative mode indices, applied left to right to the vacuum.  A trailing
 zero is significant -- (3, 0) and (3,) are different states, and the basis
 vector of a strict partition uses the even-padded part list as its word.
+
+A FockVector is stored as a SparsePoly is: integer numerators over one
+shared denominator, with a second numerator dict for the sqrt(2) part, and
+each word kept as a bitset w with bit p set when mode p is present (bitsets
+order as their words do).  On a bitset each mode operator is one bit move;
+with c the number of modes above the moved one:
+
+    b_n, n > 0      set bit n (zero if it is set), sign (-1)^c
+    b_{-p}, p > 0   clear bit p (zero if it is clear), sign (-1)^(p+c)
+    b_0             toggle bit 0, sign (-1)^c, weight 1/2 when it clears it
 
 The two lowering operators of the rank-two twisted affine algebra act as
 quadratic expressions in the modes:
@@ -18,7 +28,11 @@ quadratic expressions in the modes:
 
 Each mode term is one single-node action A_p = (-1)^p b_{p+1} b_{-p}, so
 F0 = sqrt(2) * sum A_p over p = 0, 2 (mod 3) and F1 = 2 * sum A_p over
-p = 1 (mod 3), with p over 0 and the parts of the words.
+p = 1 (mod 3), with p over 0 and the parts of the words.  On bitsets A_p
+moves a part p with p + 1 free to p + 1, w -> w + 2^p, with weight 1 (1/2
+for p = 0), and A_0 also sends a word without the parts 1 and 0 to w | 3
+with weight 1; the signs cancel.  So F_i is one pass of bit moves over the
+words, in integer arithmetic.
 
 Words map to charged-boson components by splitting the modes mod 3 into a
 neutral family (phi_j = b_{3j}), a charged family (psi_k = b_{3k+1}) and its
@@ -32,8 +46,8 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import (ONE, SQRT2, SparsePoly, Sqrt2Rational, _linear_sum,
-                       _poly_coeff, _promote_scalar)
+from .exactalg import (ONE, SQRT2, ZERO, SparsePoly, Sqrt2Rational,
+                       _IntCombination, _linear_sum, _promote_scalar)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
                          is_added_member, stats)
 from .symfunc import schur, schur_q
@@ -58,27 +72,30 @@ def _accumulate(terms, more):
             terms[key] = coeff
 
 
-class FockVector:
-    """Immutable linear combination of words: `terms` is a read-only view
-    word -> coefficient, normalized by _poly_coeff as in SparsePoly."""
+def _word_bits(word):
+    """A word as a bitset: bit p is set when mode p is present."""
+    return sum(1 << p for p in _check_word(word))
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                coeff = _poly_coeff(coeff)
-                if coeff:
-                    clean[_check_word(word)] = coeff
-        object.__setattr__(self, "_terms", clean)
+def _bits_word(bits):
+    """The word of a bitset: its set bits, highest first."""
+    return tuple(p for p in range(bits.bit_length() - 1, -1, -1) if bits >> p & 1)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FockVector is immutable")
+
+class FockVector(_IntCombination):
+    """Immutable linear combination of words, stored as a polynomial is (see
+    exactalg._IntCombination) with each word as its bitset.  Bitsets order
+    as their words do.  `terms` is a read-only view word -> coefficient (a
+    Fraction unless the sqrt(2) part is nonzero)."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms=None):
+        return cls._of((_word_bits(w), c) for w, c in (terms or {}).items())
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        return MappingProxyType({_bits_word(w): self._coeff(w) for w in self._keys()})
 
     @staticmethod
     def zero():
@@ -93,71 +110,85 @@ class FockVector:
         """The state of a strict partition: its even-padded parts as a word."""
         return FockVector({lam.even_padded(): ONE})
 
-    def is_zero(self):
-        return not self._terms
-
     def __eq__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self._terms == other._terms
+        return self._same(other)
 
     def __add__(self, other):
         if not isinstance(other, FockVector):
             return NotImplemented
-        terms = dict(self._terms)
-        _accumulate(terms, other._terms)
-        return FockVector(terms)
+        return _linear_sum(((1, self), (1, other)))
 
     def __neg__(self):
-        return FockVector({w: -c for w, c in self._terms.items()})
+        return _linear_sum(((-1, self),))
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, FockVector):
+            return NotImplemented
+        return _linear_sum(((1, self), (-1, other)))
 
     def scale(self, scalar):
-        scalar = _poly_coeff(scalar)
-        return FockVector({w: c * scalar for w, c in self._terms.items()})
+        return self._scaled(scalar)
 
     def coefficient(self, word):
-        return _promote_scalar(self._terms.get(tuple(word), Fraction(0)))
+        try:
+            bits = _word_bits(word)
+        except ValueError:
+            return ZERO  # not a word, so no term carries it
+        return _promote_scalar(self._coeff(bits))
 
     def __str__(self):
-        if not self._terms:
+        if self.is_zero():
             return "0"
         lines = []
-        for word in sorted(self._terms, reverse=True):
+        for bits in sorted(self._keys(), reverse=True):
+            word = _bits_word(bits)
             ket = "|%s>" % ",".join(str(x) for x in word) if word else "|vac>"
-            lines.append("%s * %s" % (self._terms[word], ket))
+            lines.append("%s * %s" % (self._coeff_str(bits), ket))
         return "\n".join(lines)
 
     def __repr__(self):
-        return "FockVector(%r)" % (self._terms,)
-
-
-def _beta_word(n, word):
-    """Apply b_n to a single word; dict word -> Fraction coefficient."""
-    if not word:
-        return {} if n < 0 else {(n,): Fraction(1)}
-    head, rest = word[0], word[1:]
-    if n > head:
-        return {(n,) + word: Fraction(1)}
-    if n == head:
-        # b_n b_n = (1/2) (-1)^n delta_{2n,0}: only the zero mode survives
-        return {rest: Fraction(1, 2)} if n == 0 else {}
-    out = {}
-    if n == -head:
-        out[rest] = Fraction(-1) if head % 2 else Fraction(1)
-    for w, c in _beta_word(n, rest).items():
-        out[(head,) + w] = -c  # b_head on w (all modes below head) prepends it
-    return out
+        return "FockVector(%r)" % (dict(sorted(self.terms.items(), reverse=True)),)
 
 
 def beta_apply(n, vec):
-    """The mode operator b_n applied to a vector."""
-    out = {}
-    for word, coeff in vec.terms.items():
-        _accumulate(out, {w: coeff * c for w, c in _beta_word(n, word).items()})
-    return FockVector(out)
+    """The mode operator b_n applied to a vector: one bit move per word, with
+    c the number of modes above |n| in the word.  b_n (n > 0) adds mode n
+    with sign (-1)^c; b_{-p} removes mode p with sign (-1)^(p+c); b_0 toggles
+    mode 0 with sign (-1)^c and weight 1/2 when it removes it (b_0^2 = 1/2).
+    A word that has mode n > 0, or lacks mode -n < 0, is killed."""
+    p = abs(n)
+    bit = 1 << p
+    extra = p if n < 0 else 0
+    num, root = {}, {}
+    for part, out in ((vec._num, num), (vec._root, root)):
+        for w, c in part.items():
+            if (n > 0 and w & bit) or (n < 0 and not w & bit):
+                continue
+            if n == 0 and not w & 1:
+                c *= 2  # weight 1 over the doubled denominator
+            out[w ^ bit] = -c if ((w >> (p + 1)).bit_count() + extra) % 2 else c
+    return FockVector._make(2 * vec._den if n == 0 else vec._den, num, root)
+
+
+def _node_sum(vec, nodes):
+    """The sum of the single-node actions A_p over the bits p of `nodes`:
+    A_p moves a part p to p + 1 when p + 1 is free (w -> w + 2^p, weight 1,
+    or 1/2 for p = 0, whose mode contracts), and A_0 also adds the parts 1
+    and 0 to a word that has neither (w -> w | 3, weight 1)."""
+    num, root = {}, {}
+    for part, out in ((vec._num, num), (vec._root, root)):
+        get = out.get
+        for w, c in part.items():
+            moves = w & ~(w >> 1) & nodes
+            while moves:
+                low = moves & -moves
+                moves ^= low
+                out[w + low] = get(w + low, 0) + (c if low == 1 else 2 * c)
+            if nodes & 1 and not w & 3:
+                out[w | 3] = get(w | 3, 0) + 2 * c
+    return FockVector._make(2 * vec._den, num, root)
 
 
 def single_node_action(i, vec):
@@ -165,10 +196,7 @@ def single_node_action(i, vec):
     when i = 0): (-1)^i b_{i+1} b_{-i} for i > 0, and b_1 b_0 for i = 0."""
     if i < 0:
         raise ValueError("part index must be non-negative")
-    if i == 0:
-        return beta_apply(1, beta_apply(0, vec))
-    out = beta_apply(i + 1, beta_apply(-i, vec))
-    return out.scale(-1) if i % 2 else out
+    return _node_sum(vec, 1 << i)
 
 
 def f_apply(i, vec):
@@ -177,12 +205,9 @@ def f_apply(i, vec):
     hence its factor 2; b_{-p} kills a word without the part p > 0)."""
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
-    out = {}
-    for p in {0}.union(*vec.terms):
-        if color(p + 1) == i:
-            _accumulate(out, single_node_action(p, vec).terms)
-    scalar = SQRT2 if i == 0 else 2
-    return FockVector({w: c * scalar for w, c in out.items()})
+    top = max(vec._keys(), default=0).bit_length()
+    nodes = sum(1 << p for p in range(max(top, 1)) if color(p + 1) == i)
+    return _node_sum(vec, nodes)._scaled(SQRT2 if i == 0 else 2)
 
 
 def f_power_normalized(i, n, vec):

@@ -2,13 +2,14 @@
 operators, normal ordering, and the boson image."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurq.exactalg import ONE, SQRT2, SparsePoly, Sqrt2Rational
-from schurq.partitions import StrictPartition, bar_core, enumerate_added
+from schurq.partitions import StrictPartition, bar_core, color, enumerate_added
 from schurq.symfunc import schur, schur_q
 from schurq.fock import (BosonElement, FockVector, NormalWord, beta_apply,
                          core_state_image, f_apply, f_power_normalized,
@@ -32,6 +33,12 @@ fock_coeffs = st.sampled_from([ONE, -ONE, Sqrt2Rational(Fraction(1, 2)),
 
 fock_vectors = st.dictionaries(words, fock_coeffs, max_size=4).map(FockVector)
 
+# words drawn with and without the trailing zero mode
+padded_words = st.tuples(words, st.booleans()).map(
+    lambda wb: tuple(x for x in wb[0] if x) + ((0,) if wb[1] else ()))
+
+padded_vectors = st.dictionaries(padded_words, fock_coeffs, max_size=4).map(FockVector)
+
 
 def _mode_sum_f_apply(i, vec):
     """F_i as its defining mode sum, cut at |m| <= top // 3 + 2 where top is
@@ -48,6 +55,56 @@ def _mode_sum_f_apply(i, vec):
             scalar = Sqrt2Rational(-1 if m % 2 else 1)
         out = out + term.scale(scalar)
     return out
+
+
+def _ref_beta_word(n, word):
+    """Reference: b_n on one tuple word by recursion over its modes; dict
+    word -> Fraction coefficient."""
+    if not word:
+        return {} if n < 0 else {(n,): Fraction(1)}
+    head, rest = word[0], word[1:]
+    if n > head:
+        return {(n,) + word: Fraction(1)}
+    if n == head:
+        # b_n b_n = (1/2) (-1)^n delta_{2n,0}: only the zero mode survives
+        return {rest: Fraction(1, 2)} if n == 0 else {}
+    out = {}
+    if n == -head:
+        out[rest] = Fraction(-1) if head % 2 else Fraction(1)
+    for w, c in _ref_beta_word(n, rest).items():
+        out[(head,) + w] = -c  # b_head on w (all modes below head) prepends it
+    return out
+
+
+def _ref_beta(n, terms):
+    """Reference: b_n on a dict tuple word -> scalar, in Sqrt2Rational and
+    Fraction arithmetic."""
+    out = {}
+    for word, coeff in terms.items():
+        for w, c in _ref_beta_word(n, word).items():
+            out[w] = out.get(w, 0) + coeff * c
+    return out
+
+
+def _ref_node(p, terms):
+    """Reference: the single-node action (-1)^p b_{p+1} b_{-p}."""
+    return {w: c * (-1) ** p for w, c in _ref_beta(p + 1, _ref_beta(-p, terms)).items()}
+
+
+def _ref_f(i, terms):
+    """Reference: F_i as the colour-masked sum of the reference node actions."""
+    out = {}
+    for p in {0}.union(*terms):
+        if color(p + 1) == i:
+            for w, c in _ref_node(p, terms).items():
+                out[w] = out.get(w, 0) + c
+    scalar = SQRT2 if i == 0 else 2
+    return {w: c * scalar for w, c in out.items()}
+
+
+def _assert_matches(vec, ref_terms):
+    """vec has exactly the nonzero terms of the reference dict."""
+    assert dict(vec.terms) == {w: c for w, c in ref_terms.items() if c != 0}
 
 
 def _vec(*pairs):
@@ -73,6 +130,20 @@ class TestFockVector:
             FockVector.from_word((2, 2))
         with pytest.raises(ValueError):
             FockVector.from_word((-1,))
+
+    def test_word_validation_survives_packing(self):
+        # a word is packed into a bitset only after validation, so a
+        # repeated mode is never merged into one bit
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            FockVector({(3, 3): 1})
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            FockVector({(2, 3): 1})
+        with pytest.raises(ValueError, match="non-negative mode indices"):
+            FockVector({(-1,): 1})
+        v = FockVector({(3, 0): 1, (3,): 2})
+        assert dict(v.terms) == {(3, 0): 1, (3,): 2}
+        assert FockVector({(3, 0): 1}) != FockVector({(3,): 1})
+        assert v.coefficient((3, 3)) == 0 and v.coefficient((0, 3)) == 0
 
     def test_vector_space_ops(self):
         v = _vec((1, (2, 0)), (2, (3, 1)))
@@ -236,6 +307,31 @@ class TestLoweringOperators:
         targets = {mu.even_padded() for mu in enumerate_added(lam, i, 1)}
         out = f_apply(i, FockVector.basis(lam))
         assert set(out.terms) <= targets
+
+
+class TestAgainstTupleReference:
+    """The bitset kernel against the recursive tuple-word mode operators."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=-9, max_value=9), padded_vectors)
+    def test_beta_apply(self, n, vec):
+        _assert_matches(beta_apply(n, vec), _ref_beta(n, dict(vec.terms)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=11), padded_vectors)
+    def test_single_node_action(self, p, vec):
+        _assert_matches(single_node_action(p, vec), _ref_node(p, dict(vec.terms)))
+
+    def test_f_power_normalized_chains(self):
+        for i in (0, 1):
+            for m in range(6):
+                vec = FockVector.basis(bar_core(m if i == 1 else -m))
+                ref = dict(vec.terms)
+                for n in range(6):
+                    _assert_matches(f_power_normalized(i, n, vec),
+                                    {w: c * Fraction(1, factorial(n))
+                                     for w, c in ref.items()})
+                    ref = _ref_f(i, ref)
 
 
 class TestNormalWords:
