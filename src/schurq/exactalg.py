@@ -148,6 +148,16 @@ def _int_parts(x):
     return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 
 
+def _sqrt2_pow_parts(k, c=1):
+    """Ints (p, q, d) with d > 0 and c * sqrt2**k = (p + q*sqrt2)/d, for a
+    rational c and any int k: sqrt2**k is a power of two, times sqrt2 when
+    k is odd, so it lands in p or in q."""
+    c = Fraction(c)
+    e = k // 2
+    p, d = c.numerator << max(e, 0), c.denominator << max(-e, 0)
+    return (0, p, d) if k % 2 else (p, 0, d)
+
+
 def _ratio_str(n, d):
     """str(Fraction(n, d)) for ints n and d > 0."""
     g = gcd(n, d)
@@ -192,7 +202,13 @@ class _IntCombination:
     @classmethod
     def _of(cls, pairs):
         """The combination of (key, scalar) pairs; repeated keys add up."""
-        parts = [(k, _int_parts(c)) for k, c in pairs]
+        return cls._of_parts((k, _int_parts(c)) for k, c in pairs)
+
+    @classmethod
+    def _of_parts(cls, parts):
+        """The combination of (key, (p, q, d)) pairs, each standing for the
+        scalar (p + q*sqrt2)/d with d > 0; repeated keys add up."""
+        parts = list(parts)
         den = lcm(*(d for _, (_, _, d) in parts))
         num, root = {}, {}
         for k, (p, q, d) in parts:
@@ -463,6 +479,17 @@ class SparsePoly(_IntCombination):
         pairs += [(c, _ROOT2 * image(m)) for m, c in self._root.items()]
         return _linear_sum(pairs, self._den)
 
+    def vanish(self, variables):
+        """This polynomial with the given variables set to zero: its terms
+        free of them, kept by a mask over the packed monomials."""
+        mask = 0
+        for v in variables:
+            if v in _SLOTS:
+                mask |= _MASK << _SLOTS[v]
+        num = {m: c for m, c in self._num.items() if not m & mask}
+        root = {m: c for m, c in self._root.items() if not m & mask}
+        return self._make(self._den, num, root)
+
     def evaluate(self, point):
         """Exact evaluation at a full assignment variable -> scalar."""
         total = ZERO
@@ -481,11 +508,9 @@ class SparsePoly(_IntCombination):
         if self.is_zero():
             return "0"
         chunks = []
-        for mono, m in sorted(((_unpack(m), m) for m in self._keys()),
-                              key=lambda pair: _mono_sort_key(pair[0])):
-            mono_str = "*".join(
-                var_name(v) if e == 1 else "%s^%d" % (var_name(v), e)
-                for v, e in mono)
+        # sort keys are distinct per monomial, so the sort never compares
+        # beyond them
+        for _, mono_str, m in sorted(_mono_text(m) + (m,) for m in self._keys()):
             if m in self._root:
                 negative = False
                 cs = self._coeff_str(m)
@@ -506,6 +531,22 @@ class SparsePoly(_IntCombination):
 
     def __repr__(self):
         return "SparsePoly(%s)" % self
+
+
+_MONO_TEXT = {}  # packed monomial -> (sort key, rendering)
+
+
+def _mono_text(m):
+    """The sort key and the rendering of a packed monomial, memoized: slots
+    are only ever appended, so a packed int names the same monomial for the
+    life of the process."""
+    got = _MONO_TEXT.get(m)
+    if got is None:
+        mono = _unpack(m)
+        text = "*".join(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e)
+                        for v, e in mono)
+        got = _MONO_TEXT[m] = (_mono_sort_key(mono), text)
+    return got
 
 
 def _product(out, a, b, scale=1):

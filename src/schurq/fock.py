@@ -37,8 +37,15 @@ words, in integer arithmetic.
 Words map to charged-boson components by splitting the modes mod 3 into a
 neutral family (phi_j = b_{3j}), a charged family (psi_k = b_{3k+1}) and its
 dual (psistar_k = (-1)^(3k+1) b_{-3k-1}), rewriting the vacuum against a
-charge-(-M) reference state, and straightening into normal form; the normal
-words then read off as Q- and S-polynomials.
+charge-(-M) reference state, and straightening into normal form.  A normal
+word phi_{j1}..phi_{ja} psi_{i1}..psi_{ir} |0,q> with coefficient c reads
+off as one label ((a mod 2, q + r), nu, kappa) with scalar c * sqrt(2)^(-a),
+standing for Q_nu(s) * S_kappa(t): nu is the phi indices and kappa the psi
+indices re-based at the charge, zeros stripped.  The closed form on added-
+node families gives one label per state.  The products Q_nu * S_kappa (nu
+strict, kappa a partition) are linearly independent, so boson images compare
+as label combinations (BosonLabels, stored as a FockVector is), and every
+polynomial image is built from labels by one expansion (BosonLabels.expand).
 """
 
 from dataclasses import dataclass
@@ -46,8 +53,8 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import (ONE, SQRT2, ZERO, SparsePoly, Sqrt2Rational,
-                       _IntCombination, _linear_sum, _promote_scalar)
+from .exactalg import (ONE, SQRT2, ZERO, SparsePoly, _IntCombination,
+                       _linear_sum, _promote_scalar, _sqrt2_pow_parts)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
                          is_added_member, stats)
 from .symfunc import schur, schur_q
@@ -399,7 +406,7 @@ class BosonElement:
         return self + other.scale(-1)
 
     def scale(self, scalar):
-        return BosonElement({key: SparsePoly.constant(scalar) * poly
+        return BosonElement({key: poly._scaled(scalar)
                              for key, poly in self._components.items()})
 
     def component(self, sigma, charge):
@@ -415,32 +422,76 @@ class BosonElement:
         return "BosonElement(%r)" % (self._components,)
 
 
+class BosonLabels(_IntCombination):
+    """A boson image as labels: an _IntCombination of keys (sector, nu,
+    kappa), each standing for Q_nu(s) * S_kappa(t) in the sector (sigma,
+    charge), with nu strict and kappa a partition, zeros stripped.  These
+    products are linearly independent, so two images are equal exactly when
+    their labels are, and a verdict needs no polynomial; `expand` builds
+    the BosonElement."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, BosonLabels):
+            return NotImplemented
+        return self._same(other)
+
+    def expand(self):
+        """The polynomials of the labels: per sector, one sum over the int
+        numerators of Q_nu * S_kappa (times sqrt(2) for the root part)."""
+        sectors = {}
+        for part, root in ((self._num, False), (self._root, True)):
+            for (sector, nu, kappa), c in part.items():
+                poly = schur_q(nu) * schur(kappa)
+                sectors.setdefault(sector, []).append(
+                    (c, poly._scaled(SQRT2) if root else poly))
+        return BosonElement({key: _linear_sum(pairs, self._den)
+                             for key, pairs in sectors.items()})
+
+
+def _label(sector, nu, kappa, c, k):
+    """The label of c * sqrt(2)^k * Q_nu * S_kappa in a sector, as a
+    BosonLabels._of_parts pair."""
+    key = (sector, tuple(p for p in nu if p), tuple(p for p in kappa if p))
+    return key, _sqrt2_pow_parts(k, c)
+
+
+def _normal_word_label(nw):
+    """A normal word reads off as sqrt(2)^(-a) times its coefficient times
+    the Q-function of the phi indices and the S-function of the psi indices
+    re-based at the charge, in the sector (a mod 2, q+r)."""
+    a, r, q = len(nw.phis), len(nw.psis), nw.charge
+    kappa = tuple(nw.psis[j] - q - (r - 1 - j) for j in range(r))
+    return _label((a % 2, q + r), nw.phis, kappa, nw.coeff, -a)
+
+
 def normal_word_image(nw):
-    """The polynomial image of a normal word: sqrt(2)^(-a) times the
-    Q-function of the phi indices (zeros stripped) times the S-function of
-    the psi indices re-based at the charge, in the sector (a mod 2, q+r)."""
-    a = len(nw.phis)
-    r = len(nw.psis)
-    q = nw.charge
-    s_index = tuple(nw.psis[j] - q - (r - 1 - j) for j in range(r))
-    poly = schur_q(tuple(p for p in nw.phis if p > 0)) * schur(s_index)
-    scalar = Sqrt2Rational(nw.coeff) * Sqrt2Rational.sqrt2_pow(-a)
-    return (a % 2, q + r), SparsePoly.constant(scalar) * poly
+    """The sector and the polynomial image of a normal word."""
+    key, parts = _normal_word_label(nw)
+    sector = key[0]
+    return sector, BosonLabels._of_parts([(key, parts)]).expand().component(*sector)
+
+
+def phi_labels(vec):
+    """The boson image of a Fock vector as labels: the labels of the normal
+    words of each word, times its coefficient (p + q sqrt2)/d."""
+    parts = []
+    for bits in vec._keys():
+        p, q = vec._num.get(bits, 0), vec._root.get(bits, 0)
+        for nw in to_normal_words(_bits_word(bits)):
+            key, (a, b, d) = _normal_word_label(nw)
+            parts.append((key, (p * a + 2 * q * b, p * b + q * a, vec._den * d)))
+    return BosonLabels._of_parts(parts)
 
 
 def phi(vec):
-    """The boson image of a Fock vector, summed in one pass per sector."""
-    sectors = {}
-    for word, coeff in vec.terms.items():
-        scalar = SparsePoly.constant(coeff)
-        for nw in to_normal_words(word):
-            key, poly = normal_word_image(nw)
-            sectors.setdefault(key, []).append((1, scalar * poly))
-    return BosonElement({key: _linear_sum(pairs) for key, pairs in sectors.items()})
+    """The boson image of a Fock vector."""
+    return phi_labels(vec).expand()
 
 
-def phi_closed_form(lam, i, m, n):
-    """The boson image of the basis state of lam, evaluated by the closed
+def closed_form_labels(lam, i, m, n):
+    """The boson image of the basis state of lam as labels, by the closed
     formula for members of the n-fold color-i addition family over the
     staircase core (c_m for i = 1, c_{-m} for i = 0)."""
     if i not in (0, 1):
@@ -456,13 +507,17 @@ def phi_closed_form(lam, i, m, n):
     eps = m % 2
     if i == 1:
         sign = -1 if (st.f + m) % 2 else 1
-        scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-eps)
-        poly = SparsePoly.constant(scalar) * schur(quot.q1)
-        return BosonElement({(eps, m - 2 * n): poly})
-    sign = -1 if (st.f + st.g + (st.h if eps else 0)) % 2 else 1
-    scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-st.a)
-    poly = SparsePoly.constant(scalar) * schur_q(quot.q0) * schur(quot.q1)
-    return BosonElement({((n + m) % 2, n - m): poly})
+        label = _label((eps, m - 2 * n), (), quot.q1, sign, -eps)
+    else:
+        sign = -1 if (st.f + st.g + (st.h if eps else 0)) % 2 else 1
+        label = _label(((n + m) % 2, n - m), quot.q0, quot.q1, sign, -st.a)
+    return BosonLabels._of_parts([label])
+
+
+def phi_closed_form(lam, i, m, n):
+    """The closed-form boson image of the basis state of lam (see
+    closed_form_labels)."""
+    return closed_form_labels(lam, i, m, n).expand()
 
 
 def core_state_image(m):
@@ -472,5 +527,4 @@ def core_state_image(m):
     eps = k % 2
     exponent = k if m >= 0 else k * (k - 1) // 2 + k
     sign = -1 if exponent % 2 else 1
-    scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-eps)
-    return BosonElement({(eps, m): SparsePoly.constant(scalar)})
+    return BosonLabels._of_parts([_label((eps, m), (), (), sign, -eps)]).expand()

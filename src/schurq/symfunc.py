@@ -176,13 +176,14 @@ def schur_q(lam):
 # ---------------------------------------------------------------------------
 
 def subst_2t2(p):
-    """Doubling substitution t_j -> 2 t_{2j} (t-polynomials only)."""
-    mapping = {}
-    for v in p.variables():
-        if v[0] != T:
-            raise ValueError("doubling substitution is defined on t-variables only")
-        mapping[v] = SparsePoly.constant(2) * SparsePoly.variable(tvar(2 * v[1]))
-    return p.substitute(mapping)
+    """Doubling substitution t_j -> 2 t_{2j} (t-polynomials only).  It maps
+    monomials to monomials, t^mu -> 2^(sum of exponents) t^(2 mu), and no
+    two to the same one, so it relabels the terms with no products."""
+    if any(v[0] != T for v in p.variables()):
+        raise ValueError("doubling substitution is defined on t-variables only")
+    return SparsePoly({tuple((tvar(2 * j), e) for (_, j), e in mono):
+                       c * 2 ** sum(e for _, e in mono)
+                       for mono, c in p.terms.items()})
 
 
 def subst_u(p):
@@ -196,11 +197,7 @@ def subst_u(p):
 
 def subst_odd(p):
     """Kill the even t variables, then apply the mixed substitution."""
-    mapping = {}
-    for v in p.variables():
-        if v[0] == T and v[1] % 2 == 0:
-            mapping[v] = SparsePoly.zero()
-    return subst_u(p.substitute(mapping))
+    return subst_u(p.vanish(v for v in p.variables() if v[0] == T and v[1] % 2 == 0))
 
 
 def subst_q_u(p):

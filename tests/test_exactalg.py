@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schurq.exactalg
 from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
-                             _LIMIT, svar, tvar, var_name, zvar)
+                             _LIMIT, _sqrt2_pow_parts, svar, tvar, var_name,
+                             zvar)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
@@ -63,6 +65,14 @@ class TestSqrt2Rational:
         assert Sqrt2Rational.sqrt2_pow(0) == 1
         for k in range(-6, 7):
             assert Sqrt2Rational.sqrt2_pow(k) * Sqrt2Rational.sqrt2_pow(-k) == 1
+
+    def test_sqrt2_pow_parts(self):
+        for k in range(-9, 10):
+            for c in (1, -3, Fraction(5, 4), Fraction(-1, 6)):
+                p, q, d = _sqrt2_pow_parts(k, c)
+                assert d > 0
+                assert Sqrt2Rational(Fraction(p, d), Fraction(q, d)) == \
+                    c * Sqrt2Rational.sqrt2_pow(k)
 
     def test_inverse(self):
         x = Sqrt2Rational(3, 2)  # 3 + 2*sqrt2, norm 1
@@ -417,3 +427,22 @@ class TestAgainstReferenceKernel:
             assert rebuilt == got and hash(rebuilt) == hash(got)
         assert hash(p * q) == hash(q * p)
         assert hash((p + q) - q) == hash(p)
+
+    @settings(max_examples=80)
+    @given(term_dicts)
+    def test_memoized_rendering_matches(self, a):
+        # the per-monomial text memo, cold and warm, against the reference
+        p = SparsePoly(a)
+        want = _ref_str(_ref_clean(a))
+        schurq.exactalg._MONO_TEXT.clear()
+        assert str(p) == want
+        assert str(p) == want
+        assert str(SparsePoly(a)) == want
+
+    @settings(max_examples=80)
+    @given(term_dicts, st.sets(st.sampled_from(_VARS)))
+    def test_vanish_is_substitution_by_zero(self, a, gone):
+        p = SparsePoly(a)
+        want = _ref_substitute(_ref_clean(a), {v: {} for v in gone})
+        assert dict(p.vanish(gone).terms) == want
+        assert p.vanish(gone) == p.substitute({v: 0 for v in gone})

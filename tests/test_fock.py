@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurq.exactalg import ONE, SQRT2, SparsePoly, Sqrt2Rational
-from schurq.partitions import StrictPartition, bar_core, color, enumerate_added
+from schurq.partitions import (StrictPartition, bar_core, bar_quotient, color,
+                               enumerate_added, stats)
 from schurq.symfunc import schur, schur_q
-from schurq.fock import (BosonElement, FockVector, NormalWord, beta_apply,
-                         core_state_image, f_apply, f_power_normalized,
-                         normal_word_image, phi, phi_closed_form,
-                         single_node_action, to_normal_words)
+from schurq.fock import (BosonElement, BosonLabels, FockVector, NormalWord,
+                         beta_apply, closed_form_labels, core_state_image,
+                         f_apply, f_power_normalized, normal_word_image, phi,
+                         phi_closed_form, phi_labels, single_node_action,
+                         to_normal_words)
 
 P = StrictPartition.from_string
 
@@ -518,3 +520,80 @@ class TestClosedForm:
         assert set(phi_closed_form(lam, 1, 3, 2).components) == {(1, -1)}
         mu = P("6,2,1")
         assert set(phi_closed_form(mu, 0, 2, 2).components) == {(0, 0)}
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the label path against the per-word polynomial path
+# ---------------------------------------------------------------------------
+
+def _ref_normal_word_image(nw):
+    """Reference: the image of a normal word as a polynomial product."""
+    a, r, q = len(nw.phis), len(nw.psis), nw.charge
+    s_index = tuple(nw.psis[j] - q - (r - 1 - j) for j in range(r))
+    poly = schur_q(tuple(p for p in nw.phis if p > 0)) * schur(s_index)
+    scalar = Sqrt2Rational(nw.coeff) * Sqrt2Rational.sqrt2_pow(-a)
+    return (a % 2, q + r), SparsePoly.constant(scalar) * poly
+
+
+def _ref_phi(vec):
+    """Reference: phi as a sum of scaled normal-word polynomials."""
+    out = BosonElement.zero()
+    for word, coeff in vec.terms.items():
+        for nw in to_normal_words(word):
+            key, poly = _ref_normal_word_image(nw)
+            out = out + BosonElement({key: SparsePoly.constant(coeff) * poly})
+    return out
+
+
+def _ref_phi_closed_form(lam, i, m, n):
+    """Reference: the closed form as a polynomial (membership is checked by
+    the production path)."""
+    st_, quot, eps = stats(lam), bar_quotient(lam), m % 2
+    if i == 1:
+        sign = -1 if (st_.f + m) % 2 else 1
+        scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-eps)
+        return BosonElement({(eps, m - 2 * n): SparsePoly.constant(scalar) * schur(quot.q1)})
+    sign = -1 if (st_.f + st_.g + (st_.h if eps else 0)) % 2 else 1
+    scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-st_.a)
+    poly = SparsePoly.constant(scalar) * schur_q(quot.q0) * schur(quot.q1)
+    return BosonElement({((n + m) % 2, n - m): poly})
+
+
+class TestLabelsAgainstPolynomials:
+    @pytest.mark.parametrize("i, m, n", [(i, m, n) for i in (0, 1) for m in range(5)
+                                         for n in range(5)] + [(0, 5, 5)])
+    def test_added_families(self, i, m, n):
+        for lam in enumerate_added(bar_core(m if i == 1 else -m), i, n):
+            vec = FockVector.basis(lam)
+            want_left = _ref_phi(vec)
+            want_right = _ref_phi_closed_form(lam, i, m, n)
+            assert phi(vec) == phi_labels(vec).expand() == want_left
+            assert phi_closed_form(lam, i, m, n) == \
+                closed_form_labels(lam, i, m, n).expand() == want_right
+            assert (phi_labels(vec) == closed_form_labels(lam, i, m, n)) == \
+                (want_left == want_right)
+            for nw in to_normal_words(lam):
+                assert normal_word_image(nw) == _ref_normal_word_image(nw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(padded_vectors)
+    def test_vectors_with_sqrt2_coefficients(self, vec):
+        assert phi(vec) == _ref_phi(vec)
+
+    def test_core_states(self):
+        for m in range(-6, 7):
+            k, eps = abs(m), abs(m) % 2
+            exponent = k if m >= 0 else k * (k - 1) // 2 + k
+            scalar = Sqrt2Rational((-1) ** exponent) * Sqrt2Rational.sqrt2_pow(-eps)
+            assert core_state_image(m) == BosonElement({(eps, m): SparsePoly.constant(scalar)})
+
+    def test_labels_are_canonical(self):
+        # zeros are stripped, so a phi_0 moves the sector and the sqrt(2)
+        # power but not the Q index; cancelling words leave no label
+        (nw,) = to_normal_words(bar_core(3))
+        assert nw.phis == (0,)
+        labels = phi_labels(FockVector.basis(bar_core(3)))
+        assert set(labels._keys()) == {((1, 3), (), ())}
+        vec = FockVector.basis(P("5,2"))
+        assert phi_labels(vec - vec) == BosonLabels._of([])
+        assert phi(vec - vec).is_zero()

@@ -458,6 +458,27 @@ class TestPfaffianMemo:
                 assert schur_q(lam) == _pf_unmemoized(rows, tuple(range(len(parts))))
 
 
+def _substitute_2t2(p):
+    """Reference: t_j -> 2 t_{2j} through substitute."""
+    return p.substitute({v: SparsePoly.constant(2) * SparsePoly.variable(tvar(2 * v[1]))
+                         for v in p.variables()})
+
+
+def _substitute_odd(p):
+    """Reference: the even t set to zero through substitute, then the shift."""
+    return subst_u(p.substitute({v: SparsePoly.zero() for v in p.variables()
+                                 if v[0] == T and v[1] % 2 == 0}))
+
+
+_ts_atoms = [_t(1), _t(2), _t(3), _t(4), _s(1), _s(3)]
+_ts_polys = st.lists(
+    st.builds(lambda c, a, b: SparsePoly.constant(c) * a * b,
+              st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=6),
+                        st.builds(Sqrt2Rational, st.integers(-3, 3), st.integers(-3, 3))),
+              st.sampled_from(_ts_atoms), st.sampled_from(_ts_atoms + [_t(1) ** 3])),
+    max_size=5).map(lambda ts: sum(ts, SparsePoly.zero()))
+
+
 class TestSubstitutionAgainstNaive:
     def test_t_substitutions_on_schur(self):
         doubling = {tvar(j): SparsePoly.constant(2) * _t(2 * j) for j in range(1, 7)}
@@ -474,6 +495,23 @@ class TestSubstitutionAgainstNaive:
                 for n_vars, mapping in enumerate(power_sums, 1):
                     assert power_sum_specialize(p, n_vars) == \
                         _naive_substitute(p, mapping)
+
+    def test_relabel_and_filter_on_schur_through_weight_8(self):
+        for w in range(9):
+            for lam in _partitions_of(w):
+                p = schur(lam)
+                assert subst_2t2(p) == _substitute_2t2(p)
+                assert subst_odd(p) == _substitute_odd(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ts_polys)
+    def test_relabel_and_filter_on_random_polynomials(self, p):
+        assert subst_odd(p) == _substitute_odd(p)
+        t_part = p.vanish([svar(1), svar(3)])
+        assert subst_2t2(t_part) == _substitute_2t2(t_part)
+        if t_part != p:
+            with pytest.raises(ValueError):
+                subst_2t2(p)
 
     def test_q_shift_on_schur_q(self):
         shift = {svar(j): _t(j) - _s(j) for j in range(1, 7, 2)}

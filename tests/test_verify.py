@@ -1,11 +1,15 @@
 """Tests for the verification engine: individual checks, the suite runner,
 and report structure."""
 
+import dataclasses
+
 import pytest
 
-from schurq.exactalg import SparsePoly, Sqrt2Rational
-from schurq.partitions import StrictPartition, bar_core, bar_quotient, delta1, enumerate_added
-from schurq.symfunc import schur, subst_u
+from schurq.exactalg import SparsePoly, Sqrt2Rational, _linear_sum
+from schurq.fock import FockVector, phi, phi_closed_form
+from schurq.partitions import (StrictPartition, bar_core, bar_quotient, delta0,
+                               delta1, enumerate_added)
+from schurq.symfunc import schur, subst_odd, subst_u
 from schurq.verify import (CheckResult, SuiteConfig,
                            check_core_states, check_f_power, check_main1,
                            check_main2, check_phi_consistency,
@@ -192,6 +196,57 @@ class TestSuite:
                                 "rhs_rendering", "elapsed_ms"}
 
 
+class TestFastPathsAgainstSlowPaths:
+    def test_substituting_once_matches_substituting_each_member(self):
+        # the right sides of main2 and trapezoid against one substitution
+        # per member
+        for m in range(5):
+            for n in range(5):
+                members = enumerate_added(bar_core(-m), 0, n)
+                empty = [mu for mu in members if not bar_quotient(mu).q0]
+                want = _linear_sum((delta0(mu, m), subst_u(schur(bar_quotient(mu).q1)))
+                                   for mu in empty)
+                assert check_main2(m, n).rhs_rendering == str(want)
+                if m - n + 1 >= 0:
+                    sign = -1 if ((m + 1) * (m + 2 * n) // 2) % 2 else 1
+                    want = _linear_sum((sign * delta0(mu, m),
+                                        subst_odd(schur(bar_quotient(mu).q1)))
+                                       for mu in empty)
+                    assert check_trapezoid(m, n).rhs_rendering == str(want)
+
+    def test_render_once_matches_rendering_both_sides(self, monkeypatch):
+        # every check of the default grid, against a run that renders both
+        # sides of every check, phi-consistency state by state
+        import schurq.verify
+        from schurq.verify import CheckResult as Result
+
+        def render_both(name, params, lhs, rhs, t0, passed=None):
+            return Result(name, params, lhs == rhs if passed is None else passed,
+                          str(lhs), str(rhs), 0)
+
+        def phi_both(i, m, n):
+            members = sorted(enumerate_added(bar_core(m if i == 1 else -m), i, n),
+                             key=lambda p: p.parts, reverse=True)
+            pairs = [(lam, phi(FockVector.basis(lam)), phi_closed_form(lam, i, m, n))
+                     for lam in members]
+            return Result("phi-consistency", {"i": i, "m": m, "n": n},
+                          all(left == right for _, left, right in pairs),
+                          "\n".join("%s -> %s" % (lam, left) for lam, left, _ in pairs),
+                          "\n".join("%s -> %s" % (lam, right) for lam, _, right in pairs),
+                          0)
+
+        def reports():
+            out = [r.as_dict() for r in run_suite(SuiteConfig())]
+            for entry in out:
+                entry.pop("elapsed_ms")
+            return out
+
+        fast = reports()
+        monkeypatch.setattr(schurq.verify, "_result", render_both)
+        monkeypatch.setattr(schurq.verify, "check_phi_consistency", phi_both)
+        assert reports() == fast
+
+
 class TestCrossChecks:
     def test_main2_specializes_to_plain_schur_sum(self):
         # killing the s-variables turns the shifted alphabet back into t
@@ -229,9 +284,13 @@ class TestNegativeControls:
     @staticmethod
     def _assert_fails(capsys, check, argv):
         from schurq.cli import main
-        assert check().passed is False
+        res = check()
+        assert res.passed is False
+        # a failing check renders its right side on its own
+        assert res.lhs_rendering != res.rhs_rendering
         assert main(["verify"] + argv) == 1
         assert "FAIL" in capsys.readouterr().out
+        return res
 
     def test_flipped_delta0_sign_fails_main2(self, monkeypatch, capsys):
         import schurq.verify
@@ -325,3 +384,64 @@ class TestNegativeControls:
         monkeypatch.setattr(schurq.fock, "SQRT2", Sqrt2Rational(2))
         self._assert_fails(capsys, lambda: check_f_power(0, 2, 2),
                            ["f-power", "--i", "0", "--m", "2", "--n", "2"])
+
+    def test_flipped_delta0_sign_fails_trapezoid(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.delta0
+        flipped = P("5,4")
+
+        def delta0(mu, m):
+            sign = original(mu, m)
+            return -sign if mu == flipped else sign
+
+        assert not bar_quotient(flipped).q0
+        assert check_trapezoid(2, 2).passed
+        monkeypatch.setattr(schurq.verify, "delta0", delta0)
+        self._assert_fails(capsys, lambda: check_trapezoid(2, 2),
+                           ["trapezoid", "--m", "2", "--n", "2"])
+
+    def test_perturbed_core_state_image_fails_core_states(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.core_state_image
+
+        def core_state_image(m):
+            image = original(m)
+            return image.scale(-1) if m == -2 else image
+
+        assert check_core_states(2).passed
+        monkeypatch.setattr(schurq.verify, "core_state_image", core_state_image)
+        self._assert_fails(capsys, lambda: check_core_states(2),
+                           ["core-states", "--m", "2"])
+
+    def test_dropped_normal_word_fails_phi_consistency(self, monkeypatch, capsys):
+        import schurq.fock
+        original = schurq.fock.to_normal_words
+        dropped = P("6,2,1").even_padded()
+
+        def to_normal_words(word):
+            words = original(word)
+            return words[1:] if tuple(word) == dropped else words
+
+        assert check_phi_consistency(0, 2, 2).passed
+        monkeypatch.setattr(schurq.fock, "to_normal_words", to_normal_words)
+        res = self._assert_fails(capsys, lambda: check_phi_consistency(0, 2, 2),
+                                 ["phi-consistency", "--i", "0", "--m", "2", "--n", "2"])
+        right = phi_closed_form(P("6,2,1"), 0, 2, 2)
+        assert "6,2,1 -> 0\n" in res.lhs_rendering
+        assert "6,2,1 -> %s\n" % right in res.rhs_rendering
+
+    def test_flipped_closed_form_sign_fails_phi_consistency(self, monkeypatch, capsys):
+        # an odd change of the statistic f flips the closed-form sign of one
+        # state, for either color
+        import schurq.fock
+        original = schurq.fock.stats
+        flipped = P("6,2,1")
+
+        def stats(lam):
+            st = original(lam)
+            return dataclasses.replace(st, f=st.f + 1) if lam == flipped else st
+
+        assert check_phi_consistency(0, 2, 2).passed
+        monkeypatch.setattr(schurq.fock, "stats", stats)
+        self._assert_fails(capsys, lambda: check_phi_consistency(0, 2, 2),
+                           ["phi-consistency", "--i", "0", "--m", "2", "--n", "2"])
