@@ -490,17 +490,56 @@ class SparsePoly(_IntCombination):
         root = {m: c for m, c in self._root.items() if not m & mask}
         return self._make(self._den, num, root)
 
+    def flip(self, variables):
+        """This polynomial with v -> -v for the given variables: a term
+        changes sign when its total exponent in them is odd, the parity of
+        the low bits of their slots in the packed monomial."""
+        mask = 0
+        for v in variables:
+            if v in _SLOTS:
+                mask |= 1 << _SLOTS[v]
+        num = {m: -c if (m & mask).bit_count() & 1 else c for m, c in self._num.items()}
+        root = {m: -c if (m & mask).bit_count() & 1 else c for m, c in self._root.items()}
+        return self._make(self._den, num, root)
+
     def evaluate(self, point):
-        """Exact evaluation at a full assignment variable -> scalar."""
-        total = ZERO
-        for mono, coeff in self.terms.items():
-            val = _promote_scalar(coeff)
-            for v, e in mono:
-                if v not in point:
-                    raise ValueError("no value assigned to %s" % var_name(v))
-                val = val * (_promote_scalar(point[v]) ** e)
-            total = total + val
-        return total
+        """Exact evaluation at a full assignment variable -> scalar, on ints.
+
+        With the value of a slot's variable (p + q*sqrt2)/d and top the
+        slot's highest exponent here, the slot gets one table of the int
+        pairs (p + q*sqrt2)**e * d**(top - e); each term multiplies its
+        numerator by one entry per slot, and the sum is divided once by
+        _den times the product of the d**top."""
+        keys = self._keys()
+        used = 0
+        for m in keys:
+            used |= m
+        tables = []
+        scale = self._den
+        for offset in range(0, used.bit_length(), _WIDTH):
+            if not (used >> offset) & _MASK:
+                continue
+            top = max((m >> offset) & _MASK for m in keys)
+            v = _VARS[offset // _WIDTH]
+            if v not in point:
+                raise ValueError("no value assigned to %s" % var_name(v))
+            p, q, d = _int_parts(point[v])
+            table = []
+            a, b = 1, 0
+            for e in range(top + 1):
+                table.append((a * d ** (top - e), b * d ** (top - e)))
+                a, b = a * p + 2 * b * q, a * q + b * p
+            tables.append((offset, table))
+            scale *= d ** top
+        num = root = 0
+        for m in keys:
+            a, b = self._num.get(m, 0), self._root.get(m, 0)
+            for offset, table in tables:
+                x, y = table[(m >> offset) & _MASK]
+                a, b = a * x + 2 * b * y, a * y + b * x
+            num += a
+            root += b
+        return Sqrt2Rational(Fraction(num, scale), Fraction(root, scale))
 
     # -- rendering --
 

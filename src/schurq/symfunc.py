@@ -90,8 +90,15 @@ def schur(lam):
     got = _SCHUR_CACHE.get(lam)
     if got is None:
         d = len(lam)
-        rows = [[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)]
-        got = _SCHUR_CACHE[lam] = poly_det(rows)
+        if lam and d > lam[0]:
+            # omega, t_k -> (-1)^(k+1) t_k, sends S_lam' to S_lam: a
+            # determinant of side lam[0] < d
+            conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+            got = schur(conj).flip(tvar(k) for k in range(2, sum(lam) + 1, 2))
+        else:
+            rows = [[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)]
+            got = poly_det(rows)
+        _SCHUR_CACHE[lam] = got
     return got
 
 
@@ -227,29 +234,26 @@ def power_sum_specialize(p, n_vars):
     return p.substitute(mapping)
 
 
-def _det_fractions(rows):
+def _int_det(rows):
+    """Determinant of a square int matrix: Laplace expansion along
+    successive rows, memoized over the active column set."""
     d = len(rows)
-    if d == 0:
-        return Fraction(1)
     memo = {}
 
     def minor(row, colmask):
         if row == d:
-            return Fraction(1)
+            return 1
         got = memo.get(colmask)
-        if got is not None:
-            return got
-        acc = Fraction(0)
-        sign = 1
-        for col in range(d):
-            bit = 1 << col
-            if not colmask & bit:
-                continue
-            if rows[row][col]:
-                acc += sign * rows[row][col] * minor(row + 1, colmask & ~bit)
-            sign = -sign
-        memo[colmask] = acc
-        return acc
+        if got is None:
+            got = 0
+            sign = 1
+            for col in range(d):
+                bit = 1 << col
+                if colmask & bit:
+                    got += sign * rows[row][col] * minor(row + 1, colmask & ~bit)
+                    sign = -sign
+            memo[colmask] = got
+        return got
 
     return minor(0, (1 << d) - 1)
 
@@ -267,6 +271,12 @@ def bialternant_eval(lam, zs):
     if len(lam) > n:
         return Sqrt2Rational(0)
     exps = [(lam[j] if j < len(lam) else 0) + n - 1 - j for j in range(n)]
-    num = _det_fractions([[z ** e for e in exps] for z in zs])
-    den = _det_fractions([[z ** (n - 1 - j) for j in range(n)] for z in zs])
-    return Sqrt2Rational(num / den)
+    # row i, for z_i = a/b, times b**top: int entries a**e * b**(top - e),
+    # and the same factor in both determinants cancels in the ratio
+    top = exps[0] if n else 0
+
+    def alternant(exponents):
+        return _int_det([[z.numerator ** e * z.denominator ** (top - e)
+                          for e in exponents] for z in zs])
+
+    return Sqrt2Rational(Fraction(alternant(exps), alternant(range(n - 1, -1, -1))))

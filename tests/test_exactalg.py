@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import schurq.exactalg
 from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
-                             _LIMIT, _sqrt2_pow_parts, svar, tvar, var_name,
-                             zvar)
+                             _LIMIT, _promote_scalar, _sqrt2_pow_parts, svar,
+                             tvar, var_name, zvar)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
@@ -404,6 +404,20 @@ monomials = st.dictionaries(st.sampled_from(_VARS), st.integers(1, 3),
 term_dicts = st.dictionaries(
     monomials, st.one_of(st.integers(min_value=-6, max_value=6), scalars),
     max_size=5)
+point_values = st.one_of(st.integers(min_value=-6, max_value=6), fractions, scalars)
+
+
+def _ref_evaluate(p, point):
+    """Term-by-term evaluation in Sqrt2Rational arithmetic."""
+    total = ZERO
+    for mono, coeff in p.terms.items():
+        val = _promote_scalar(coeff)
+        for v, e in mono:
+            if v not in point:
+                raise ValueError("no value assigned to %s" % var_name(v))
+            val = val * (_promote_scalar(point[v]) ** e)
+        total = total + val
+    return total
 
 
 class TestAgainstReferenceKernel:
@@ -446,3 +460,41 @@ class TestAgainstReferenceKernel:
         want = _ref_substitute(_ref_clean(a), {v: {} for v in gone})
         assert dict(p.vanish(gone).terms) == want
         assert p.vanish(gone) == p.substitute({v: 0 for v in gone})
+
+    @settings(max_examples=80)
+    @given(term_dicts, st.sets(st.sampled_from(_VARS)))
+    def test_flip_is_substitution_by_negation(self, a, flipped):
+        p = SparsePoly(a)
+        negate = {v: {((v, 1),): Fraction(-1)} for v in flipped}
+        assert dict(p.flip(flipped).terms) == _ref_substitute(_ref_clean(a), negate)
+        assert p.flip(flipped) == p.substitute(
+            {v: -SparsePoly.variable(v) for v in flipped})
+        assert p.flip(flipped).flip(flipped) == p
+
+    @settings(max_examples=80)
+    @given(term_dicts, st.fixed_dictionaries({v: point_values for v in _VARS}))
+    def test_evaluate_matches_reference(self, a, point):
+        # every variable of _VARS has a value, so most points have extras
+        p = SparsePoly(a)
+        got = p.evaluate(point)
+        assert isinstance(got, Sqrt2Rational)
+        assert got == _ref_evaluate(p, point)
+
+    def test_evaluate_edge_cases(self):
+        point = {tvar(1): Fraction(-2, 3), svar(3): Sqrt2Rational(1, -1)}
+        for p in (SparsePoly.zero(), SparsePoly.constant(Sqrt2Rational(Fraction(1, 2), 3)),
+                  SparsePoly.variable(tvar(1)) ** 3 - 1):
+            got = p.evaluate(point)
+            assert isinstance(got, Sqrt2Rational) and got == _ref_evaluate(p, point)
+        # a variable whose slot sits above the slots of _VARS, which the
+        # polynomial leaves unused but for t1
+        high = zvar(97)
+        p = SparsePoly({((high, 3),): 2, ((tvar(1), 1), (high, 1)): Fraction(1, 5)})
+        slots = schurq.exactalg._SLOTS
+        assert all(slots[high] > slots[v] for v in _VARS)
+        point[high] = SQRT2
+        assert p.evaluate(point) == _ref_evaluate(p, point)
+        # a missing variable is named
+        with pytest.raises(ValueError, match="no value assigned to s3"):
+            (SparsePoly.variable(tvar(1)) * SparsePoly.variable(svar(3))).evaluate(
+                {tvar(1): 1})

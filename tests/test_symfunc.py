@@ -8,6 +8,7 @@ recurrences.
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -333,6 +334,34 @@ class TestBialternant:
         specialized = power_sum_specialize(schur(lam), 3)
         assert specialized.evaluate(point) == bialternant_eval(lam, zs)
 
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=4).map(
+               lambda xs: tuple(sorted(xs, reverse=True))),
+           st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7)
+                    .filter(bool), max_size=4, unique=True))
+    def test_matches_fraction_determinants(self, lam, zs):
+        # the int determinants of the row-scaled alternants against the
+        # Leibniz formula on the Fraction entries
+        def det(rows):
+            total = Fraction(0)
+            for perm in permutations(range(len(rows))):
+                inversions = sum(a > b for a, b in combinations(perm, 2))
+                term = Fraction((-1) ** inversions)
+                for i, j in enumerate(perm):
+                    term *= rows[i][j]
+                total += term
+            return total
+
+        n = len(zs)
+        parts = [p for p in lam if p]
+        if len(parts) > n:
+            assert bialternant_eval(lam, zs) == 0
+            return
+        exps = [(parts[j] if j < len(parts) else 0) + n - 1 - j for j in range(n)]
+        want = (det([[z ** e for e in exps] for z in zs])
+                / det([[z ** (n - 1 - j) for j in range(n)] for z in zs]))
+        assert bialternant_eval(lam, zs) == Sqrt2Rational(want)
+
 
 # ---------------------------------------------------------------------------
 # differential tests: memoized and reused-power paths against slow references
@@ -393,6 +422,18 @@ class TestMemoAgainstFreshComputation:
                 got = schur(lam)
                 assert got == _schur_ref(lam)
                 assert schur(lam + (0,)) is got
+
+    def test_schur_cold_through_weight_10(self, monkeypatch):
+        # a tall shape is built as omega of its conjugate: every shape,
+        # from an empty cache, against the plain Jacobi-Trudi determinant
+        import schurq.symfunc
+        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        shapes = [lam for w in range(11) for lam in _partitions_of(w)]
+        assert sum(len(lam) > lam[0] for lam in shapes[1:]) == 60
+        for lam in shapes:
+            got = schur(lam)
+            assert got == _schur_ref(lam), lam
+            assert schur(lam + (0,)) is got
 
     def test_schur_q(self):
         for w in range(9):

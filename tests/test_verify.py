@@ -13,7 +13,8 @@ from schurq.symfunc import schur, subst_odd, subst_u
 from schurq.verify import (CheckResult, SuiteConfig,
                            check_core_states, check_f_power, check_main1,
                            check_main2, check_phi_consistency,
-                           check_symfunc_props, check_trapezoid, run_suite)
+                           check_symfunc_bialternant, check_symfunc_props,
+                           check_trapezoid, run_suite)
 
 P = StrictPartition.from_string
 
@@ -445,3 +446,28 @@ class TestNegativeControls:
         monkeypatch.setattr(schurq.fock, "stats", stats)
         self._assert_fails(capsys, lambda: check_phi_consistency(0, 2, 2),
                            ["phi-consistency", "--i", "0", "--m", "2", "--n", "2"])
+
+    def test_omega_without_sign_fails_bialternant(self, monkeypatch, capsys):
+        # S_lam for a tall lam is omega(S_lam'); without the sign on the even
+        # t it is S_lam' itself, and cold Schur functions must show it
+        import schurq.symfunc
+        assert check_symfunc_bialternant().passed
+        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        monkeypatch.setattr(SparsePoly, "flip", lambda self, variables: self)
+        res = self._assert_fails(capsys, check_symfunc_bialternant,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:bialternant"
+
+    def test_perturbed_bialternant_fails(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.bialternant_eval
+
+        def bialternant_eval(lam, zs):
+            value = original(lam, zs)
+            return value + 1 if tuple(lam) == (2, 1) else value
+
+        assert check_symfunc_bialternant().passed
+        monkeypatch.setattr(schurq.verify, "bialternant_eval", bialternant_eval)
+        res = self._assert_fails(capsys, check_symfunc_bialternant,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:bialternant"
