@@ -453,10 +453,11 @@ class SparsePoly(_IntCombination):
 
     def weighted_degree(self):
         """Max weighted degree over terms; None for the zero polynomial."""
-        return max((_mono_degree(_unpack(m)) for m in self._keys()), default=None)
+        return max((-_mono_text(m)[0][0] for m in self._keys()), default=None)
 
     def is_homogeneous(self):
-        return len({_mono_degree(_unpack(m)) for m in self._keys()}) <= 1
+        # the first entry of a monomial's sort key is minus its degree
+        return len({_mono_text(m)[0][0] for m in self._keys()}) <= 1
 
     def substitute(self, mapping):
         """Ring-homomorphic substitution; unmapped variables pass through.

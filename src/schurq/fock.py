@@ -37,8 +37,12 @@ words, in integer arithmetic.
 Words map to charged-boson components by splitting the modes mod 3 into a
 neutral family (phi_j = b_{3j}), a charged family (psi_k = b_{3k+1}) and its
 dual (psistar_k = (-1)^(3k+1) b_{-3k-1}), rewriting the vacuum against a
-charge-(-M) reference state, and straightening into normal form.  A normal
-word phi_{j1}..phi_{ja} psi_{i1}..psi_{ir} |0,q> with coefficient c reads
+charge-(-M) reference state, and normal ordering.  A word repeats no mode,
+so every word has exactly one normal word, with coefficient +-1: a psistar
+survives only by contracting with its reference psi, and the phi's and the
+psi's are each already decreasing, so one pass over the word finds the
+normal word and its sign (to_normal_words).  A normal word
+phi_{j1}..phi_{ja} psi_{i1}..psi_{ir} |0,q> with coefficient c reads
 off as one label ((a mod 2, q + r), nu, kappa) with scalar c * sqrt(2)^(-a),
 standing for Q_nu(s) * S_kappa(t): nu is the phi indices and kappa the psi
 indices re-based at the charge, zeros stripped.  The closed form on added-
@@ -67,16 +71,6 @@ def _check_word(word):
     if any(word[i] <= word[i + 1] for i in range(len(word) - 1)):
         raise ValueError("word entries must be strictly decreasing")
     return word
-
-
-def _accumulate(terms, more):
-    """Add the key -> coefficient dict `more` into `terms` in place;
-    cancelled coefficients stay as zeros for the constructor to drop."""
-    for key, coeff in more.items():
-        if key in terms:
-            terms[key] = terms[key] + coeff
-        else:
-            terms[key] = coeff
 
 
 def _word_bits(word):
@@ -227,131 +221,66 @@ def f_power_normalized(i, n, vec):
 
 
 # ---------------------------------------------------------------------------
-# straightening into normal form
+# normal form
 # ---------------------------------------------------------------------------
-
-_PHI, _PSI, _PSISTAR = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class NormalWord:
     """A straightened word phi_{j1}..phi_{ja} psi_{i1}..psi_{ir} |0,charge>
-    with strictly decreasing indices, the j's >= 0 and the i's > charge."""
+    with strictly decreasing indices, the j's >= 0 and the i's > charge, and
+    coefficient the int 1 or -1."""
 
-    coeff: Fraction
+    coeff: int
     phis: tuple
     psis: tuple
     charge: int
 
 
-def _rename(word):
-    """Mod-3 renaming of the modes; returns (sign, letters)."""
-    sign = 1
-    letters = []
-    for c in word:
-        r = c % 3
-        if r == 0:
-            letters.append((_PHI, c // 3))
-        elif r == 1:
-            letters.append((_PSI, (c - 1) // 3))
-        else:
-            letters.append((_PSISTAR, -((c + 1) // 3)))
-            if c % 2:
-                sign = -sign
-    return sign, letters
-
-
-def _straighten(coeff, letters, charge):
-    """Normal-order a phi/psi/psistar letter sequence acting on |0,charge>.
-
-    Each psistar (rightmost first) walks to the right, anticommuting past
-    unrelated letters and splitting into a contraction term at every psi of
-    equal index, until it annihilates against the reference state.  The
-    remaining letters are bubble-sorted into a decreasing phi block followed
-    by a decreasing psi block, with equal neighbours contracted (phi_0^2 =
-    1/2) or killed, and the trailing psi's are absorbed into the charge.
-    """
-    results = []
-    stack = [(coeff, tuple(letters), charge)]
-    while stack:
-        c, seq, q = stack.pop()
-        star = max((k for k, (t, _) in enumerate(seq) if t == _PSISTAR), default=None)
-        if star is not None:
-            idx = seq[star][1]
-            work = list(seq)
-            p = star
-            while p < len(work) - 1:
-                kind, j = work[p + 1]
-                if kind == _PSI and j == idx:
-                    stack.append((c, tuple(work[:p] + work[p + 2:]), q))
-                work[p], work[p + 1] = work[p + 1], work[p]
-                c = -c
-                p += 1
-            # the walker reached the reference state |0,q>
-            if idx < q:
-                raise ValueError("psistar_%d does not annihilate |0,%d>" % (idx, q))
-            continue
-        dead = False
-        work = list(seq)
-        changed = True
-        while changed and not dead:
-            changed = False
-            for p in range(len(work) - 1):
-                (t1, i1), (t2, i2) = work[p], work[p + 1]
-                if t1 == t2 and i1 == i2:
-                    if t1 == _PHI and i1 == 0:
-                        c = c * Fraction(1, 2)
-                        del work[p:p + 2]
-                    else:
-                        dead = True
-                    changed = True
-                    break
-                if (t1, -i1) > (t2, -i2):
-                    work[p], work[p + 1] = work[p + 1], work[p]
-                    c = -c
-                    changed = True
-                    break
-        if dead:
-            continue
-        phis = tuple(i for t, i in work if t == _PHI)
-        psis = [i for t, i in work if t == _PSI]
-        while psis:
-            if psis[-1] == q:
-                psis.pop()
-                q += 1
-            elif psis[-1] < q:
-                dead = True
-                break
-            else:
-                break
-        if dead:
-            continue
-        if phis and phis[-1] < 0:
-            raise ValueError("negative phi index has no normal form")
-        results.append(NormalWord(c, phis, tuple(psis), q))
-    return _merge_normal(results)
-
-
-def _merge_normal(words):
-    acc = {}
-    for nw in words:
-        key = (nw.phis, nw.psis, nw.charge)
-        acc[key] = acc.get(key, Fraction(0)) + nw.coeff
-    return tuple(NormalWord(c, *key[:2], charge=key[2])
-                 for key, c in sorted(acc.items()) if c != 0)
-
-
 def to_normal_words(word):
     """Express a word (or the padded word of a strict partition) as a
     combination of normal words on |0,-M> where M = max(1, ceil((word_max
-    + 1)/3))."""
+    + 1)/3)).  The combination is always one normal word with coefficient
+    +-1, returned as a one-element tuple, because normal ordering is exact
+    in one pass over the word.
+
+    Each mode c is renamed by its residue mod 3: c = 3j gives phi_j, c = 3j+1
+    gives psi_j, and c = 3k-1 gives (-1)^c psistar_{-k}, with k <= M.  The
+    reference psi_{-1}..psi_{-M} follow the word.  Then:
+
+    - each psistar_{-k} walks right, and the part of the walk that passes
+      every letter annihilates |0,-M> (k <= M), so only its contraction with
+      psi_{-k} survives, with sign (-1)^(letters passed).  Those letters are
+      the ones after it in the word and psi_{-1}..psi_{-(k-1)}, less two for
+      each psistar after it in the word: that one is smaller (the word
+      decreases) and has already taken one word letter and one reference
+      psi with it;
+    - no letter repeats, so the sort into a phi block and a psi block never
+      contracts or kills a pair, and the phi's and the psi's are each
+      already decreasing: the sort only moves each phi left past the psi's
+      before it in the word;
+    - trailing psi_q on |0,q> are absorbed, raising the charge by one each.
+    """
     if isinstance(word, StrictPartition):
         word = word.even_padded()
     word = _check_word(word)
-    sign, letters = _rename(word)
     m_ref = 1 if not word else max(1, -(-(word[0] + 1) // 3))
-    letters += [(_PSI, -j) for j in range(1, m_ref + 1)]
-    return _straighten(Fraction(sign), letters, -m_ref)
+    odd, phis, psis, contracted = 0, [], [], set()
+    for pos, c in enumerate(word):
+        if c % 3 == 0:
+            phis.append(c // 3)
+            odd += len(psis)
+        elif c % 3 == 1:
+            psis.append((c - 1) // 3)
+        else:
+            k = (c + 1) // 3
+            contracted.add(k)
+            odd += c + (len(word) - 1 - pos) + k - 1
+    psis += [-j for j in range(1, m_ref + 1) if j not in contracted]
+    charge = -m_ref
+    while psis and psis[-1] == charge:
+        psis.pop()
+        charge += 1
+    return (NormalWord(-1 if odd % 2 else 1, tuple(phis), tuple(psis), charge),)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +325,10 @@ class BosonElement:
     def __add__(self, other):
         if not isinstance(other, BosonElement):
             return NotImplemented
+        # cancelled sectors stay as zeros for the constructor to drop
         components = dict(self._components)
-        _accumulate(components, other._components)
+        for key, poly in other._components.items():
+            components[key] = components[key] + poly if key in components else poly
         return BosonElement(components)
 
     def __sub__(self, other):

@@ -107,6 +107,8 @@ def check_main2(m, n):
 def check_trapezoid(m, n):
     """The trapezoidal Q-function in shifted variables equals the signed
     odd-variable Schur sum over empty-Q color-0 additions."""
+    if m < 0 or n < 0:
+        raise ValueError("m and n must be non-negative")
     if m - n + 1 < 0:
         raise ValueError("needs m - n + 1 >= 0")
     t0 = time.perf_counter()

@@ -68,6 +68,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "m and n must be non-negative" in err
 
+    @pytest.mark.parametrize("m, n", [("-1", "0"), ("3", "-1")])
+    def test_negative_trapezoid_named(self, capsys, m, n):
+        code, out, err = run_cli(capsys, "verify", "trapezoid", "--m", m, "--n", n)
+        assert code == 2 and out == ""
+        assert "m and n must be non-negative" in err
+
     def test_params_the_family_does_not_take(self, capsys):
         code, out, err = run_cli(capsys, "verify", "symfunc-props", "--m", "3")
         assert code == 2 and out == ""

@@ -262,6 +262,19 @@ class TestSparsePoly:
         assert not (t1 + t2).is_homogeneous()
         assert SparsePoly.zero().is_homogeneous()
 
+    def test_degree_with_cleared_memo(self, monkeypatch):
+        # the degree is read from the memoized sort key, so a cold memo must
+        # rebuild it, for a monomial first seen here and for one seen before
+        t1, t3 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(3))
+        z2 = SparsePoly.variable(zvar(2))
+        str(t3 * z2)
+        monkeypatch.setattr(schurq.exactalg, "_MONO_TEXT", {})
+        assert (t3 * z2 ** 3).weighted_degree() == 6
+        assert (t3 * z2).weighted_degree() == 4
+        assert (t1 ** 3 + t3).is_homogeneous()
+        assert not (t1 ** 3 + t3 * z2).is_homogeneous()
+        assert SparsePoly.constant(7).weighted_degree() == 0
+
     def test_pow(self):
         t1 = SparsePoly.variable(tvar(1))
         assert (t1 + 1) ** 0 == SparsePoly.constant(1)

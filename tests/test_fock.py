@@ -389,6 +389,135 @@ class TestNormalWords:
         assert all(x > nw.charge for x in nw.psis)
 
 
+# ---------------------------------------------------------------------------
+# the one-pass normal form against the general straightener it replaced
+# ---------------------------------------------------------------------------
+
+_PHI, _PSI, _PSISTAR = 0, 1, 2
+
+
+def _rename(word):
+    """Mod-3 renaming of the modes; returns (sign, letters)."""
+    sign = 1
+    letters = []
+    for c in word:
+        r = c % 3
+        if r == 0:
+            letters.append((_PHI, c // 3))
+        elif r == 1:
+            letters.append((_PSI, (c - 1) // 3))
+        else:
+            letters.append((_PSISTAR, -((c + 1) // 3)))
+            if c % 2:
+                sign = -sign
+    return sign, letters
+
+
+def _straighten(coeff, letters, charge):
+    """Normal-order a phi/psi/psistar letter sequence acting on |0,charge>.
+
+    Each psistar (rightmost first) walks to the right, anticommuting past
+    unrelated letters and splitting into a contraction term at every psi of
+    equal index, until it annihilates against the reference state.  The
+    remaining letters are bubble-sorted into a decreasing phi block followed
+    by a decreasing psi block, with equal neighbours contracted (phi_0^2 =
+    1/2) or killed, and the trailing psi's are absorbed into the charge.
+    """
+    results = []
+    stack = [(coeff, tuple(letters), charge)]
+    while stack:
+        c, seq, q = stack.pop()
+        star = max((k for k, (t, _) in enumerate(seq) if t == _PSISTAR), default=None)
+        if star is not None:
+            idx = seq[star][1]
+            work = list(seq)
+            p = star
+            while p < len(work) - 1:
+                kind, j = work[p + 1]
+                if kind == _PSI and j == idx:
+                    stack.append((c, tuple(work[:p] + work[p + 2:]), q))
+                work[p], work[p + 1] = work[p + 1], work[p]
+                c = -c
+                p += 1
+            # the walker reached the reference state |0,q>
+            if idx < q:
+                raise ValueError("psistar_%d does not annihilate |0,%d>" % (idx, q))
+            continue
+        dead = False
+        work = list(seq)
+        changed = True
+        while changed and not dead:
+            changed = False
+            for p in range(len(work) - 1):
+                (t1, i1), (t2, i2) = work[p], work[p + 1]
+                if t1 == t2 and i1 == i2:
+                    if t1 == _PHI and i1 == 0:
+                        c = c * Fraction(1, 2)
+                        del work[p:p + 2]
+                    else:
+                        dead = True
+                    changed = True
+                    break
+                if (t1, -i1) > (t2, -i2):
+                    work[p], work[p + 1] = work[p + 1], work[p]
+                    c = -c
+                    changed = True
+                    break
+        if dead:
+            continue
+        phis = tuple(i for t, i in work if t == _PHI)
+        psis = [i for t, i in work if t == _PSI]
+        while psis:
+            if psis[-1] == q:
+                psis.pop()
+                q += 1
+            elif psis[-1] < q:
+                dead = True
+                break
+            else:
+                break
+        if dead:
+            continue
+        if phis and phis[-1] < 0:
+            raise ValueError("negative phi index has no normal form")
+        results.append(NormalWord(c, phis, tuple(psis), q))
+    return _merge_normal(results)
+
+
+def _merge_normal(words):
+    acc = {}
+    for nw in words:
+        key = (nw.phis, nw.psis, nw.charge)
+        acc[key] = acc.get(key, Fraction(0)) + nw.coeff
+    return tuple(NormalWord(c, *key[:2], charge=key[2])
+                 for key, c in sorted(acc.items()) if c != 0)
+
+
+def _ref_to_normal_words(word):
+    """Reference: a word renamed mod 3 and straightened by the general Wick
+    engine above, which walks every psistar with a contraction branch at
+    each psi, then sorts with contractions and merges equal normal words."""
+    sign, letters = _rename(word)
+    m_ref = 1 if not word else max(1, -(-(word[0] + 1) // 3))
+    letters += [(_PSI, -j) for j in range(1, m_ref + 1)]
+    return _straighten(Fraction(sign), letters, -m_ref)
+
+
+class TestOnePassAgainstStraightener:
+    def test_every_word_with_modes_up_to_12(self):
+        count = 0
+        for bits in range(1 << 13):
+            word = tuple(p for p in range(12, -1, -1) if bits >> p & 1)
+            assert to_normal_words(word) == _ref_to_normal_words(word), word
+            count += 1
+        assert count == 8192
+
+    def test_coefficient_is_a_unit_int(self):
+        for lam in (P("20,18,16,12,8,7,2"), bar_core(3), bar_core(-4)):
+            (nw,) = to_normal_words(lam)
+            assert type(nw.coeff) is int and nw.coeff in (1, -1)
+
+
 class TestBosonElement:
     def test_component_access(self):
         elt = BosonElement({(0, 1): SparsePoly.constant(2)})
