@@ -14,9 +14,7 @@ from .partitions import StrictPartition, bar_core, bar_quotient, enumerate_added
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
                       subst_odd, subst_q_u, subst_u)
 from .fock import FockVector, f_power_normalized, phi
-from .verify import (FAMILIES, SuiteConfig, check_core_states, check_f_power,
-                     check_main1, check_main2, check_phi_consistency,
-                     check_symfunc_props, check_trapezoid, run_suite)
+from .verify import FAMILIES, FAMILY_TABLE, SuiteConfig, run_suite
 
 _SUBST = {"2t2": subst_2t2, "u": subst_u, "odd": subst_odd}
 
@@ -54,57 +52,25 @@ def _boson_json(elt):
             for key, poly in sorted(elt.components.items())]
 
 
-# the point parameters each verify family accepts
-_POINT_PARAMS = {"main1": "mn", "main2": "mn", "trapezoid": "mn",
-                 "f-power": "imn", "phi-consistency": "imn",
-                 "core-states": "m", "symfunc-props": "", "all": ""}
-
-
-def _reject_foreign_params(args):
-    taken = _POINT_PARAMS[args.family]
+def _cmd_verify(args):
+    # "all" takes no point parameters; a family takes all of its own or none
+    taken = FAMILY_TABLE[args.family].params if args.family in FAMILY_TABLE else ""
     foreign = [k for k in "imn" if k not in taken]
     if any(getattr(args, k) is not None for k in foreign):
         raise ValueError("%s takes no %s" % (
             args.family, "/".join("--" + k for k in foreign)))
-
-
-def _single_check(args):
-    """Dispatch an explicitly parameterized check, or None to run a grid."""
-    fam = args.family
-    if fam in ("main1", "main2", "trapezoid"):
-        if args.m is None and args.n is None:
-            return None
-        if args.m is None or args.n is None:
-            raise ValueError("%s needs both --m and --n" % fam)
-        fn = {"main1": check_main1, "main2": check_main2,
-              "trapezoid": check_trapezoid}[fam]
-        return [fn(args.m, args.n)]
-    if fam in ("f-power", "phi-consistency"):
-        given = [x is not None for x in (args.i, args.m, args.n)]
-        if not any(given):
-            return None
-        if not all(given):
-            raise ValueError("%s needs --i, --m and --n" % fam)
-        fn = check_f_power if fam == "f-power" else check_phi_consistency
-        return [fn(args.i, args.m, args.n)]
-    if fam == "core-states":
-        if args.m is None:
-            return None
-        return [check_core_states(args.m)]
-    if fam == "symfunc-props":
-        return check_symfunc_props()
-    return None
-
-
-def _cmd_verify(args):
-    _reject_foreign_params(args)
-    if args.family == "all":
-        results = run_suite(SuiteConfig(max_m=args.max_m, max_n=args.max_n))
+    point = [getattr(args, k) for k in taken]
+    if taken and None not in point:
+        results = FAMILY_TABLE[args.family].run(*point)
+    elif any(x is not None for x in point):
+        flags = ["--" + k for k in taken]
+        raise ValueError("%s needs %s%s and %s" % (
+            args.family, "both " if len(flags) == 2 else "",
+            ", ".join(flags[:-1]), flags[-1]))
     else:
-        results = _single_check(args)
-        if results is None:
-            results = run_suite(SuiteConfig(max_m=args.max_m, max_n=args.max_n,
-                                            families=(args.family,)))
+        families = FAMILIES if args.family == "all" else (args.family,)
+        results = run_suite(SuiteConfig(max_m=args.max_m, max_n=args.max_n,
+                                        families=families))
     payload = [r.as_dict() for r in results]
     if args.json == "-":
         print(json.dumps(payload, indent=2))

@@ -166,7 +166,9 @@ def schur_q(lam):
     """
     parts = tuple(int(p) for p in lam)
     parts = tuple(p for p in parts if p != 0)
-    if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)) or any(p < 0 for p in parts):
+    if any(p < 0 for p in parts):
+        raise ValueError("Q-function index parts must be non-negative: %r" % (lam,))
+    if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("Q-function index must be strict: %r" % (lam,))
     if len(parts) % 2 == 1:
         parts = parts + (0,)

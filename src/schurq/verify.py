@@ -4,26 +4,28 @@ Each check builds its two sides independently -- combinatorial sums of
 Schur / Q-polynomials on one side, a closed form or a Fock-space computation
 on the other -- and compares them term by term.  No numeric tolerance is
 involved anywhere; a check passes only on literal equality.
+
+`FAMILY_TABLE` states each verify family once: the point parameters a single
+check takes, the points `run_suite` visits for bounds (max_m, max_n), and how
+to run one point.  `FAMILIES`, `run_suite` and the CLI's verify dispatch,
+including its parameter errors, all derive from it.
 """
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum,
                        _sqrt2_pow_parts, svar, tvar, zvar)
 from .partitions import (bar_core, bar_quotient, delta0, delta1,
-                         enumerate_added, stats)
+                         enumerate_added, residue_split)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
                       subst_2t2, subst_odd, subst_q_u, subst_u)
-from .fock import (FockVector, _word_bits, closed_form_labels,
+from .fock import (FockVector, closed_form_labels,
                    core_state_image, f_power_normalized, phi, phi_labels)
-
-FAMILIES = ("main1", "main2", "trapezoid", "f-power", "core-states",
-            "phi-consistency", "symfunc-props")
-
 
 @dataclass
 class CheckResult:
@@ -35,24 +37,7 @@ class CheckResult:
     elapsed_ms: int
 
     def as_dict(self):
-        return {"name": self.name, "params": self.params, "passed": self.passed,
-                "lhs_rendering": self.lhs_rendering,
-                "rhs_rendering": self.rhs_rendering,
-                "elapsed_ms": self.elapsed_ms}
-
-
-@dataclass
-class SuiteConfig:
-    max_m: int = 4
-    max_n: int = 4
-    families: tuple = FAMILIES
-
-    def __post_init__(self):
-        if self.max_m < 0 or self.max_n < 0:
-            raise ValueError("grid bounds must be non-negative")
-        unknown = set(self.families) - set(FAMILIES)
-        if unknown:
-            raise ValueError("unknown families: %s" % ", ".join(sorted(unknown)))
+        return asdict(self)
 
 
 def _result(name, params, lhs, rhs, t0, passed=None):
@@ -134,9 +119,11 @@ def check_f_power(i, m, n):
     t0 = time.perf_counter()
     core = bar_core(m if i == 1 else -m)
     lhs = f_power_normalized(i, n, FockVector.basis(core))
+    # members are validated strict partitions: their words need no re-check
     rhs = FockVector._of_parts(
-        (_word_bits(lam.even_padded()),
-         (2 ** n, 0, 1) if i == 1 else _sqrt2_pow_parts(stats(lam).a - m % 2))
+        (sum(1 << p for p in lam.even_padded()),
+         (2 ** n, 0, 1) if i == 1
+         else _sqrt2_pow_parts(len(residue_split(lam).p0) - m % 2))
         for lam in _sorted_added(core, i, n))
     return _result("f-power", {"i": i, "m": m, "n": n}, lhs, rhs, t0)
 
@@ -305,36 +292,57 @@ def check_symfunc_props():
 # suite runner
 # ---------------------------------------------------------------------------
 
+def _mn(max_m, max_n):
+    return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
+
+
+def _imn(max_m, max_n):
+    return [(i,) + point for i in (0, 1) for point in _mn(max_m, max_n)]
+
+
+# a family's point parameters (a subset of "imn", in that order), its grid:
+# (max_m, max_n) -> its points in suite order, and its run: point -> results
+Family = namedtuple("Family", "params grid run")
+
+# Each run names its check_* when it is called, so the lookup goes through
+# this module's globals: a check replaced there (a timer, a test's perturbed
+# check) sees every call that a suite or a single point makes.
+FAMILY_TABLE = {
+    "main1": Family("mn", lambda *bounds: [(m, n) for m, n in _mn(*bounds) if n <= m],
+                    lambda m, n: [check_main1(m, n)]),
+    "main2": Family("mn", _mn, lambda m, n: [check_main2(m, n)]),
+    "trapezoid": Family("mn", lambda *bounds: [(m, n) for m, n in _mn(*bounds)
+                                               if m - n + 1 >= 0],
+                        lambda m, n: [check_trapezoid(m, n)]),
+    "f-power": Family("imn", _imn, lambda i, m, n: [check_f_power(i, m, n)]),
+    "core-states": Family("m", lambda max_m, _: [(m,) for m in range(1, max_m + 1)],
+                          lambda m: [check_core_states(m)]),
+    "phi-consistency": Family("imn", _imn,
+                              lambda i, m, n: [check_phi_consistency(i, m, n)]),
+    "symfunc-props": Family("", lambda *bounds: [()], lambda: check_symfunc_props()),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
+@dataclass
+class SuiteConfig:
+    max_m: int = 4
+    max_n: int = 4
+    families: tuple = FAMILIES
+
+    def __post_init__(self):
+        if self.max_m < 0 or self.max_n < 0:
+            raise ValueError("grid bounds must be non-negative")
+        unknown = set(self.families) - set(FAMILIES)
+        if unknown:
+            raise ValueError("unknown families: %s" % ", ".join(sorted(unknown)))
+
+
 def run_suite(cfg):
     """Run the selected families over the configured grid, in a fixed order."""
     results = []
-    for family in cfg.families:
-        if family == "main1":
-            for m in range(cfg.max_m + 1):
-                for n in range(min(m, cfg.max_n) + 1):
-                    results.append(check_main1(m, n))
-        elif family == "main2":
-            for m in range(cfg.max_m + 1):
-                for n in range(cfg.max_n + 1):
-                    results.append(check_main2(m, n))
-        elif family == "trapezoid":
-            for m in range(cfg.max_m + 1):
-                for n in range(cfg.max_n + 1):
-                    if m - n + 1 >= 0:
-                        results.append(check_trapezoid(m, n))
-        elif family == "f-power":
-            for i in (0, 1):
-                for m in range(cfg.max_m + 1):
-                    for n in range(cfg.max_n + 1):
-                        results.append(check_f_power(i, m, n))
-        elif family == "core-states":
-            for m in range(1, cfg.max_m + 1):
-                results.append(check_core_states(m))
-        elif family == "phi-consistency":
-            for i in (0, 1):
-                for m in range(cfg.max_m + 1):
-                    for n in range(cfg.max_n + 1):
-                        results.append(check_phi_consistency(i, m, n))
-        elif family == "symfunc-props":
-            results.extend(check_symfunc_props())
+    for name in cfg.families:
+        family = FAMILY_TABLE[name]
+        for point in family.grid(cfg.max_m, cfg.max_n):
+            results.extend(family.run(*point))
     return results

@@ -82,6 +82,32 @@ class TestVerifyCommand:
         assert code == 2
         assert "core-states takes no --i/--n" in err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["main1", "--m", "3"], "main1 needs both --m and --n"),
+        (["trapezoid", "--i", "1"], "trapezoid takes no --i"),
+        (["all", "--m", "1"], "all takes no --i/--m/--n"),
+    ])
+    def test_point_messages_from_the_family_table(self, capsys, argv, text):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % text
+
+    def test_single_point_and_grid_call_the_module_check(self, capsys, monkeypatch):
+        # the family table looks a check up in schurq.verify when it runs, so
+        # a check replaced there sees both a single point and a grid
+        import schurq.verify
+        original = schurq.verify.check_core_states
+        calls = []
+
+        def check_core_states(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(schurq.verify, "check_core_states", check_core_states)
+        assert run_cli(capsys, "verify", "core-states", "--m", "2")[0] == 0
+        assert run_cli(capsys, "verify", "core-states", "--max-m", "3")[0] == 0
+        assert calls == [2, 1, 2, 3]
+
 
 class TestEnumerateCommand:
     def test_text(self, capsys):
@@ -161,6 +187,12 @@ class TestPolynomialCommands:
         code, out, _ = run_cli(capsys, "qfun", "2,1")
         assert code == 0
         assert out.strip() == "1/6*s1^3 - 2*s3"
+
+    def test_qfun_negative_part_named(self, capsys):
+        code, out, err = run_cli(capsys, "qfun", "-1")
+        assert code == 2 and out == ""
+        assert "Q-function index parts must be non-negative: (-1,)" in err
+        assert "strict" not in err
 
     def test_qfun_subst(self, capsys):
         code, out, _ = run_cli(capsys, "qfun", "1", "--subst", "u")

@@ -13,7 +13,10 @@ from schurq.symfunc import schur, subst_odd, subst_u
 from schurq.verify import (CheckResult, SuiteConfig,
                            check_core_states, check_f_power, check_main1,
                            check_main2, check_phi_consistency,
-                           check_symfunc_bialternant, check_symfunc_props,
+                           check_symfunc_antisymmetry,
+                           check_symfunc_bialternant,
+                           check_symfunc_homogeneity,
+                           check_symfunc_pfaffian_det, check_symfunc_props,
                            check_trapezoid, run_suite)
 
 P = StrictPartition.from_string
@@ -195,6 +198,50 @@ class TestSuite:
         assert isinstance(payload["elapsed_ms"], int)
         assert set(payload) == {"name", "params", "passed", "lhs_rendering",
                                 "rhs_rendering", "elapsed_ms"}
+
+
+def _nested_loop_suite(cfg):
+    """The suite as per-family nested loops, the form run_suite had before
+    the family table: the reference for its order and parameters."""
+    results = []
+    for family in cfg.families:
+        if family == "main1":
+            for m in range(cfg.max_m + 1):
+                for n in range(min(m, cfg.max_n) + 1):
+                    results.append(check_main1(m, n))
+        elif family == "main2":
+            for m in range(cfg.max_m + 1):
+                for n in range(cfg.max_n + 1):
+                    results.append(check_main2(m, n))
+        elif family == "trapezoid":
+            for m in range(cfg.max_m + 1):
+                for n in range(cfg.max_n + 1):
+                    if m - n + 1 >= 0:
+                        results.append(check_trapezoid(m, n))
+        elif family == "f-power":
+            for i in (0, 1):
+                for m in range(cfg.max_m + 1):
+                    for n in range(cfg.max_n + 1):
+                        results.append(check_f_power(i, m, n))
+        elif family == "core-states":
+            for m in range(1, cfg.max_m + 1):
+                results.append(check_core_states(m))
+        elif family == "phi-consistency":
+            for i in (0, 1):
+                for m in range(cfg.max_m + 1):
+                    for n in range(cfg.max_n + 1):
+                        results.append(check_phi_consistency(i, m, n))
+        elif family == "symfunc-props":
+            results.extend(check_symfunc_props())
+    return results
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("max_m, max_n", [(0, 0), (3, 1), (2, 4), (4, 4)])
+    def test_suite_order_matches_nested_loops(self, max_m, max_n):
+        cfg = SuiteConfig(max_m=max_m, max_n=max_n)
+        got = [(r.name, r.params) for r in run_suite(cfg)]
+        assert got == [(r.name, r.params) for r in _nested_loop_suite(cfg)]
 
 
 class TestFastPathsAgainstSlowPaths:
@@ -446,6 +493,44 @@ class TestNegativeControls:
         monkeypatch.setattr(schurq.fock, "stats", stats)
         self._assert_fails(capsys, lambda: check_phi_consistency(0, 2, 2),
                            ["phi-consistency", "--i", "0", "--m", "2", "--n", "2"])
+
+    def test_wrong_weight_term_fails_homogeneity(self, monkeypatch, capsys):
+        import schurq.verify
+        from schurq.exactalg import tvar
+        original = schurq.verify.schur
+
+        def schur(lam):
+            got = original(lam)
+            return got + SparsePoly.variable(tvar(1)) if tuple(lam) == (2, 1) else got
+
+        assert check_symfunc_homogeneity().passed
+        monkeypatch.setattr(schurq.verify, "schur", schur)
+        res = self._assert_fails(capsys, check_symfunc_homogeneity,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:homogeneity"
+
+    def test_symmetric_pair_fails_antisymmetry(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.qq_pair
+
+        def qq_pair(m, n):
+            return original(2, 1) if (m, n) == (1, 2) else original(m, n)
+
+        assert check_symfunc_antisymmetry().passed
+        monkeypatch.setattr(schurq.verify, "qq_pair", qq_pair)
+        res = self._assert_fails(capsys, check_symfunc_antisymmetry,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:antisymmetry"
+
+    def test_doubled_pfaffian_fails_pfaffian_det(self, monkeypatch, capsys):
+        import schurq.verify
+        original = schurq.verify.pfaffian
+        assert check_symfunc_pfaffian_det().passed
+        monkeypatch.setattr(schurq.verify, "pfaffian",
+                            lambda rows: original(rows) * SparsePoly.constant(2))
+        res = self._assert_fails(capsys, check_symfunc_pfaffian_det,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:pfaffian-det"
 
     def test_omega_without_sign_fails_bialternant(self, monkeypatch, capsys):
         # S_lam for a tall lam is omega(S_lam'); without the sign on the even
