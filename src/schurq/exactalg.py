@@ -422,16 +422,7 @@ class SparsePoly(_IntCombination):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        num = _product({}, self._num, other._num)
-        root = {}
-        if self._root or other._root:
-            # (A + sqrt2 B)(C + sqrt2 D) = AC + 2BD + sqrt2 (AD + BC)
-            _product(num, self._root, other._root, 2)
-            _product(root, self._num, other._root)
-            _product(root, self._root, other._num)
-            _check_guard(root)
-        _check_guard(num)
-        return SparsePoly._make(self._den * other._den, num, root)
+        return _sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -600,6 +591,27 @@ def _product(out, a, b, scale=1):
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
     return out
+
+
+def _sum_of_products(triples, den=1):
+    """sum(w * a * b for w, a, b in triples) / den for int weights w and
+    SparsePolys a, b.  Every product goes straight into one pair of int
+    dicts at one lcm denominator, so no polynomial is built per product
+    and the sum is brought to canonical form once."""
+    triples = list(triples)
+    common = lcm(*(a._den * b._den for _, a, b in triples))
+    num, root = {}, {}
+    for w, a, b in triples:
+        scale = w * (common // (a._den * b._den))
+        _product(num, a._num, b._num, scale)
+        if a._root or b._root:
+            # (A + sqrt2 B)(C + sqrt2 D) = AC + 2BD + sqrt2 (AD + BC)
+            _product(num, a._root, b._root, 2 * scale)
+            _product(root, a._num, b._root, scale)
+            _product(root, a._root, b._num, scale)
+    _check_guard(num)
+    _check_guard(root)
+    return SparsePoly._make(common * den, num, root)
 
 
 def _linear_sum(pairs, den=1):

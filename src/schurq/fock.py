@@ -58,7 +58,8 @@ from math import factorial
 from types import MappingProxyType
 
 from .exactalg import (ONE, SQRT2, ZERO, SparsePoly, _IntCombination,
-                       _linear_sum, _promote_scalar, _sqrt2_pow_parts)
+                       _linear_sum, _promote_scalar, _sqrt2_pow_parts,
+                       _sum_of_products)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
                          is_added_member, stats)
 from .symfunc import schur, schur_q
@@ -369,16 +370,17 @@ class BosonLabels(_IntCombination):
         return self._same(other)
 
     def expand(self):
-        """The polynomials of the labels: per sector, one sum over the int
-        numerators of Q_nu * S_kappa (times sqrt(2) for the root part)."""
+        """The polynomials of the labels: per sector, one sum of products
+        over the int numerators of Q_nu * S_kappa (Q_nu times sqrt(2) for
+        the root part)."""
         sectors = {}
         for part, root in ((self._num, False), (self._root, True)):
             for (sector, nu, kappa), c in part.items():
-                poly = schur_q(nu) * schur(kappa)
+                q = schur_q(nu)
                 sectors.setdefault(sector, []).append(
-                    (c, poly._scaled(SQRT2) if root else poly))
-        return BosonElement({key: _linear_sum(pairs, self._den)
-                             for key, pairs in sectors.items()})
+                    (c, q._scaled(SQRT2) if root else q, schur(kappa)))
+        return BosonElement({key: _sum_of_products(triples, self._den)
+                             for key, triples in sectors.items()})
 
 
 def _label(sector, nu, kappa, c, k):

@@ -1,6 +1,6 @@
 """Symmetric-function algebra: complete generators h_n(t), their odd-variable
-relatives q_n(s), determinantal Schur functions, Pfaffian Q-functions, and
-the substitutions the verification identities need.
+relatives q_n(s), Schur functions S_lam and Q-functions Q_lam, and the
+substitutions the verification identities need.
 
 h_n and q_n come from the Newton-style recurrences
 
@@ -8,13 +8,17 @@ h_n and q_n come from the Newton-style recurrences
     n q_n = sum_{k odd <= n} k s_k q_{n-k}
 
 which produce the coefficients of exp(sum t_k z^k) and exp(sum s_k z^k)
-exactly, with no series truncation.
+exactly, with no series truncation.  schur and schur_q expand a
+Jacobi-Trudi determinant and a Pfaffian along the first row into cached
+smaller shapes; poly_det and pfaffian are the general expansions they are
+tested against.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
-from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum, svar, tvar,
-                       zvar, S, T)
+from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum,
+                       _sum_of_products, svar, tvar, zvar, S, T)
 
 _H_CACHE = {0: SparsePoly.constant(1)}
 _Q_CACHE = {0: SparsePoly.constant(1)}
@@ -30,8 +34,8 @@ def h_poly(n):
     if n < 0:
         return SparsePoly.zero()
     if n not in _H_CACHE:
-        _H_CACHE[n] = _linear_sum(((k, SparsePoly.variable(tvar(k)) * h_poly(n - k))
-                                   for k in range(1, n + 1)), n)
+        _H_CACHE[n] = _sum_of_products(((k, SparsePoly.variable(tvar(k)), h_poly(n - k))
+                                        for k in range(1, n + 1)), n)
     return _H_CACHE[n]
 
 
@@ -40,8 +44,8 @@ def q_poly(n):
     if n < 0:
         return SparsePoly.zero()
     if n not in _Q_CACHE:
-        _Q_CACHE[n] = _linear_sum(((k, SparsePoly.variable(svar(k)) * q_poly(n - k))
-                                   for k in range(1, n + 1, 2)), n)
+        _Q_CACHE[n] = _sum_of_products(((k, SparsePoly.variable(svar(k)), q_poly(n - k))
+                                        for k in range(1, n + 1, 2)), n)
     return _Q_CACHE[n]
 
 
@@ -72,32 +76,53 @@ def poly_det(rows):
                 continue
             entry = rows[row][col]
             if not entry.is_zero():
-                terms.append((sign, entry * minor(row + 1, colmask & ~bit)))
+                terms.append((sign, entry, minor(row + 1, colmask & ~bit)))
             sign = -sign
-        memo[key] = acc = _linear_sum(terms)
+        memo[key] = acc = _sum_of_products(terms)
         return acc
 
     return minor(0, full)
 
 
+def _vertical_strips(lam, k):
+    """The partitions rho with lam/rho a vertical k-strip: one box off each
+    of k rows, taken from the lowest rows of each run of equal parts."""
+    shapes = [((), 0)]
+    for part, run in groupby(lam):
+        b = len(list(run))
+        shapes = [(rho + (part,) * (b - r) + (part - 1,) * r, used + r)
+                  for rho, used in shapes for r in range(min(b, k - used) + 1)]
+    return [tuple(p for p in rho if p) for rho, used in shapes if used == k]
+
+
 def schur(lam):
-    """Determinantal Schur function S_lam(t) for a partition lam
-    (weakly decreasing; zeros are stripped)."""
+    """Schur function S_lam(t) for a partition lam (weakly decreasing;
+    zeros are stripped), the Jacobi-Trudi determinant det(h_{lam_i - i + j})
+    expanded along its first row:
+
+        S_lam = sum_k (-1)^k h_{lam_1 + k} sum_rho S_rho
+
+    over rho with (lam_2, lam_3, ...)/rho a vertical k-strip.  The (1, k+1)
+    minor is the skew function S_{(lam_2, ...)/1^k}, which the dual Pieri
+    rule writes as that sum; each S_rho is a cache entry."""
     lam = tuple(int(p) for p in lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 0 for p in lam):
         raise ValueError("not a partition: %r" % (lam,))
     lam = tuple(p for p in lam if p > 0)
     got = _SCHUR_CACHE.get(lam)
     if got is None:
-        d = len(lam)
-        if lam and d > lam[0]:
-            # omega, t_k -> (-1)^(k+1) t_k, sends S_lam' to S_lam: a
-            # determinant of side lam[0] < d
+        if not lam:
+            got = SparsePoly.constant(1)
+        elif len(lam) > lam[0]:
+            # omega, t_k -> (-1)^(k+1) t_k, sends S_lam' to S_lam, and lam'
+            # is wide
             conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
             got = schur(conj).flip(tvar(k) for k in range(2, sum(lam) + 1, 2))
         else:
-            rows = [[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)]
-            got = poly_det(rows)
+            got = _sum_of_products(
+                ((-1) ** k, h_poly(lam[0] + k),
+                 _linear_sum((1, schur(rho)) for rho in _vertical_strips(lam[1:], k)))
+                for k in range(len(lam)))
         _SCHUR_CACHE[lam] = got
     return got
 
@@ -113,8 +138,8 @@ def qq_pair(m, n):
     got = _PAIR_CACHE.get((m, n))
     if got is None:
         # Q_{m,n} = q_m q_n + 2 sum_{i=1..n} (-1)^i q_{m+i} q_{n-i}
-        got = _PAIR_CACHE[(m, n)] = _linear_sum(
-            (2 * (-1) ** i if i else 1, q_poly(m + i) * q_poly(n - i))
+        got = _PAIR_CACHE[(m, n)] = _sum_of_products(
+            (2 * (-1) ** i if i else 1, q_poly(m + i), q_poly(n - i))
             for i in range(n + 1))
     return got
 
@@ -151,18 +176,24 @@ def _pf(rows, mask, memo):
             continue
         entry = rows[first][j]
         if not entry.is_zero():
-            terms.append((sign, entry * _pf(rows, rest & ~bit, memo)))
+            terms.append((sign, entry, _pf(rows, rest & ~bit, memo)))
         sign = -sign
-    memo[mask] = got = _linear_sum(terms)
+    memo[mask] = got = _sum_of_products(terms)
     return got
 
 
 def schur_q(lam):
-    """Pfaffian Q-function Q_lam(s) of a strict partition.
+    """Q-function Q_lam(s) of a strict partition: the Pfaffian of the
+    Q_{lam_i, lam_j} expanded along its first row,
+
+        Q_lam = sum_{j >= 2} (-1)^j Q_{lam_1, lam_j} Q_{lam minus {lam_1, lam_j}},
+
+    each sub-Pfaffian being the Q-function of the parts left.
 
     The index list is normalized by stripping zeros and then padding with a
     single 0 when the length is odd (the pad row gives a Q_{j,0} = q_j
-    column, which is what makes the padding consistent).
+    column, which is what makes the padding consistent, and makes the parts
+    left after removing two the normal form of their own Q-function).
     """
     parts = tuple(int(p) for p in lam)
     parts = tuple(p for p in parts if p != 0)
@@ -174,9 +205,14 @@ def schur_q(lam):
         parts = parts + (0,)
     got = _SCHUR_Q_CACHE.get(parts)
     if got is None:
-        d = len(parts)
-        rows = [[qq_pair(parts[i], parts[j]) for j in range(d)] for i in range(d)]
-        got = _SCHUR_Q_CACHE[parts] = pfaffian(rows)
+        if not parts:
+            got = SparsePoly.constant(1)
+        else:
+            got = _sum_of_products(
+                ((-1) ** (j + 1), qq_pair(parts[0], parts[j]),
+                 schur_q(parts[1:j] + parts[j + 1:]))
+                for j in range(1, len(parts)))
+        _SCHUR_Q_CACHE[parts] = got
     return got
 
 

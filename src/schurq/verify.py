@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum,
-                       _sqrt2_pow_parts, svar, tvar, zvar)
+                       _sqrt2_pow_parts, _sum_of_products, svar, tvar, zvar)
 from .partitions import (bar_core, bar_quotient, delta0, delta1,
                          enumerate_added, residue_split)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
@@ -81,11 +81,11 @@ def check_main2(m, n):
     for mu in members:
         quot = bar_quotient(mu)
         sign = delta0(mu, m)
-        lhs.append((sign, schur_q(quot.q0) * schur(quot.q1)))
+        lhs.append((sign, schur_q(quot.q0), schur(quot.q1)))
         if not quot.q0:
             rhs.append((sign, schur(quot.q1)))
     # subst_u is linear: substitute the signed sum once
-    return _result("main2", {"m": m, "n": n}, _linear_sum(lhs),
+    return _result("main2", {"m": m, "n": n}, _sum_of_products(lhs),
                    subst_u(_linear_sum(rhs)), t0)
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import schurq.exactalg
 from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
-                             _LIMIT, _promote_scalar, _sqrt2_pow_parts, svar,
-                             tvar, var_name, zvar)
+                             _LIMIT, _linear_sum, _promote_scalar,
+                             _sqrt2_pow_parts, _sum_of_products, svar, tvar,
+                             var_name, zvar)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
@@ -511,3 +512,41 @@ class TestAgainstReferenceKernel:
         with pytest.raises(ValueError, match="no value assigned to s3"):
             (SparsePoly.variable(tvar(1)) * SparsePoly.variable(svar(3))).evaluate(
                 {tvar(1): 1})
+
+
+# ---------------------------------------------------------------------------
+# differential test: the fused sum of products against one product per term
+# ---------------------------------------------------------------------------
+
+weights = st.integers(min_value=-5, max_value=5)
+triples = st.lists(st.tuples(weights, polys, polys), max_size=5)
+
+
+class TestSumOfProducts:
+    @settings(max_examples=80)
+    @given(triples, st.integers(min_value=1, max_value=6))
+    def test_matches_one_product_per_term(self, ts, den):
+        got = _sum_of_products(ts, den)
+        want = _linear_sum(((w, a * b) for w, a, b in ts), den)
+        assert got == want and str(got) == str(want)
+        ref = {}
+        for w, a, b in ts:
+            ref = _ref_add(ref, _ref_mul(_ref_clean({(): Fraction(w, den)}),
+                                         _ref_mul(dict(a.terms), dict(b.terms))))
+        assert dict(got.terms) == ref
+
+    def test_edge_cases(self):
+        t1, s1 = SparsePoly.variable(tvar(1)), SparsePoly.variable(svar(1))
+        root = SparsePoly.constant(Sqrt2Rational(Fraction(1, 3), Fraction(-1, 2))) * s1
+        zero = SparsePoly.zero()
+        assert _sum_of_products([]) == zero
+        assert _sum_of_products([], 7) == zero
+        assert _sum_of_products([(3, zero, root), (-2, t1, zero)]) == zero
+        assert _sum_of_products([(0, t1, root)]) == zero
+        # negative weights, sqrt2 cross terms and a cancelling pair
+        got = _sum_of_products([(-2, root, root), (1, t1, root),
+                                (-1, root, t1), (5, t1, t1)], 3)
+        assert got == (SparsePoly.constant(-2) * root * root
+                       + SparsePoly.constant(5) * t1 * t1) * SparsePoly.constant(Fraction(1, 3))
+        assert got == _linear_sum([(-2, root * root), (1, t1 * root),
+                                   (-1, root * t1), (5, t1 * t1)], 3)

@@ -19,7 +19,8 @@ from schurq.exactalg import T, SparsePoly, Sqrt2Rational, svar, tvar, zvar
 from schurq.symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
                             power_sum_specialize, q_poly, qq_pair, schur,
                             schur_q, subst_2t2, subst_odd, subst_q_u, subst_u)
-from schurq.verify import _partitions_of, _strict_partitions_of
+from schurq.verify import (_partitions_of, _strict_partitions_of, check_main1,
+                           check_main2, check_trapezoid)
 
 
 def _series_mul(f, g, order):
@@ -435,6 +436,21 @@ class TestMemoAgainstFreshComputation:
             assert got == _schur_ref(lam), lam
             assert schur(lam + (0,)) is got
 
+    def test_schur_cold_on_the_polynomial_workload_shapes(self, monkeypatch):
+        # every shape main2(5,5), trapezoid(5,5) and main1(6,3) build, the
+        # sub-shapes of the first-row expansion included, rebuilt largest
+        # first from an empty cache against the plain Jacobi-Trudi determinant
+        import schurq.symfunc
+        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        for check, args in ((check_main2, (5, 5)), (check_trapezoid, (5, 5)),
+                            (check_main1, (6, 3))):
+            assert check(*args).passed
+        shapes = sorted(schurq.symfunc._SCHUR_CACHE, key=sum, reverse=True)
+        assert sum(shapes[0]) == 18 and len(shapes) >= 142
+        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        for lam in shapes:
+            assert schur(lam) == _schur_ref(lam), lam
+
     def test_schur_q(self):
         for w in range(9):
             for lam in _strict_partitions_of(w):
@@ -497,6 +513,17 @@ class TestPfaffianMemo:
                 parts = lam + (0,) if len(lam) % 2 else lam
                 rows = [[qq_pair(a, b) for b in parts] for a in parts]
                 assert schur_q(lam) == _pf_unmemoized(rows, tuple(range(len(parts))))
+
+    def test_every_schur_q_cold_through_weight_10(self, monkeypatch):
+        # largest first from an empty cache, so each first-row expansion
+        # builds its sub-Pfaffians itself
+        import schurq.symfunc
+        monkeypatch.setattr(schurq.symfunc, "_SCHUR_Q_CACHE", {})
+        for w in range(10, -1, -1):
+            for lam in _strict_partitions_of(w):
+                parts = lam + (0,) if len(lam) % 2 else lam
+                rows = [[qq_pair(a, b) for b in parts] for a in parts]
+                assert schur_q(lam) == _pf_unmemoized(rows, tuple(range(len(parts)))), lam
 
 
 def _substitute_2t2(p):

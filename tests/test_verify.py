@@ -543,6 +543,28 @@ class TestNegativeControls:
                                  ["symfunc-props"])
         assert res.name == "symfunc-props:bialternant"
 
+    def test_dropped_vertical_strip_fails_bialternant_and_main1(self, monkeypatch,
+                                                                capsys):
+        # a first-row minor of the Jacobi-Trudi determinant missing one S_rho
+        # of its dual Pieri sum; cold Schur functions must show it
+        import schurq.symfunc
+        original = schurq.symfunc._vertical_strips
+
+        def _vertical_strips(lam, k):
+            shapes = original(lam, k)
+            return shapes[:-1] if len(shapes) > 1 else shapes
+
+        assert check_symfunc_bialternant().passed
+        assert check_main1(4, 2).passed
+        monkeypatch.setattr(schurq.symfunc, "_vertical_strips", _vertical_strips)
+        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        res = self._assert_fails(capsys, check_symfunc_bialternant,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:bialternant"
+        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        self._assert_fails(capsys, lambda: check_main1(4, 2),
+                           ["main1", "--m", "4", "--n", "2"])
+
     def test_perturbed_bialternant_fails(self, monkeypatch, capsys):
         import schurq.verify
         original = schurq.verify.bialternant_eval
