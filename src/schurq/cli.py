@@ -43,8 +43,9 @@ def _render_parts(parts):
 
 
 def _fock_json(vec):
-    return [{"coeff": str(vec.terms[w]), "word": list(w)}
-            for w in sorted(vec.terms, reverse=True)]
+    terms = vec.terms  # each read decodes every word, so read it once
+    return [{"coeff": str(terms[w]), "word": list(w)}
+            for w in sorted(terms, reverse=True)]
 
 
 def _boson_json(elt):

@@ -328,19 +328,6 @@ def _unpack(packed):
     return tuple(sorted(mono))
 
 
-def _mono_degree(mono):
-    d = 0
-    for (fam, idx), e in mono:
-        d += e if fam == Z else idx * e
-    return d
-
-
-def _mono_sort_key(mono):
-    # weighted degree descending, then lexicographic in variable order with
-    # the higher power of the earlier variable first
-    return (-_mono_degree(mono), tuple((v, -e) for v, e in mono))
-
-
 class SparsePoly(_IntCombination):
     """Sparse multivariate polynomial over Q(sqrt2): an _IntCombination
     of packed monomials.  Immutable: every operation returns a fresh value,
@@ -538,26 +525,37 @@ class SparsePoly(_IntCombination):
     def __str__(self):
         if self.is_zero():
             return "0"
+        memo = _MONO_TEXT
+        keys = self._keys()
+        for m in keys:
+            if m not in memo:
+                _mono_text(m)
+        num, root, den = self._num, self._root, self._den
+        mags = {}  # |numerator| -> its magnitude text over den
         chunks = []
-        # sort keys are distinct per monomial, so the sort never compares
-        # beyond them
-        for _, mono_str, m in sorted(_mono_text(m) + (m,) for m in self._keys()):
-            if m in self._root:
-                negative = False
-                cs = self._coeff_str(m)
-                body = "%s*%s" % (cs, mono_str) if mono_str else cs
+        for m in sorted(keys, key=lambda m: memo[m][0]):
+            text = memo[m][1]
+            if m in root:
+                sep = " + "
+                body = self._coeff_str(m)
+                if text:
+                    body += "*" + text
             else:
-                n = self._num[m]
-                negative = n < 0
-                if mono_str and abs(n) == self._den:
-                    body = mono_str
+                n = num[m]
+                sep = " + " if n > 0 else " - "
+                n = abs(n)
+                if text and n == den:
+                    body = text
                 else:
-                    mag = _ratio_str(abs(n), self._den)
-                    body = "%s*%s" % (mag, mono_str) if mono_str else mag
-            if not chunks:
-                chunks.append(("-" if negative else "") + body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
+                    body = mags.get(n)
+                    if body is None:
+                        body = mags[n] = _ratio_str(n, den)
+                    if text:
+                        body += "*" + text
+            chunks.append(sep)
+            chunks.append(body)
+        # the first term carries its sign with no spaces
+        chunks[0] = "-" if chunks[0] == " - " else ""
         return "".join(chunks)
 
     def __repr__(self):
@@ -570,13 +568,23 @@ _MONO_TEXT = {}  # packed monomial -> (sort key, rendering)
 def _mono_text(m):
     """The sort key and the rendering of a packed monomial, memoized: slots
     are only ever appended, so a packed int names the same monomial for the
-    life of the process."""
+    life of the process.  The key is the flat int tuple
+    (-deg, fam1, idx1, -e1, fam2, idx2, -e2, ...) over the variables in
+    order, so terms sort by weighted degree descending, then lexicographically
+    in variable order with the higher power of the earlier variable first;
+    at equal degree no key is a proper prefix of another.  It is read from
+    the variables, not their slot offsets, so a variable slotted after
+    others still sorts in its place."""
     got = _MONO_TEXT.get(m)
     if got is None:
-        mono = _unpack(m)
-        text = "*".join(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e)
-                        for v, e in mono)
-        got = _MONO_TEXT[m] = (_mono_sort_key(mono), text)
+        key, deg, parts = [0], 0, []
+        for v, e in _unpack(m):
+            fam, idx = v
+            deg += e if fam == Z else idx * e
+            key += (fam, idx, -e)
+            parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
+        key[0] = -deg
+        got = _MONO_TEXT[m] = (tuple(key), "*".join(parts))
     return got
 
 

@@ -218,6 +218,25 @@ class TestFockCommands:
         assert code == 0
         assert json.loads(out) == [{"coeff": "2", "word": [2, 0]}]
 
+    def test_apply_f_json_reads_terms_once(self, capsys, monkeypatch):
+        # `terms` decodes every word, so a read per term is quadratic
+        from schurq.fock import FockVector
+        terms, reads = FockVector.terms, []
+
+        def counted(vec):
+            reads.append(vec)
+            return terms.fget(vec)
+
+        monkeypatch.setattr(FockVector, "terms", property(counted))
+        code, out, _ = run_cli(capsys, "fock", "apply-f", "--i", "0",
+                               "--n", "2", "--state", "c:-2", "--json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"coeff": "1", "word": [7, 2]}, {"coeff": "2", "word": [6, 3]},
+            {"coeff": "2", "word": [6, 2, 1, 0]}, {"coeff": "1", "word": [5, 4]},
+            {"coeff": "2", "word": [5, 3, 1, 0]}]
+        assert len(reads) == 1
+
     def test_apply_f_partition_state(self, capsys):
         code, out, _ = run_cli(capsys, "fock", "apply-f", "--i", "0",
                                "--n", "0", "--state", "5,2")

@@ -467,6 +467,31 @@ class TestAgainstReferenceKernel:
         assert str(p) == want
         assert str(SparsePoly(a)) == want
 
+    def test_rendering_ignores_slot_order(self, monkeypatch):
+        # a t-variable slotted after s1 and z1 must still sort before them:
+        # a key read from slot offsets would put s1^(k+1) first
+        t1, s1, z1 = (SparsePoly.variable(v) for v in (tvar(1), svar(1), zvar(1)))
+        str(s1 * z1 + s1 ** 2 + t1 * z1)
+        slots = schurq.exactalg._SLOTS
+        k = next(j for j in range(50, 1000) if tvar(j) not in slots)
+        tk = SparsePoly.variable(tvar(k))
+        assert slots[tvar(k)] > max(slots[svar(1)], slots[zvar(1)])
+        mixed = [tk * s1 + s1 ** (k + 1) + s1 * z1 ** k + t1 ** k * s1,
+                 SparsePoly.constant(Fraction(-2, 3)) * tk * z1 ** 2 - z1 ** (k + 2)
+                 + t1 * s1 * tk,
+                 tk + s1 ** k - t1 ** k + z1 ** k + SparsePoly.constant(SQRT2) * tk * z1]
+        wants = [_ref_str(dict(p.terms)) for p in mixed]
+        assert wants[0].startswith("t1^%d*s1 + t%d*s1 + s1^%d" % (k, k, k + 1))
+        # a cleared memo, then the one that holds the monomials rendered
+        # before tk had a slot; each renders cold, then warm
+        for memo in ({}, schurq.exactalg._MONO_TEXT):
+            monkeypatch.setattr(schurq.exactalg, "_MONO_TEXT", memo)
+            assert [str(p) for p in mixed] == wants
+            assert [str(p) for p in mixed] == wants
+            assert [p.weighted_degree() for p in mixed] == [k + 1, k + 2, k + 1]
+        monkeypatch.setattr(schurq.exactalg, "_MONO_TEXT", {})
+        assert [p.weighted_degree() for p in mixed] == [k + 1, k + 2, k + 1]
+
     @settings(max_examples=80)
     @given(term_dicts, st.sets(st.sampled_from(_VARS)))
     def test_vanish_is_substitution_by_zero(self, a, gone):
@@ -512,6 +537,37 @@ class TestAgainstReferenceKernel:
         with pytest.raises(ValueError, match="no value assigned to s3"):
             (SparsePoly.variable(tvar(1)) * SparsePoly.variable(svar(3))).evaluate(
                 {tvar(1): 1})
+
+
+class TestRenderingAtRealSizes:
+    """The memoized renderer against the reference on the polynomials the
+    checks build, far larger than the hypothesis strategies reach."""
+
+    @staticmethod
+    def _assert_renders(polys):
+        wants = [_ref_str(dict(p.terms)) for p in polys]
+        schurq.exactalg._MONO_TEXT.clear()
+        assert [str(p) for p in polys] == wants  # cold memo
+        assert [str(p) for p in polys] == wants  # warm memo
+
+    def test_schur_functions(self):
+        from schurq.symfunc import schur, schur_q, subst_u
+        from schurq.verify import _partitions_of, _strict_partitions_of
+        self._assert_renders([schur(lam) for w in range(13) for lam in _partitions_of(w)])
+        self._assert_renders([schur_q(lam) for w in range(13)
+                              for lam in _strict_partitions_of(w)])
+        self._assert_renders([subst_u(schur(lam)) for w in range(9)
+                              for lam in _partitions_of(w)])
+
+    def test_sectors_of_the_closed_form(self):
+        # phi-consistency (0,4,4) lands in the even sector (0, 0); m = 3
+        # lands in the odd sector, whose coefficients carry sqrt(2)
+        from schurq.fock import phi_closed_form
+        from schurq.partitions import bar_core, enumerate_added
+        polys = [poly for m in (4, 3) for lam in enumerate_added(bar_core(-m), 0, 4)
+                 for poly in phi_closed_form(lam, 0, m, 4).components.values()]
+        assert any(poly._root for poly in polys)
+        self._assert_renders(polys)
 
 
 # ---------------------------------------------------------------------------

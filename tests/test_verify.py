@@ -2,6 +2,7 @@
 and report structure."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -323,6 +324,22 @@ class TestCrossChecks:
         for m in range(5):
             want = (-1) ** ((m + 1) * m // 2)
             assert delta0(bar_core(-m), m) == want
+
+
+class TestLargePointPins:
+    # sha256 digests of both renderings at two points larger than any the
+    # perfbench pins reach: a renderer change must keep these bytes
+    @pytest.mark.parametrize("check, args, digest", [
+        (check_main2, (6, 6),
+         "9690df00c4107a04e2bb05798f342f338284f7bf69c9350b63658f08f1654adb"),
+        (check_phi_consistency, (0, 6, 6),
+         "b2c8a293d7d46f728029e441d4d9b0497bfa9d651706ad66bdd8b686478d08e3"),
+    ], ids=["main2", "phi-consistency"])
+    def test_renderings(self, check, args, digest):
+        res = check(*args)
+        assert res.passed
+        for text in (res.lhs_rendering, res.rhs_rendering):
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestNegativeControls:
