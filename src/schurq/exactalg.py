@@ -228,7 +228,7 @@ class _IntCombination:
         return _scalar_str(self._num.get(key, 0), self._root.get(key, 0), self._den)
 
     def _keys(self):
-        return self._num.keys() | self._root.keys()
+        return self._num.keys() | self._root.keys() if self._root else self._num.keys()
 
     def _same(self, other):
         return (self._den == other._den and self._num == other._num
@@ -309,10 +309,11 @@ def _pack(mono):
     return packed
 
 
-def _check_guard(monos):
-    for m in monos:
-        if m & _GUARD:
-            raise OverflowError("an exponent exceeds %d" % (_LIMIT - 1))
+def _check_guard(*parts):
+    for monos in parts:
+        for m in monos:
+            if m & _GUARD:
+                raise OverflowError("an exponent exceeds %d" % (_LIMIT - 1))
 
 
 def _unpack(packed):
@@ -440,23 +441,43 @@ class SparsePoly(_IntCombination):
     def substitute(self, mapping):
         """Ring-homomorphic substitution; unmapped variables pass through.
 
-        Each power image**e is built once per call and shared by every
-        monomial that contains it; the images of the monomials are summed
-        in one pass."""
-        powers = {}
-
-        def image(m):
-            out = _UNIT
-            for v, e in _unpack(m):
-                if (v, e) not in powers:
-                    base = mapping.get(v, SparsePoly.variable(v))
-                    powers[v, e] = SparsePoly._promote(base) ** e
-                out = out * powers[v, e]
-            return out
-
-        pairs = [(c, image(m)) for m, c in self._num.items()]
-        pairs += [(c, _ROOT2 * image(m)) for m, c in self._root.items()]
-        return _linear_sum(pairs, self._den)
+        On the int numerators: each mapped variable with a slot gets a
+        power table [1, image, image**2, ...] of (num, root) pairs over
+        den**e, built on demand.  A monomial's term starts as its key less
+        the mapped slots, over the one lcm denominator of all terms, and is
+        multiplied by one power per mapped slot; the last product adds into
+        the sum, which is brought to canonical form once."""
+        mask = 0
+        slots = []  # (offset, power table, den) of each mapped variable
+        for v, image in mapping.items():
+            if v in _SLOTS:  # else no monomial contains v
+                image = SparsePoly._promote(image)
+                offset = _SLOTS[v]
+                mask |= _MASK << offset
+                slots.append((offset, [_ONE_PARTS, (image._num, image._root)], image._den))
+        keys = self._keys()
+        dens = {}
+        for offset, _, den in slots:
+            if den != 1:
+                for m in keys:
+                    dens[m] = dens.get(m, 1) * den ** ((m >> offset) & _MASK)
+        common = lcm(*dens.values())
+        num, root = {}, {}
+        for m in keys:
+            scale = common // dens.get(m, 1)
+            a, b = self._num.get(m, 0) * scale, self._root.get(m, 0) * scale
+            rest = m & ~mask
+            term = ({rest: a} if a else {}, {rest: b} if b else {})
+            powers = [_power(table, e) for offset, table, _ in slots
+                      if (e := (m >> offset) & _MASK)] or [_ONE_PARTS]
+            for power in powers[:-1]:
+                term = _product_parts({}, {}, term, power)
+                _check_guard(*term)
+            _product_parts(num, root, term, powers[-1])
+        # every last product adds two guard-free monomials, so a slot that
+        # overflowed there still shows its guard bit
+        _check_guard(num, root)
+        return self._make(self._den * common, num, root)
 
     def vanish(self, variables):
         """This polynomial with the given variables set to zero: its terms
@@ -601,6 +622,32 @@ def _product(out, a, b, scale=1):
     return out
 
 
+def _product_parts(num, root, a, b, scale=1):
+    """Add scale * a * b into the int dicts num and root, for (num, root)
+    pairs a and b, and return (num, root):
+    (A + sqrt2 B)(C + sqrt2 D) = AC + 2BD + sqrt2 (AD + BC)."""
+    (A, B), (C, D) = a, b
+    _product(num, A, C, scale)
+    if B or D:
+        _product(num, B, D, 2 * scale)
+        _product(root, A, D, scale)
+        _product(root, B, C, scale)
+    return num, root
+
+
+_ONE_PARTS = ({0: 1}, {})  # the (num, root) pair of the polynomial 1
+
+
+def _power(table, e):
+    """Entry e of a power table [1, x, x**2, ...] of (num, root) pairs,
+    extended on demand: each new power is the last one times x."""
+    while len(table) <= e:
+        power = _product_parts({}, {}, table[-1], table[1])
+        _check_guard(*power)
+        table.append(power)
+    return table[e]
+
+
 def _sum_of_products(triples, den=1):
     """sum(w * a * b for w, a, b in triples) / den for int weights w and
     SparsePolys a, b.  Every product goes straight into one pair of int
@@ -610,15 +657,9 @@ def _sum_of_products(triples, den=1):
     common = lcm(*(a._den * b._den for _, a, b in triples))
     num, root = {}, {}
     for w, a, b in triples:
-        scale = w * (common // (a._den * b._den))
-        _product(num, a._num, b._num, scale)
-        if a._root or b._root:
-            # (A + sqrt2 B)(C + sqrt2 D) = AC + 2BD + sqrt2 (AD + BC)
-            _product(num, a._root, b._root, 2 * scale)
-            _product(root, a._num, b._root, scale)
-            _product(root, a._root, b._num, scale)
-    _check_guard(num)
-    _check_guard(root)
+        _product_parts(num, root, (a._num, a._root), (b._num, b._root),
+                       w * (common // (a._den * b._den)))
+    _check_guard(num, root)
     return SparsePoly._make(common * den, num, root)
 
 
@@ -637,7 +678,3 @@ def _linear_sum(pairs, den=1):
             for m, c in part.items():
                 out[m] = get(m, 0) + c * scale
     return cls._make(common * den, num, root)
-
-
-_UNIT = SparsePoly.constant(1)
-_ROOT2 = SparsePoly.constant(SQRT2)

@@ -265,10 +265,8 @@ def power_sum_specialize(p, n_vars):
         if v[0] != T:
             raise ValueError("power-sum specialization is defined on t-variables only")
         j = v[1]
-        acc = SparsePoly.zero()
-        for i in range(1, n_vars + 1):
-            acc = acc + SparsePoly.variable(zvar(i)) ** j
-        mapping[v] = SparsePoly.constant(Fraction(1, j)) * acc
+        mapping[v] = SparsePoly({((zvar(i), j),): Fraction(1, j)
+                                 for i in range(1, n_vars + 1)})
     return p.substitute(mapping)
 
 

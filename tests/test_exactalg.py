@@ -292,6 +292,60 @@ class TestSparsePoly:
         # untouched variables pass through
         assert p.substitute({svar(1): SparsePoly.zero()}) == p
 
+    def test_substitute_overflow_raises_and_never_carries(self):
+        t1, t2, t3 = (SparsePoly.variable(tvar(j)) for j in (1, 2, 3))
+        # t1**4 -> t1**80000 passes the slot inside the power table; a
+        # carry would leave t1^14464*t2^2
+        with pytest.raises(OverflowError):
+            (t1 ** 4 * t2).substitute({tvar(1): t1 ** 20000})
+        # the pass-through t3 overflows in the first of two products, which
+        # the second would carry out of the slot
+        with pytest.raises(OverflowError):
+            (t1 * t2 * t3 ** 20000).substitute({tvar(1): t3 ** 20000,
+                                                tvar(2): t3 ** 30000})
+        # ... and in the last product, straight into the sum
+        with pytest.raises(OverflowError):
+            (t1 * t3 ** 20000).substitute({tvar(1): t3 ** 20000})
+
+    def test_substitution_is_simultaneous(self):
+        t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))
+        assert (t1 ** 2 * t2).substitute({tvar(1): t2, tvar(2): t1}) == t1 * t2 ** 2
+
+    def test_substitute_image_with_a_pass_through_variable(self):
+        t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))
+        got = (t1 ** 2 * t2 ** 3).substitute({tvar(1): t1 + t2})
+        assert got == t2 ** 5 + SparsePoly.constant(2) * t1 * t2 ** 4 + t1 ** 2 * t2 ** 3
+
+    def test_substitute_edge_cases(self):
+        t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))
+        s3 = SparsePoly.variable(svar(3))
+        p = SparsePoly.constant(Fraction(2, 3)) * t1 * t2 - t2 ** 2
+        # a mapped variable absent from p, slotted or never used anywhere
+        assert p.substitute({svar(3): t1, tvar(9871): t2}) == p
+        assert tvar(9871) not in schurq.exactalg._SLOTS
+        assert SparsePoly.zero().substitute({tvar(1): s3}) == SparsePoly.zero()
+        for c in (Fraction(-3, 4), Sqrt2Rational(1, Fraction(-1, 2))):
+            assert SparsePoly.constant(c).substitute({tvar(1): s3}) == \
+                SparsePoly.constant(c)
+        # scalar images, zero among them
+        assert p.substitute({tvar(1): Fraction(1, 2)}) == \
+            SparsePoly.constant(Fraction(1, 3)) * t2 - t2 ** 2
+        assert p.substitute({tvar(1): 0}) == -t2 ** 2
+        assert p.substitute({tvar(2): SparsePoly.zero()}).is_zero()
+
+    def test_substitute_sqrt2_coefficients_and_images(self):
+        t1, t2, s1 = (SparsePoly.variable(v) for v in (tvar(1), tvar(2), svar(1)))
+        r2 = SparsePoly.constant(SQRT2)
+        p = (r2 * t1 ** 2 * s1 + SparsePoly.constant(Fraction(1, 3)) * t1 * s1 ** 2
+             - SparsePoly.constant(Sqrt2Rational(Fraction(1, 2), 5)) * t1 ** 3 * t2 + s1)
+        mapping = {tvar(1): r2 * t1 - SparsePoly.constant(Fraction(1, 2)) * s1,
+                   svar(1): SparsePoly.constant(Sqrt2Rational(1, 1) / 3) * t2}
+        got = p.substitute(mapping)
+        want = _ref_substitute(dict(p.terms), {v: dict(image.terms)
+                                               for v, image in mapping.items()})
+        assert dict(got.terms) == want
+        assert any(isinstance(c, Sqrt2Rational) for c in want.values())
+
     def test_evaluate(self):
         t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))
         p = SparsePoly.constant(Fraction(1, 2)) * t1 ** 2 + t2
@@ -435,7 +489,9 @@ def _ref_evaluate(p, point):
 
 
 class TestAgainstReferenceKernel:
-    @settings(max_examples=80)
+    # no deadline: the reference substitution of cubes of 5-term images can
+    # take longer than Hypothesis' default 200 ms on a loaded host
+    @settings(max_examples=80, deadline=None)
     @given(term_dicts, term_dicts, term_dicts, term_dicts)
     def test_operations_match(self, a, b, image_t, image_s):
         p, q = SparsePoly(a), SparsePoly(b)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.exactalg import T, SparsePoly, Sqrt2Rational, svar, tvar, zvar
+from schurq.exactalg import (SQRT2, T, SparsePoly, Sqrt2Rational, _linear_sum,
+                             _unpack, svar, tvar, zvar)
+from schurq.partitions import bar_core, bar_quotient, delta0, enumerate_added
 from schurq.symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
                             power_sum_specialize, q_poly, qq_pair, schur,
                             schur_q, subst_2t2, subst_odd, subst_q_u, subst_u)
@@ -401,6 +403,26 @@ def _naive_substitute(p, mapping):
     return out
 
 
+def _substitute_on_polys(p, mapping):
+    """Reference: substitution in SparsePoly arithmetic, each power
+    image**e built once per call and shared by every monomial that contains
+    it, the images of the monomials summed in one pass."""
+    powers = {}
+
+    def image(m):
+        out = SparsePoly.constant(1)
+        for v, e in _unpack(m):
+            if (v, e) not in powers:
+                base = mapping.get(v, SparsePoly.variable(v))
+                powers[v, e] = SparsePoly._promote(base) ** e
+            out = out * powers[v, e]
+        return out
+
+    pairs = [(c, image(m)) for m, c in p._num.items()]
+    pairs += [(c, SparsePoly.constant(SQRT2) * image(m)) for m, c in p._root.items()]
+    return _linear_sum(pairs, p._den)
+
+
 def _t(j):
     return SparsePoly.variable(tvar(j))
 
@@ -587,6 +609,48 @@ class TestSubstitutionAgainstNaive:
             for lam in _strict_partitions_of(w):
                 p = schur_q(lam)
                 assert subst_q_u(p) == _naive_substitute(p, shift)
+
+
+class TestSubstituteAtRealSizes:
+    """The int-numerator kernel against the SparsePoly-arithmetic reference
+    on the polynomials the checks substitute."""
+
+    @staticmethod
+    def _empty_q_sum(m, n):
+        return _linear_sum((delta0(mu, m), schur(bar_quotient(mu).q1))
+                           for mu in enumerate_added(bar_core(-m), 0, n)
+                           if not bar_quotient(mu).q0)
+
+    @staticmethod
+    def _odd_shift(p):
+        return {v: _t(v[1]) - _s(v[1]) for v in p.variables()
+                if v[0] == T and v[1] % 2}
+
+    @pytest.mark.parametrize("m, n", [(5, 5), (6, 6)])
+    def test_main2_right_side(self, m, n):
+        p = self._empty_q_sum(m, n)
+        assert subst_u(p) == _substitute_on_polys(p, self._odd_shift(p))
+
+    @pytest.mark.parametrize("m, n", [(5, 5), (6, 6)])
+    def test_trapezoid_left_side(self, m, n):
+        p = schur_q(tuple(range(m, m - n, -1)))
+        shift = {v: _t(v[1]) - _s(v[1]) for v in p.variables()}
+        assert subst_q_u(p) == _substitute_on_polys(p, shift)
+
+    def test_trapezoid_right_side(self):
+        p = self._empty_q_sum(5, 5)
+        odd = p.vanish(v for v in p.variables() if v[0] == T and v[1] % 2 == 0)
+        assert subst_odd(p) == _substitute_on_polys(odd, self._odd_shift(odd))
+
+    def test_power_sums_on_bialternant_shapes(self):
+        for n_vars in (1, 2, 3):
+            mapping = _power_sum_map(n_vars, 6)
+            for w in range(7):
+                for lam in _partitions_of(w):
+                    if len(lam) <= 3:
+                        p = schur(lam)
+                        assert power_sum_specialize(p, n_vars) == \
+                            _substitute_on_polys(p, mapping), (lam, n_vars)
 
 
 class TestSympyOracle:

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from schurq.exactalg import SparsePoly, Sqrt2Rational, _linear_sum
+from schurq.exactalg import SparsePoly, Sqrt2Rational, T, _linear_sum, svar, zvar
 from schurq.fock import FockVector, phi, phi_closed_form
 from schurq.partitions import (StrictPartition, bar_core, bar_quotient, delta0,
                                delta1, enumerate_added)
@@ -581,6 +581,30 @@ class TestNegativeControls:
         monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
         self._assert_fails(capsys, lambda: check_main1(4, 2),
                            ["main1", "--m", "4", "--n", "2"])
+
+    def test_plus_shift_fails_main2(self, monkeypatch, capsys):
+        # odd t_j -> t_j + s_j in place of t_j - s_j, through the kernel
+        import schurq.verify
+
+        def subst_u(p):
+            return p.substitute({v: SparsePoly.variable(v) + SparsePoly.variable(svar(v[1]))
+                                 for v in p.variables() if v[0] == T and v[1] % 2})
+
+        assert check_main2(3, 3).passed
+        monkeypatch.setattr(schurq.verify, "subst_u", subst_u)
+        self._assert_fails(capsys, lambda: check_main2(3, 3),
+                           ["main2", "--m", "3", "--n", "3"])
+
+    def test_reflected_z1_fails_bialternant(self, monkeypatch, capsys):
+        # the power-sum image read at -z1: odd-degree Schur functions change
+        import schurq.verify
+        original = schurq.verify.power_sum_specialize
+        assert check_symfunc_bialternant().passed
+        monkeypatch.setattr(schurq.verify, "power_sum_specialize",
+                            lambda p, n: original(p, n).flip([zvar(1)]))
+        res = self._assert_fails(capsys, check_symfunc_bialternant,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:bialternant"
 
     def test_perturbed_bialternant_fails(self, monkeypatch, capsys):
         import schurq.verify
