@@ -13,7 +13,7 @@ import sys
 from .partitions import StrictPartition, bar_core, bar_quotient, enumerate_added
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
                       subst_odd, subst_q_u, subst_u)
-from .fock import FockVector, f_power_normalized, phi
+from .fock import FockVector, f_power_normalized, phi_labels
 from .verify import FAMILIES, FAMILY_TABLE, SuiteConfig, run_suite
 
 _SUBST = {"2t2": subst_2t2, "u": subst_u, "odd": subst_odd}
@@ -48,9 +48,9 @@ def _fock_json(vec):
             for w in sorted(terms, reverse=True)]
 
 
-def _boson_json(elt):
-    return [{"sigma": key[0], "charge": key[1], "poly": str(poly)}
-            for key, poly in sorted(elt.components.items())]
+def _boson_json(labels):
+    return [{"sigma": sigma, "charge": charge, "poly": text}
+            for (sigma, charge), text in labels.sector_texts()]
 
 
 def _cmd_verify(args):
@@ -150,11 +150,11 @@ def _cmd_fock_apply_f(args):
 
 
 def _cmd_fock_phi(args):
-    elt = phi(_parse_state(args.state))
+    labels = phi_labels(_parse_state(args.state))
     if args.json:
-        print(json.dumps(_boson_json(elt)))
+        print(json.dumps(_boson_json(labels)))
     else:
-        print(elt)
+        print(labels)
     return 0
 
 

@@ -19,6 +19,7 @@ exact; no floating point anywhere.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -544,43 +545,88 @@ class SparsePoly(_IntCombination):
     # -- rendering --
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        memo = _MONO_TEXT
-        keys = self._keys()
-        for m in keys:
-            if m not in memo:
-                _mono_text(m)
-        num, root, den = self._num, self._root, self._den
-        mags = {}  # |numerator| -> its magnitude text over den
-        chunks = []
-        for m in sorted(keys, key=lambda m: memo[m][0]):
-            text = memo[m][1]
-            if m in root:
-                sep = " + "
-                body = self._coeff_str(m)
-                if text:
-                    body += "*" + text
-            else:
-                n = num[m]
-                sep = " + " if n > 0 else " - "
-                n = abs(n)
-                if text and n == den:
-                    body = text
-                else:
-                    body = mags.get(n)
-                    if body is None:
-                        body = mags[n] = _ratio_str(n, den)
-                    if text:
-                        body += "*" + text
-            chunks.append(sep)
-            chunks.append(body)
-        # the first term carries its sign with no spaces
-        chunks[0] = "-" if chunks[0] == " - " else ""
-        return "".join(chunks)
+        keys, texts = _sorted_texts(self._keys())
+        num, root = self._num, self._root
+        return _emit(texts, map(num.get, keys, repeat(0)),
+                     map(root.get, keys, repeat(0)) if root else repeat(0),
+                     self._den)
 
     def __repr__(self):
         return "SparsePoly(%s)" % self
+
+
+def _sorted_texts(keys):
+    """The packed monomials in rendering order, and their renderings: the
+    memo of sort keys and texts is filled, then they are sorted once."""
+    memo = _MONO_TEXT
+    for m in keys:
+        if m not in memo:
+            _mono_text(m)
+    keys = sorted(keys, key=lambda m: memo[m][0])
+    return keys, [memo[m][1] for m in keys]
+
+
+def _emit(texts, nums, roots, den):
+    """The rendering of the terms (num + root*sqrt2)/den * monomial, for
+    parallel iterables of monomial texts and int parts, in order (num or
+    root nonzero in each term); "0" for no terms.  A rational coefficient
+    renders as its sign and magnitude (none for a unit before a monomial),
+    a sqrt(2) one as `(a+b*r2)`; coefficients need not be in lowest terms
+    over den, and each distinct magnitude is formatted once."""
+    mags = {}  # |numerator| -> its magnitude text over den
+    chunks = []
+    for text, n, r in zip(texts, nums, roots):
+        if r:
+            sep = " + "
+            body = _scalar_str(n, r, den)
+            if text:
+                body += "*" + text
+        else:
+            sep = " + " if n > 0 else " - "
+            n = abs(n)
+            if text and n == den:
+                body = text
+            else:
+                body = mags.get(n)
+                if body is None:
+                    body = mags[n] = _ratio_str(n, den)
+                if text:
+                    body += "*" + text
+        chunks.append(sep)
+        chunks.append(body)
+    if not chunks:
+        return "0"
+    # the first term carries its sign with no spaces
+    chunks[0] = "-" if chunks[0] == " - " else ""
+    return "".join(chunks)
+
+
+def _render_product(w, a, b):
+    """str(w * a * b) for the scalar w = (p + q*sqrt2)/d given as int parts
+    (p, q, d) and rational polynomials a, b, with no product built.
+
+    Precondition: a and b are nonzero and homogeneous, have no sqrt(2)
+    part, and every variable of a sorts before every variable of b (as t
+    before s).  Then every term of the product has the same degree, and its
+    sort key and its text are a's followed by b's, so the terms come in a's
+    rendering order and, within each of a's terms, in b's; distinct pairs
+    of terms give distinct monomials, so no two terms meet.  The term of
+    the numerators x of a and y of b has the coefficient
+    (p + q*sqrt2)*x*y/(d * a._den * b._den)."""
+    p, q, d = w
+    a_keys, heads = _sorted_texts(a._keys())
+    b_keys, tails = _sorted_texts(b._keys())
+    ys = [b._num[m] for m in b_keys]
+    # a homogeneous polynomial with a constant term is that constant
+    join = "*" if heads[0] and tails[0] else ""
+    texts, nums, roots = [], [], []
+    for m, head in zip(a_keys, heads):
+        texts += map((head + join).__add__, tails)
+        x = a._num[m]
+        nums += map((p * x).__mul__, ys)
+        if q:
+            roots += map((q * x).__mul__, ys)
+    return _emit(texts, nums, roots if q else repeat(0), d * a._den * b._den)
 
 
 _MONO_TEXT = {}  # packed monomial -> (sort key, rendering)

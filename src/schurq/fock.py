@@ -50,6 +50,8 @@ node families gives one label per state.  The products Q_nu * S_kappa (nu
 strict, kappa a partition) are linearly independent, so boson images compare
 as label combinations (BosonLabels, stored as a FockVector is), and every
 polynomial image is built from labels by one expansion (BosonLabels.expand).
+Labels also render with no expansion: a sector of one label is printed from
+the sorted terms of its two factors (BosonLabels.sector_texts).
 """
 
 from dataclasses import dataclass
@@ -58,8 +60,8 @@ from math import factorial
 from types import MappingProxyType
 
 from .exactalg import (ONE, SQRT2, ZERO, SparsePoly, _IntCombination,
-                       _linear_sum, _promote_scalar, _sqrt2_pow_parts,
-                       _sum_of_products)
+                       _linear_sum, _promote_scalar, _render_product,
+                       _sqrt2_pow_parts, _sum_of_products)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
                          is_added_member, stats)
 from .symfunc import schur, schur_q
@@ -360,7 +362,7 @@ class BosonLabels(_IntCombination):
     charge), with nu strict and kappa a partition, zeros stripped.  These
     products are linearly independent, so two images are equal exactly when
     their labels are, and a verdict needs no polynomial; `expand` builds
-    the BosonElement."""
+    the BosonElement, and str gives its text."""
 
     __slots__ = ()
 
@@ -381,6 +383,35 @@ class BosonLabels(_IntCombination):
                     (c, q._scaled(SQRT2) if root else q, schur(kappa)))
         return BosonElement({key: _sum_of_products(triples, self._den)
                              for key, triples in sectors.items()})
+
+    def sector_texts(self):
+        """(sector, rendering) of each sector, in sector order: the text of
+        its polynomial in `expand()`.  A sector of one label renders from
+        the factors S_kappa(t) and Q_nu(s) with no product built (see
+        exactalg._render_product: both are homogeneous and t sorts before
+        s); a sector of several labels, which only a non-basis vector has,
+        expands."""
+        sectors = {}
+        for key in self._keys():
+            sectors.setdefault(key[0], []).append(key)
+        image = None
+        out = []
+        for sector, keys in sorted(sectors.items()):
+            if len(keys) == 1:
+                key = keys[0]
+                w = (self._num.get(key, 0), self._root.get(key, 0), self._den)
+                text = _render_product(w, schur(key[2]), schur_q(key[1]))
+            else:
+                if image is None:
+                    image = self.expand()
+                text = str(image.component(*sector))
+            out.append((sector, text))
+        return out
+
+    def __str__(self):
+        """str(self.expand()), rendered sector by sector (sector_texts)."""
+        return "\n".join("(%d, %d): %s" % (sigma, charge, text)
+                         for (sigma, charge), text in self.sector_texts()) or "0"
 
 
 def _label(sector, nu, kappa, c, k):

@@ -14,6 +14,7 @@ smaller shapes; poly_det and pfaffian are the general expansions they are
 tested against.
 """
 
+import operator
 from fractions import Fraction
 from itertools import groupby
 
@@ -95,20 +96,37 @@ def _vertical_strips(lam, k):
     return [tuple(p for p in rho if p) for rho, used in shapes if used == k]
 
 
+def _parts(lam):
+    """The parts of lam as ints.  A part that is not an int, such as 2.5 or
+    "2", is rejected by name instead of being truncated."""
+    parts = []
+    for p in lam:
+        try:
+            parts.append(operator.index(p))
+        except TypeError:
+            raise TypeError("parts must be ints, not %r in %r" % (p, lam)) from None
+    return tuple(parts)
+
+
 def schur(lam):
-    """Schur function S_lam(t) for a partition lam (weakly decreasing;
-    zeros are stripped), the Jacobi-Trudi determinant det(h_{lam_i - i + j})
-    expanded along its first row:
+    """Schur function S_lam(t) for a partition lam of int parts (weakly
+    decreasing; zeros are stripped), the Jacobi-Trudi determinant
+    det(h_{lam_i - i + j}) expanded along its first row:
 
         S_lam = sum_k (-1)^k h_{lam_1 + k} sum_rho S_rho
 
     over rho with (lam_2, lam_3, ...)/rho a vertical k-strip.  The (1, k+1)
     minor is the skew function S_{(lam_2, ...)/1^k}, which the dual Pieri
     rule writes as that sum; each S_rho is a cache entry."""
-    lam = tuple(int(p) for p in lam)
+    lam = _parts(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 0 for p in lam):
         raise ValueError("not a partition: %r" % (lam,))
-    lam = tuple(p for p in lam if p > 0)
+    return _schur(tuple(p for p in lam if p > 0))
+
+
+def _schur(lam):
+    """S_lam for a zero-stripped partition tuple, memoized; the recursion
+    builds only such tuples, so only schur checks its argument."""
     got = _SCHUR_CACHE.get(lam)
     if got is None:
         if not lam:
@@ -117,11 +135,11 @@ def schur(lam):
             # omega, t_k -> (-1)^(k+1) t_k, sends S_lam' to S_lam, and lam'
             # is wide
             conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-            got = schur(conj).flip(tvar(k) for k in range(2, sum(lam) + 1, 2))
+            got = _schur(conj).flip(tvar(k) for k in range(2, sum(lam) + 1, 2))
         else:
             got = _sum_of_products(
                 ((-1) ** k, h_poly(lam[0] + k),
-                 _linear_sum((1, schur(rho)) for rho in _vertical_strips(lam[1:], k)))
+                 _linear_sum((1, _schur(rho)) for rho in _vertical_strips(lam[1:], k)))
                 for k in range(len(lam)))
         _SCHUR_CACHE[lam] = got
     return got
@@ -183,8 +201,8 @@ def _pf(rows, mask, memo):
 
 
 def schur_q(lam):
-    """Q-function Q_lam(s) of a strict partition: the Pfaffian of the
-    Q_{lam_i, lam_j} expanded along its first row,
+    """Q-function Q_lam(s) of a strict partition of int parts: the Pfaffian
+    of the Q_{lam_i, lam_j} expanded along its first row,
 
         Q_lam = sum_{j >= 2} (-1)^j Q_{lam_1, lam_j} Q_{lam minus {lam_1, lam_j}},
 
@@ -195,14 +213,17 @@ def schur_q(lam):
     column, which is what makes the padding consistent, and makes the parts
     left after removing two the normal form of their own Q-function).
     """
-    parts = tuple(int(p) for p in lam)
-    parts = tuple(p for p in parts if p != 0)
+    parts = tuple(p for p in _parts(lam) if p != 0)
     if any(p < 0 for p in parts):
         raise ValueError("Q-function index parts must be non-negative: %r" % (lam,))
     if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("Q-function index must be strict: %r" % (lam,))
-    if len(parts) % 2 == 1:
-        parts = parts + (0,)
+    return _schur_q(parts + (0,) if len(parts) % 2 else parts)
+
+
+def _schur_q(parts):
+    """Q_lam for an even-padded strict tuple, memoized; the parts left after
+    removing two are again one, so only schur_q checks its argument."""
     got = _SCHUR_Q_CACHE.get(parts)
     if got is None:
         if not parts:
@@ -210,7 +231,7 @@ def schur_q(lam):
         else:
             got = _sum_of_products(
                 ((-1) ** (j + 1), qq_pair(parts[0], parts[j]),
-                 schur_q(parts[1:j] + parts[j + 1:]))
+                 _schur_q(parts[1:j] + parts[j + 1:]))
                 for j in range(1, len(parts)))
         _SCHUR_Q_CACHE[parts] = got
     return got

@@ -258,6 +258,21 @@ class TestFockCommands:
         assert json.loads(out) == [{"sigma": 0, "charge": 0,
                                     "poly": "1/6*t1^3 + t1*t2 + t3"}]
 
+    @pytest.mark.parametrize("state, sector, poly", [
+        # one factor in each of t and s
+        ("5,3,1", (0, 0), "1/4*t1^2*s1 - 1/2*t2*s1"),
+        # sqrt(2) coefficients
+        ("9,4", (1, 1), "(0+1/12*r2)*t1*s1^3 + (0+1/2*r2)*t1*s3"),
+    ], ids=["mixed", "sqrt2"])
+    def test_phi_pins(self, capsys, state, sector, poly):
+        code, out, _ = run_cli(capsys, "fock", "phi", "--state", state)
+        assert code == 0
+        assert out == "(%d, %d): %s\n" % (sector + (poly,))
+        code, out, _ = run_cli(capsys, "fock", "phi", "--state", state, "--json")
+        assert code == 0
+        assert json.loads(out) == [{"sigma": sector[0], "charge": sector[1],
+                                    "poly": poly}]
+
     def test_vacuum_state(self, capsys):
         code, out, _ = run_cli(capsys, "fock", "phi", "--state", "-")
         assert code == 0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import schurq.exactalg
 from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
                              _LIMIT, _linear_sum, _promote_scalar,
-                             _sqrt2_pow_parts, _sum_of_products, svar, tvar,
-                             var_name, zvar)
+                             _render_product, _sqrt2_pow_parts,
+                             _sum_of_products, svar, tvar, var_name, zvar)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
@@ -662,3 +662,40 @@ class TestSumOfProducts:
                        + SparsePoly.constant(5) * t1 * t1) * SparsePoly.constant(Fraction(1, 3))
         assert got == _linear_sum([(-2, root * root), (1, t1 * root),
                                    (-1, root * t1), (5, t1 * t1)], 3)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the product renderer against the built product
+# ---------------------------------------------------------------------------
+
+class TestRenderProduct:
+    """_render_product(w, a, b) renders w*a*b from the two factors' sorted
+    terms, for homogeneous rational a in t and b in s."""
+
+    # (p, q, d) for (p + q*sqrt2)/d: signs, fractions, pure and mixed
+    # sqrt(2) parts, and parts not in lowest terms
+    SCALARS = [(1, 0, 1), (-1, 0, 1), (3, 0, 4), (-5, 0, 6), (0, 1, 1),
+               (0, -1, 2), (2, -3, 5), (-1, 1, 3), (6, 4, 4), (4, 0, 2)]
+
+    def test_against_built_product(self):
+        from schurq.symfunc import schur, schur_q
+        lefts = [schur(lam) for lam in [(), (1,), (2, 1), (3, 1, 1), (2, 2), (4,)]]
+        rights = [schur_q(nu) for nu in [(), (1,), (2, 1), (3, 1), (5,)]]
+        for memo in ("cold", "warm"):
+            if memo == "cold":
+                schurq.exactalg._MONO_TEXT.clear()
+            for p, q, d in self.SCALARS:
+                w = SparsePoly.constant(Sqrt2Rational(Fraction(p, d), Fraction(q, d)))
+                for a in lefts:
+                    for b in rights:
+                        assert _render_product((p, q, d), a, b) == str(w * a * b)
+
+    def test_constant_factors_join_with_no_star(self):
+        from schurq.symfunc import schur, schur_q
+        one = schur(())
+        assert _render_product((1, 0, 2), one, schur_q(())) == "1/2"
+        assert _render_product((-1, 0, 1), one, schur_q(())) == "-1"
+        assert _render_product((0, 1, 2), one, schur_q(())) == "(0+1/2*r2)"
+        assert _render_product((1, 0, 1), schur((2, 1)), schur_q(())) == "1/3*t1^3 - t3"
+        assert _render_product((0, 1, 1), one, schur_q((1,))) == "(0+1*r2)*s1"
+        assert _render_product((-2, 0, 1), schur((1,)), schur_q((1,))) == "-2*t1*s1"

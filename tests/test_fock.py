@@ -726,3 +726,72 @@ class TestLabelsAgainstPolynomials:
         vec = FockVector.basis(P("5,2"))
         assert phi_labels(vec - vec) == BosonLabels._of([])
         assert phi(vec - vec).is_zero()
+
+
+def _phi_families():
+    """(i, m, n, core) of every phi-consistency family with i in {0, 1} and
+    m, n <= 5."""
+    return [(i, m, n, bar_core(m if i == 1 else -m))
+            for i in (0, 1) for m in range(6) for n in range(6)]
+
+
+class TestLabelRendering:
+    """BosonLabels render sector by sector from the factors S_kappa(t) and
+    Q_nu(s), with no product polynomial built; the reference is the
+    rendering of the expanded image."""
+
+    @staticmethod
+    def _assert_renders(labels):
+        for lab in labels:
+            image = lab.expand()
+            assert str(lab) == str(image)
+            assert lab.sector_texts() == [(key, str(poly)) for key, poly
+                                          in sorted(image.components.items())]
+
+    def test_phi_consistency_families(self):
+        labels = [lab for i, m, n, core in _phi_families()
+                  for lam in enumerate_added(core, i, n)
+                  for lab in (phi_labels(FockVector.basis(lam)),
+                              closed_form_labels(lam, i, m, n))]
+        assert len(labels) == 994
+        assert sum(1 for lab in labels if lab._root) == 480
+        self._assert_renders(labels)
+
+    def test_multi_label_sectors_expand(self):
+        labels = [phi_labels(f_power_normalized(i, n, FockVector.basis(core)))
+                  for i, m, n, core in _phi_families()]
+        # more labels than sectors: some sector has several
+        assert any(len(lab._keys()) > len({key[0] for key in lab._keys()}) for lab in labels)
+        self._assert_renders(labels)
+
+    def test_zero_image(self):
+        vec = FockVector.basis(P("5,2"))
+        for zero in (phi_labels(FockVector.zero()), phi_labels(vec - vec)):
+            assert str(zero) == str(zero.expand()) == "0"
+            assert zero.sector_texts() == []
+
+    def test_empty_factors(self):
+        # kappa = () or nu = () is the constant factor 1, joined with no "*"
+        def labels(nu, kappa, c, k, sector=(1, 1)):
+            from schurq.fock import _label
+            return BosonLabels._of_parts([_label(sector, nu, kappa, c, k)])
+
+        cases = [(labels((), (2, 1), 1, 0, (0, 0)), "(0, 0): 1/3*t1^3 - t3"),
+                 (labels((1,), (), -1, -1), "(1, 1): (0-1/2*r2)*s1"),
+                 (labels((0,), (0,), 1, -1, (1, -7)), "(1, -7): (0+1/2*r2)"),
+                 (labels((), (), -3, 2, (0, 2)), "(0, 2): -6")]
+        for lab, text in cases:
+            assert str(lab) == str(lab.expand()) == text
+        self._assert_renders([lab for lab, _ in cases])
+
+    def test_rendering_builds_no_polynomial(self, monkeypatch):
+        import schurq.fock
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a product polynomial was built")
+
+        want = [str(phi_labels(FockVector.basis(lam)).expand())
+                for lam in enumerate_added(bar_core(-3), 0, 3)]
+        monkeypatch.setattr(schurq.fock, "_sum_of_products", refuse)
+        assert [str(phi_labels(FockVector.basis(lam)))
+                for lam in enumerate_added(bar_core(-3), 0, 3)] == want

@@ -170,6 +170,18 @@ class TestSchur:
         with pytest.raises(ValueError):
             schur((2, -1))
 
+    def test_float_part_is_rejected_not_truncated(self):
+        with pytest.raises(TypeError, match=r"2\.5 in \(2\.5, 1\)"):
+            schur((2.5, 1))
+
+    def test_string_partition_is_rejected(self):
+        # iterating "21" gives the strings "2" and "1", not the parts 2, 1
+        with pytest.raises(TypeError, match="'2' in '21'"):
+            schur("21")
+
+    def test_int_like_parts_are_accepted(self):
+        assert schur([3, True, 0]) is schur((3, 1))
+
     def test_pieri_rule(self):
         # s_1 * s_lambda sums the one-box extensions
         s = schur
@@ -229,6 +241,10 @@ class TestSchurQ:
             schur_q((2, 2))
         with pytest.raises(ValueError):
             schur_q((1, 2))
+
+    def test_float_part_is_rejected_not_truncated(self):
+        with pytest.raises(TypeError, match=r"3\.9 in \(3\.9, 1\)"):
+            schur_q((3.9, 1))
 
     def test_empty(self):
         assert schur_q(()) == SparsePoly.constant(1)
