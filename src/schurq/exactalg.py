@@ -19,6 +19,7 @@ exact; no floating point anywhere.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import gcd, lcm
 from types import MappingProxyType
@@ -556,14 +557,9 @@ class SparsePoly(_IntCombination):
 
 
 def _sorted_texts(keys):
-    """The packed monomials in rendering order, and their renderings: the
-    memo of sort keys and texts is filled, then they are sorted once."""
-    memo = _MONO_TEXT
-    for m in keys:
-        if m not in memo:
-            _mono_text(m)
-    keys = sorted(keys, key=lambda m: memo[m][0])
-    return keys, [memo[m][1] for m in keys]
+    """The packed monomials in rendering order, and their renderings."""
+    keys = sorted(keys, key=lambda m: _mono_text(m)[0])
+    return keys, [_mono_text(m)[1] for m in keys]
 
 
 def _emit(texts, nums, roots, den):
@@ -629,9 +625,7 @@ def _render_product(w, a, b):
     return _emit(texts, nums, roots if q else repeat(0), d * a._den * b._den)
 
 
-_MONO_TEXT = {}  # packed monomial -> (sort key, rendering)
-
-
+@cache
 def _mono_text(m):
     """The sort key and the rendering of a packed monomial, memoized: slots
     are only ever appended, so a packed int names the same monomial for the
@@ -642,17 +636,14 @@ def _mono_text(m):
     at equal degree no key is a proper prefix of another.  It is read from
     the variables, not their slot offsets, so a variable slotted after
     others still sorts in its place."""
-    got = _MONO_TEXT.get(m)
-    if got is None:
-        key, deg, parts = [0], 0, []
-        for v, e in _unpack(m):
-            fam, idx = v
-            deg += e if fam == Z else idx * e
-            key += (fam, idx, -e)
-            parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
-        key[0] = -deg
-        got = _MONO_TEXT[m] = (tuple(key), "*".join(parts))
-    return got
+    key, deg, parts = [0], 0, []
+    for v, e in _unpack(m):
+        fam, idx = v
+        deg += e if fam == Z else idx * e
+        key += (fam, idx, -e)
+        parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
+    key[0] = -deg
+    return tuple(key), "*".join(parts)
 
 
 def _product(out, a, b, scale=1):
@@ -709,8 +700,8 @@ def _sum_of_products(triples, den=1):
     return SparsePoly._make(common * den, num, root)
 
 
-def _linear_sum(pairs, den=1):
-    """sum(w * p for w, p in pairs) / den for int weights w and
+def _linear_sum(pairs):
+    """sum(w * p for w, p in pairs) for int weights w and
     combinations p of one type (SparsePoly for an empty sum), every term
     rescaled to one lcm denominator and summed in one pass."""
     pairs = list(pairs)
@@ -723,4 +714,4 @@ def _linear_sum(pairs, den=1):
             get = out.get
             for m, c in part.items():
                 out[m] = get(m, 0) + c * scale
-    return cls._make(common * den, num, root)
+    return cls._make(common, num, root)

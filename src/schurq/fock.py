@@ -63,12 +63,12 @@ from .exactalg import (ONE, SQRT2, ZERO, SparsePoly, _IntCombination,
                        _linear_sum, _promote_scalar, _render_product,
                        _sqrt2_pow_parts, _sum_of_products)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
-                         is_added_member, stats)
+                         as_int_parts, is_added_member, stats)
 from .symfunc import schur, schur_q
 
 
 def _check_word(word):
-    word = tuple(int(x) for x in word)
+    word = as_int_parts(word)
     if any(x < 0 for x in word):
         raise ValueError("word entries must be non-negative mode indices")
     if any(word[i] <= word[i + 1] for i in range(len(word) - 1)):

@@ -11,8 +11,21 @@ Conventions used throughout:
   so the pad 0 lands in the residue-0 class.
 """
 
+import operator
 from dataclasses import dataclass
 from math import comb
+
+
+def as_int_parts(parts):
+    """The parts as a tuple of ints.  A part that is not an int, such as 2.5
+    or "2", is rejected by name instead of being truncated."""
+    out = []
+    for p in parts:
+        try:
+            out.append(operator.index(p))
+        except TypeError:
+            raise TypeError("parts must be ints, not %r in %r" % (p, parts)) from None
+    return tuple(out)
 
 
 @dataclass(frozen=True, order=True)
@@ -22,7 +35,7 @@ class StrictPartition:
     parts: tuple
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = as_int_parts(parts)
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive (pad zeros are implicit)")
         if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):

@@ -16,38 +16,36 @@ tested against.
 
 import operator
 from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import groupby
 
 from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum,
                        _sum_of_products, svar, tvar, zvar, S, T)
+from .partitions import as_int_parts
 
-_H_CACHE = {0: SparsePoly.constant(1)}
-_Q_CACHE = {0: SparsePoly.constant(1)}
-# S_lam by zero-stripped partition, Q_lam by even-padded strict tuple,
-# Q_{m,n} by (m, n) with m > n; SparsePoly is immutable, so sharing is safe
-_SCHUR_CACHE = {}
-_SCHUR_Q_CACHE = {}
-_PAIR_CACHE = {}
+# The memos below live for the process: SparsePoly is immutable, so sharing
+# an entry is safe.  The public ones key on argument types as well, so 3.0
+# never finds the entry of 3 and is rejected by operator.index, cold or warm.
 
 
+@lru_cache(maxsize=None, typed=True)
 def h_poly(n):
     """Weight-n complete generator in the t variables (0 for n < 0)."""
-    if n < 0:
-        return SparsePoly.zero()
-    if n not in _H_CACHE:
-        _H_CACHE[n] = _sum_of_products(((k, SparsePoly.variable(tvar(k)), h_poly(n - k))
-                                        for k in range(1, n + 1)), n)
-    return _H_CACHE[n]
+    n = operator.index(n)
+    if n <= 0:
+        return SparsePoly.constant(1) if n == 0 else SparsePoly.zero()
+    return _sum_of_products(((k, SparsePoly.variable(tvar(k)), h_poly(n - k))
+                             for k in range(1, n + 1)), n)
 
 
+@lru_cache(maxsize=None, typed=True)
 def q_poly(n):
     """Weight-n generator in the odd s variables (0 for n < 0)."""
-    if n < 0:
-        return SparsePoly.zero()
-    if n not in _Q_CACHE:
-        _Q_CACHE[n] = _sum_of_products(((k, SparsePoly.variable(svar(k)), q_poly(n - k))
-                                        for k in range(1, n + 1, 2)), n)
-    return _Q_CACHE[n]
+    n = operator.index(n)
+    if n <= 0:
+        return SparsePoly.constant(1) if n == 0 else SparsePoly.zero()
+    return _sum_of_products(((k, SparsePoly.variable(svar(k)), q_poly(n - k))
+                             for k in range(1, n + 1, 2)), n)
 
 
 def poly_det(rows):
@@ -96,18 +94,6 @@ def _vertical_strips(lam, k):
     return [tuple(p for p in rho if p) for rho, used in shapes if used == k]
 
 
-def _parts(lam):
-    """The parts of lam as ints.  A part that is not an int, such as 2.5 or
-    "2", is rejected by name instead of being truncated."""
-    parts = []
-    for p in lam:
-        try:
-            parts.append(operator.index(p))
-        except TypeError:
-            raise TypeError("parts must be ints, not %r in %r" % (p, lam)) from None
-    return tuple(parts)
-
-
 def schur(lam):
     """Schur function S_lam(t) for a partition lam of int parts (weakly
     decreasing; zeros are stripped), the Jacobi-Trudi determinant
@@ -118,48 +104,42 @@ def schur(lam):
     over rho with (lam_2, lam_3, ...)/rho a vertical k-strip.  The (1, k+1)
     minor is the skew function S_{(lam_2, ...)/1^k}, which the dual Pieri
     rule writes as that sum; each S_rho is a cache entry."""
-    lam = _parts(lam)
+    lam = as_int_parts(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 0 for p in lam):
         raise ValueError("not a partition: %r" % (lam,))
     return _schur(tuple(p for p in lam if p > 0))
 
 
+@cache
 def _schur(lam):
     """S_lam for a zero-stripped partition tuple, memoized; the recursion
     builds only such tuples, so only schur checks its argument."""
-    got = _SCHUR_CACHE.get(lam)
-    if got is None:
-        if not lam:
-            got = SparsePoly.constant(1)
-        elif len(lam) > lam[0]:
-            # omega, t_k -> (-1)^(k+1) t_k, sends S_lam' to S_lam, and lam'
-            # is wide
-            conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-            got = _schur(conj).flip(tvar(k) for k in range(2, sum(lam) + 1, 2))
-        else:
-            got = _sum_of_products(
-                ((-1) ** k, h_poly(lam[0] + k),
-                 _linear_sum((1, _schur(rho)) for rho in _vertical_strips(lam[1:], k)))
-                for k in range(len(lam)))
-        _SCHUR_CACHE[lam] = got
-    return got
+    if not lam:
+        return SparsePoly.constant(1)
+    if len(lam) > lam[0]:
+        # omega, t_k -> (-1)^(k+1) t_k, sends S_lam' to S_lam, and lam'
+        # is wide
+        conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+        return _schur(conj).flip(tvar(k) for k in range(2, sum(lam) + 1, 2))
+    return _sum_of_products(
+        ((-1) ** k, h_poly(lam[0] + k),
+         _linear_sum((1, _schur(rho)) for rho in _vertical_strips(lam[1:], k)))
+        for k in range(len(lam)))
 
 
+@lru_cache(maxsize=None, typed=True)
 def qq_pair(m, n):
     """The antisymmetric pair function Q_{m,n}(s)."""
+    m, n = operator.index(m), operator.index(n)
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if m == n:
         return SparsePoly.zero()
     if m < n:
         return -qq_pair(n, m)
-    got = _PAIR_CACHE.get((m, n))
-    if got is None:
-        # Q_{m,n} = q_m q_n + 2 sum_{i=1..n} (-1)^i q_{m+i} q_{n-i}
-        got = _PAIR_CACHE[(m, n)] = _sum_of_products(
-            (2 * (-1) ** i if i else 1, q_poly(m + i), q_poly(n - i))
-            for i in range(n + 1))
-    return got
+    # Q_{m,n} = q_m q_n + 2 sum_{i=1..n} (-1)^i q_{m+i} q_{n-i}
+    return _sum_of_products((2 * (-1) ** i if i else 1, q_poly(m + i), q_poly(n - i))
+                            for i in range(n + 1))
 
 
 def pfaffian(rows):
@@ -213,7 +193,7 @@ def schur_q(lam):
     column, which is what makes the padding consistent, and makes the parts
     left after removing two the normal form of their own Q-function).
     """
-    parts = tuple(p for p in _parts(lam) if p != 0)
+    parts = tuple(p for p in as_int_parts(lam) if p != 0)
     if any(p < 0 for p in parts):
         raise ValueError("Q-function index parts must be non-negative: %r" % (lam,))
     if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
@@ -221,20 +201,16 @@ def schur_q(lam):
     return _schur_q(parts + (0,) if len(parts) % 2 else parts)
 
 
+@cache
 def _schur_q(parts):
     """Q_lam for an even-padded strict tuple, memoized; the parts left after
     removing two are again one, so only schur_q checks its argument."""
-    got = _SCHUR_Q_CACHE.get(parts)
-    if got is None:
-        if not parts:
-            got = SparsePoly.constant(1)
-        else:
-            got = _sum_of_products(
-                ((-1) ** (j + 1), qq_pair(parts[0], parts[j]),
-                 _schur_q(parts[1:j] + parts[j + 1:]))
-                for j in range(1, len(parts)))
-        _SCHUR_Q_CACHE[parts] = got
-    return got
+    if not parts:
+        return SparsePoly.constant(1)
+    return _sum_of_products(
+        ((-1) ** (j + 1), qq_pair(parts[0], parts[j]),
+         _schur_q(parts[1:j] + parts[j + 1:]))
+        for j in range(1, len(parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -194,12 +194,22 @@ def _strict_partitions_of(n, max_part=None):
             yield (first,) + rest
 
 
-def check_symfunc_homogeneity(max_weight=10):
+# the fixed bounds of the property checks, each reported in its params
+_SEED = 20260815
+_HOMOGENEITY_MAX_WEIGHT = 10
+_ANTISYMMETRY_MAX_INDEX = 8
+_PFAFFIAN_TRIALS = 6
+_BIALTERNANT_MAX_WEIGHT = 6
+_BIALTERNANT_LENGTH = 3
+_BIALTERNANT_POINTS = 5
+
+
+def check_symfunc_homogeneity():
     """Every S and Q polynomial is homogeneous of its index weight."""
     t0 = time.perf_counter()
     bad = 0
     cases = 0
-    for w in range(max_weight + 1):
+    for w in range(_HOMOGENEITY_MAX_WEIGHT + 1):
         for lam in _partitions_of(w):
             cases += 1
             p = schur(lam)
@@ -211,35 +221,35 @@ def check_symfunc_homogeneity(max_weight=10):
             if p.is_zero() or not p.is_homogeneous() or p.weighted_degree() != w:
                 bad += 1
     report = "%d violations in %d cases" % (bad, cases)
-    return _result("symfunc-props:homogeneity", {"max_weight": max_weight},
+    return _result("symfunc-props:homogeneity", {"max_weight": _HOMOGENEITY_MAX_WEIGHT},
                    report, "0 violations in %d cases" % cases, t0, bad == 0)
 
 
-def check_symfunc_antisymmetry(max_index=8):
+def check_symfunc_antisymmetry():
     """The pair function changes sign under index swap and vanishes on the
     diagonal."""
     t0 = time.perf_counter()
     bad = 0
     cases = 0
-    for m in range(max_index + 1):
+    for m in range(_ANTISYMMETRY_MAX_INDEX + 1):
         for n in range(m + 1):
             cases += 1
             if not (qq_pair(m, n) + qq_pair(n, m)).is_zero():
                 bad += 1
     report = "%d violations in %d cases" % (bad, cases)
-    return _result("symfunc-props:antisymmetry", {"max_index": max_index},
+    return _result("symfunc-props:antisymmetry", {"max_index": _ANTISYMMETRY_MAX_INDEX},
                    report, "0 violations in %d cases" % cases, t0, bad == 0)
 
 
-def check_symfunc_pfaffian_det(trials=6, seed=20260815):
+def check_symfunc_pfaffian_det():
     """Squared Pfaffian equals the determinant for random skew matrices."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     gens = [SparsePoly.constant(1), SparsePoly.variable(tvar(1)),
             SparsePoly.variable(tvar(2)), SparsePoly.variable(svar(1)),
             SparsePoly.variable(svar(3))]
     bad = 0
-    for trial in range(trials):
+    for trial in range(_PFAFFIAN_TRIALS):
         d = rng.choice((2, 4, 6))
         rows = [[SparsePoly.zero()] * d for _ in range(d)]
         for i in range(d):
@@ -249,37 +259,41 @@ def check_symfunc_pfaffian_det(trials=6, seed=20260815):
                 rows[j][i] = -entry
         if not (pfaffian(rows) ** 2 - poly_det(rows)).is_zero():
             bad += 1
-    report = "%d violations in %d trials" % (bad, trials)
-    return _result("symfunc-props:pfaffian-det", {"trials": trials, "seed": seed},
-                   report, "0 violations in %d trials" % trials, t0, bad == 0)
+    report = "%d violations in %d trials" % (bad, _PFAFFIAN_TRIALS)
+    return _result("symfunc-props:pfaffian-det",
+                   {"trials": _PFAFFIAN_TRIALS, "seed": _SEED},
+                   report, "0 violations in %d trials" % _PFAFFIAN_TRIALS, t0, bad == 0)
 
 
-def check_symfunc_bialternant(max_weight=6, max_length=3, points=5, seed=20260815):
+def check_symfunc_bialternant():
     """Determinantal Schur polynomials specialize to the ratio of alternants
     at random rational points."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     zpoints = []
-    while len(zpoints) < points:
-        zs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(max_length)]
-        if 0 not in zs and len(set(zs)) == max_length:
+    while len(zpoints) < _BIALTERNANT_POINTS:
+        zs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+              for _ in range(_BIALTERNANT_LENGTH)]
+        if 0 not in zs and len(set(zs)) == _BIALTERNANT_LENGTH:
             zpoints.append(zs)
     bad = 0
     cases = 0
-    for w in range(max_weight + 1):
+    for w in range(_BIALTERNANT_MAX_WEIGHT + 1):
         for lam in _partitions_of(w):
-            if len(lam) > max_length:
+            if len(lam) > _BIALTERNANT_LENGTH:
                 continue
-            specialized = power_sum_specialize(schur(lam), max_length)
+            specialized = power_sum_specialize(schur(lam), _BIALTERNANT_LENGTH)
             for zs in zpoints:
                 cases += 1
-                point = {zvar(k + 1): Sqrt2Rational(zs[k]) for k in range(max_length)}
+                point = {zvar(k + 1): Sqrt2Rational(zs[k])
+                         for k in range(_BIALTERNANT_LENGTH)}
                 if specialized.evaluate(point) != bialternant_eval(lam, zs):
                     bad += 1
     report = "%d violations in %d cases" % (bad, cases)
     return _result("symfunc-props:bialternant",
-                   {"max_weight": max_weight, "max_length": max_length,
-                    "points": points, "seed": seed},
+                   {"max_weight": _BIALTERNANT_MAX_WEIGHT,
+                    "max_length": _BIALTERNANT_LENGTH,
+                    "points": _BIALTERNANT_POINTS, "seed": _SEED},
                    report, "0 violations in %d cases" % cases, t0, bad == 0)
 
 

@@ -1,0 +1,24 @@
+"""Shared fixtures."""
+
+import pytest
+
+from schurq import symfunc
+
+# the process-lifetime memos of symfunc, each a functools cache on its function
+_MEMOS = (symfunc.h_poly, symfunc.q_poly, symfunc.qq_pair, symfunc._schur,
+          symfunc._schur_q)
+
+
+def _clear():
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold_symfunc():
+    """Empty symfunc memos for the test, emptied again afterwards so that no
+    entry built under a perturbation outlives it.  Yields the function that
+    empties them, for a test that needs them cold again midway."""
+    _clear()
+    yield _clear
+    _clear()

@@ -263,13 +263,13 @@ class TestSparsePoly:
         assert not (t1 + t2).is_homogeneous()
         assert SparsePoly.zero().is_homogeneous()
 
-    def test_degree_with_cleared_memo(self, monkeypatch):
+    def test_degree_with_cleared_memo(self):
         # the degree is read from the memoized sort key, so a cold memo must
         # rebuild it, for a monomial first seen here and for one seen before
         t1, t3 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(3))
         z2 = SparsePoly.variable(zvar(2))
         str(t3 * z2)
-        monkeypatch.setattr(schurq.exactalg, "_MONO_TEXT", {})
+        schurq.exactalg._mono_text.cache_clear()
         assert (t3 * z2 ** 3).weighted_degree() == 6
         assert (t3 * z2).weighted_degree() == 4
         assert (t1 ** 3 + t3).is_homogeneous()
@@ -518,12 +518,12 @@ class TestAgainstReferenceKernel:
         # the per-monomial text memo, cold and warm, against the reference
         p = SparsePoly(a)
         want = _ref_str(_ref_clean(a))
-        schurq.exactalg._MONO_TEXT.clear()
+        schurq.exactalg._mono_text.cache_clear()
         assert str(p) == want
         assert str(p) == want
         assert str(SparsePoly(a)) == want
 
-    def test_rendering_ignores_slot_order(self, monkeypatch):
+    def test_rendering_ignores_slot_order(self):
         # a t-variable slotted after s1 and z1 must still sort before them:
         # a key read from slot offsets would put s1^(k+1) first
         t1, s1, z1 = (SparsePoly.variable(v) for v in (tvar(1), svar(1), zvar(1)))
@@ -538,14 +538,16 @@ class TestAgainstReferenceKernel:
                  tk + s1 ** k - t1 ** k + z1 ** k + SparsePoly.constant(SQRT2) * tk * z1]
         wants = [_ref_str(dict(p.terms)) for p in mixed]
         assert wants[0].startswith("t1^%d*s1 + t%d*s1 + s1^%d" % (k, k, k + 1))
-        # a cleared memo, then the one that holds the monomials rendered
-        # before tk had a slot; each renders cold, then warm
-        for memo in ({}, schurq.exactalg._MONO_TEXT):
-            monkeypatch.setattr(schurq.exactalg, "_MONO_TEXT", memo)
+        # a cleared memo, then one that holds the monomials rendered before
+        # tk had a slot; each renders cold, then warm
+        for before in ([], [s1 * z1 + s1 ** 2 + t1 * z1]):
+            schurq.exactalg._mono_text.cache_clear()
+            for p in before:
+                str(p)
             assert [str(p) for p in mixed] == wants
             assert [str(p) for p in mixed] == wants
             assert [p.weighted_degree() for p in mixed] == [k + 1, k + 2, k + 1]
-        monkeypatch.setattr(schurq.exactalg, "_MONO_TEXT", {})
+        schurq.exactalg._mono_text.cache_clear()
         assert [p.weighted_degree() for p in mixed] == [k + 1, k + 2, k + 1]
 
     @settings(max_examples=80)
@@ -602,7 +604,7 @@ class TestRenderingAtRealSizes:
     @staticmethod
     def _assert_renders(polys):
         wants = [_ref_str(dict(p.terms)) for p in polys]
-        schurq.exactalg._MONO_TEXT.clear()
+        schurq.exactalg._mono_text.cache_clear()
         assert [str(p) for p in polys] == wants  # cold memo
         assert [str(p) for p in polys] == wants  # warm memo
 
@@ -639,7 +641,8 @@ class TestSumOfProducts:
     @given(triples, st.integers(min_value=1, max_value=6))
     def test_matches_one_product_per_term(self, ts, den):
         got = _sum_of_products(ts, den)
-        want = _linear_sum(((w, a * b) for w, a, b in ts), den)
+        want = (_linear_sum((w, a * b) for w, a, b in ts)
+                * SparsePoly.constant(Fraction(1, den)))
         assert got == want and str(got) == str(want)
         ref = {}
         for w, a, b in ts:
@@ -660,8 +663,9 @@ class TestSumOfProducts:
                                 (-1, root, t1), (5, t1, t1)], 3)
         assert got == (SparsePoly.constant(-2) * root * root
                        + SparsePoly.constant(5) * t1 * t1) * SparsePoly.constant(Fraction(1, 3))
-        assert got == _linear_sum([(-2, root * root), (1, t1 * root),
-                                   (-1, root * t1), (5, t1 * t1)], 3)
+        summed = _linear_sum([(-2, root * root), (1, t1 * root),
+                              (-1, root * t1), (5, t1 * t1)])
+        assert got == summed * SparsePoly.constant(Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +687,7 @@ class TestRenderProduct:
         rights = [schur_q(nu) for nu in [(), (1,), (2, 1), (3, 1), (5,)]]
         for memo in ("cold", "warm"):
             if memo == "cold":
-                schurq.exactalg._MONO_TEXT.clear()
+                schurq.exactalg._mono_text.cache_clear()
             for p, q, d in self.SCALARS:
                 w = SparsePoly.constant(Sqrt2Rational(Fraction(p, d), Fraction(q, d)))
                 for a in lefts:

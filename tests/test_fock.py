@@ -133,6 +133,10 @@ class TestFockVector:
         with pytest.raises(ValueError):
             FockVector.from_word((-1,))
 
+    def test_float_mode_is_rejected_not_truncated(self):
+        with pytest.raises(TypeError, match=r"2\.7 in \(2\.7, 0\)"):
+            FockVector({(2.7, 0): 1})
+
     def test_word_validation_survives_packing(self):
         # a word is packed into a bitset only after validation, so a
         # repeated mode is never merged into one bit

@@ -31,6 +31,10 @@ class TestStrictPartition:
         with pytest.raises(ValueError):
             StrictPartition((3, 0))
 
+    def test_float_part_is_rejected_not_truncated(self):
+        with pytest.raises(TypeError, match=r"2\.5 in \(2\.5, 1\)"):
+            StrictPartition((2.5, 1))
+
     def test_from_string_and_str(self):
         assert P("11,9,8,4,3,2,1").parts == (11, 9, 8, 4, 3, 2, 1)
         assert P("-") == StrictPartition(())

@@ -91,6 +91,18 @@ class TestGenerators:
         assert h_poly(-1).is_zero()
         assert q_poly(-3).is_zero()
 
+    @pytest.mark.parametrize("gen", [h_poly, q_poly])
+    def test_float_index_is_rejected_cold_and_warm(self, gen, cold_symfunc):
+        # the memo keys on the type too, so 3.0 never finds the entry of 3
+        with pytest.raises(TypeError):
+            gen(3.0)
+        gen(3)
+        with pytest.raises(TypeError):
+            gen(3.0)
+
+    def test_memo_returns_the_same_object(self):
+        assert h_poly(9) is h_poly(9)
+
     def test_homogeneity(self):
         for n in range(1, 9):
             assert h_poly(n).is_homogeneous()
@@ -235,6 +247,18 @@ class TestSchurQ:
             assert qq_pair(m, 0) == q_poly(m)
         with pytest.raises(ValueError):
             qq_pair(-1, 0)
+
+    def test_float_index_is_rejected_cold_and_warm(self, cold_symfunc):
+        with pytest.raises(TypeError):
+            qq_pair(3.0, 1)
+        qq_pair(3, 1)
+        with pytest.raises(TypeError):
+            qq_pair(3.0, 1)
+
+    def test_memo_returns_the_same_object(self):
+        assert qq_pair(5, 2) is qq_pair(5, 2)
+        assert qq_pair(2, 5) is qq_pair(2, 5)
+        assert qq_pair(2, 5) == -qq_pair(5, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -436,7 +460,7 @@ def _substitute_on_polys(p, mapping):
 
     pairs = [(c, image(m)) for m, c in p._num.items()]
     pairs += [(c, SparsePoly.constant(SQRT2) * image(m)) for m, c in p._root.items()]
-    return _linear_sum(pairs, p._den)
+    return _linear_sum(pairs) * SparsePoly.constant(Fraction(1, p._den))
 
 
 def _t(j):
@@ -454,7 +478,22 @@ def _power_sum_map(n_vars, max_index):
             for j in range(1, max_index + 1)}
 
 
+@pytest.fixture
+def schur_11_checked_afterwards():
+    """Checks S_11 once the fixtures a test requests after this one are torn
+    down."""
+    yield
+    assert schur((1, 1)) == _schur_ref((1, 1))
+
+
 class TestMemoAgainstFreshComputation:
+    def test_perturbed_schur_does_not_outlive_cold_symfunc(
+            self, schur_11_checked_afterwards, cold_symfunc, monkeypatch):
+        # omega without its sign builds S_11 as S_2; after cold_symfunc and
+        # monkeypatch are torn down, S_11 must be the true one again
+        monkeypatch.setattr(SparsePoly, "flip", lambda self, variables: self)
+        assert schur((1, 1)) == schur((2,)) != _schur_ref((1, 1))
+
     def test_schur(self):
         for w in range(9):
             for lam in _partitions_of(w):
@@ -462,11 +501,9 @@ class TestMemoAgainstFreshComputation:
                 assert got == _schur_ref(lam)
                 assert schur(lam + (0,)) is got
 
-    def test_schur_cold_through_weight_10(self, monkeypatch):
+    def test_schur_cold_through_weight_10(self, cold_symfunc):
         # a tall shape is built as omega of its conjugate: every shape,
         # from an empty cache, against the plain Jacobi-Trudi determinant
-        import schurq.symfunc
-        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
         shapes = [lam for w in range(11) for lam in _partitions_of(w)]
         assert sum(len(lam) > lam[0] for lam in shapes[1:]) == 60
         for lam in shapes:
@@ -474,18 +511,26 @@ class TestMemoAgainstFreshComputation:
             assert got == _schur_ref(lam), lam
             assert schur(lam + (0,)) is got
 
-    def test_schur_cold_on_the_polynomial_workload_shapes(self, monkeypatch):
+    def test_schur_cold_on_the_polynomial_workload_shapes(self, cold_symfunc,
+                                                          monkeypatch):
         # every shape main2(5,5), trapezoid(5,5) and main1(6,3) build, the
         # sub-shapes of the first-row expansion included, rebuilt largest
         # first from an empty cache against the plain Jacobi-Trudi determinant
         import schurq.symfunc
-        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        built = set()
+        memo = schurq.symfunc._schur
+
+        def _schur(lam):
+            built.add(lam)
+            return memo(lam)
+
+        monkeypatch.setattr(schurq.symfunc, "_schur", _schur)
         for check, args in ((check_main2, (5, 5)), (check_trapezoid, (5, 5)),
                             (check_main1, (6, 3))):
             assert check(*args).passed
-        shapes = sorted(schurq.symfunc._SCHUR_CACHE, key=sum, reverse=True)
+        shapes = sorted(built, key=sum, reverse=True)
         assert sum(shapes[0]) == 18 and len(shapes) >= 142
-        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        cold_symfunc()
         for lam in shapes:
             assert schur(lam) == _schur_ref(lam), lam
 
@@ -552,11 +597,9 @@ class TestPfaffianMemo:
                 rows = [[qq_pair(a, b) for b in parts] for a in parts]
                 assert schur_q(lam) == _pf_unmemoized(rows, tuple(range(len(parts))))
 
-    def test_every_schur_q_cold_through_weight_10(self, monkeypatch):
+    def test_every_schur_q_cold_through_weight_10(self, cold_symfunc):
         # largest first from an empty cache, so each first-row expansion
         # builds its sub-Pfaffians itself
-        import schurq.symfunc
-        monkeypatch.setattr(schurq.symfunc, "_SCHUR_Q_CACHE", {})
         for w in range(10, -1, -1):
             for lam in _strict_partitions_of(w):
                 parts = lam + (0,) if len(lam) % 2 else lam

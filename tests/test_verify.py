@@ -549,19 +549,19 @@ class TestNegativeControls:
                                  ["symfunc-props"])
         assert res.name == "symfunc-props:pfaffian-det"
 
-    def test_omega_without_sign_fails_bialternant(self, monkeypatch, capsys):
+    def test_omega_without_sign_fails_bialternant(self, monkeypatch, capsys,
+                                                   cold_symfunc):
         # S_lam for a tall lam is omega(S_lam'); without the sign on the even
         # t it is S_lam' itself, and cold Schur functions must show it
-        import schurq.symfunc
         assert check_symfunc_bialternant().passed
-        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        cold_symfunc()
         monkeypatch.setattr(SparsePoly, "flip", lambda self, variables: self)
         res = self._assert_fails(capsys, check_symfunc_bialternant,
                                  ["symfunc-props"])
         assert res.name == "symfunc-props:bialternant"
 
     def test_dropped_vertical_strip_fails_bialternant_and_main1(self, monkeypatch,
-                                                                capsys):
+                                                                capsys, cold_symfunc):
         # a first-row minor of the Jacobi-Trudi determinant missing one S_rho
         # of its dual Pieri sum; cold Schur functions must show it
         import schurq.symfunc
@@ -574,11 +574,11 @@ class TestNegativeControls:
         assert check_symfunc_bialternant().passed
         assert check_main1(4, 2).passed
         monkeypatch.setattr(schurq.symfunc, "_vertical_strips", _vertical_strips)
-        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        cold_symfunc()
         res = self._assert_fails(capsys, check_symfunc_bialternant,
                                  ["symfunc-props"])
         assert res.name == "symfunc-props:bialternant"
-        monkeypatch.setattr(schurq.symfunc, "_SCHUR_CACHE", {})
+        cold_symfunc()
         self._assert_fails(capsys, lambda: check_main1(4, 2),
                            ["main1", "--m", "4", "--n", "2"])
 
