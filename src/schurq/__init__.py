@@ -14,7 +14,7 @@ from .partitions import (BarQuotient, ResidueSplit, Stats, StrictPartition,
                          stats)
 from .symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
                       power_sum_specialize, q_poly, qq_pair, schur, schur_q,
-                      subst_2t2, subst_odd, subst_q_u, subst_u)
+                      schur_sum, subst_2t2, subst_odd, subst_q_u, subst_u)
 from .fock import (BosonElement, FockVector, NormalWord, beta_apply,
                    core_state_image, f_apply, f_power_normalized,
                    normal_word_image, phi, phi_closed_form,
@@ -33,7 +33,7 @@ __all__ = [
     "bar_quotient", "color", "delta0", "delta1", "enumerate_added",
     "is_added_member", "residue_split", "stats",
     "bialternant_eval", "h_poly", "pfaffian", "poly_det",
-    "power_sum_specialize", "q_poly", "qq_pair", "schur", "schur_q",
+    "power_sum_specialize", "q_poly", "qq_pair", "schur", "schur_q", "schur_sum",
     "subst_2t2", "subst_odd", "subst_q_u", "subst_u",
     "BosonElement", "FockVector", "NormalWord", "beta_apply",
     "core_state_image", "f_apply", "f_power_normalized", "normal_word_image",

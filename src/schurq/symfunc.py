@@ -11,7 +11,9 @@ which produce the coefficients of exp(sum t_k z^k) and exp(sum s_k z^k)
 exactly, with no series truncation.  schur and schur_q expand a
 Jacobi-Trudi determinant and a Pfaffian along the first row into cached
 smaller shapes; poly_det and pfaffian are the general expansions they are
-tested against.
+tested against.  schur_sum expands a signed sum of Schur functions along
+the first row as a whole, with one h_j product per first-row index j
+instead of one per shape; schur is its one-shape case.
 """
 
 import operator
@@ -94,6 +96,16 @@ def _vertical_strips(lam, k):
     return [tuple(p for p in rho if p) for rho, used in shapes if used == k]
 
 
+def _shape(lam):
+    """lam as a zero-stripped tuple of int parts, checked: a part that is
+    not an int raises TypeError, a sequence that is not a partition
+    (weakly decreasing, no negative part) raises ValueError."""
+    lam = as_int_parts(lam)
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 0 for p in lam):
+        raise ValueError("not a partition: %r" % (lam,))
+    return tuple(p for p in lam if p > 0)
+
+
 def schur(lam):
     """Schur function S_lam(t) for a partition lam of int parts (weakly
     decreasing; zeros are stripped), the Jacobi-Trudi determinant
@@ -103,28 +115,79 @@ def schur(lam):
 
     over rho with (lam_2, lam_3, ...)/rho a vertical k-strip.  The (1, k+1)
     minor is the skew function S_{(lam_2, ...)/1^k}, which the dual Pieri
-    rule writes as that sum; each S_rho is a cache entry."""
-    lam = as_int_parts(lam)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(p < 0 for p in lam):
-        raise ValueError("not a partition: %r" % (lam,))
-    return _schur(tuple(p for p in lam if p > 0))
+    rule writes as that sum; each S_rho is a memo entry."""
+    return _schur(_shape(lam))
 
 
-@cache
+def schur_sum(pairs):
+    """sum(c * S_lam for c, lam in pairs), for int coefficients c and
+    partitions lam checked as schur checks them, expanded along the first
+    row as one combination: every tail S_rho that the shapes' expansions
+    share is summed once per first-row index j, with its coefficients
+    added up, and multiplied once by h_j."""
+    coeffs = {}
+    for c, lam in pairs:
+        lam = _shape(lam)
+        coeffs[lam] = coeffs.get(lam, 0) + operator.index(c)
+    return _first_row(coeffs)
+
+
+# S_lam by zero-stripped shape, for the life of the process: a dict, not a
+# functools cache, because _first_row asks whether a shape is built without
+# building it.  SparsePoly is immutable, so sharing an entry is safe.
+_SCHURS = {}
+# S of the empty shape, and the other factor of a term added as it is
+_ONE = SparsePoly.constant(1)
+
+
 def _schur(lam):
-    """S_lam for a zero-stripped partition tuple, memoized; the recursion
-    builds only such tuples, so only schur checks its argument."""
-    if not lam:
-        return SparsePoly.constant(1)
-    if len(lam) > lam[0]:
-        # omega, t_k -> (-1)^(k+1) t_k, sends S_lam' to S_lam, and lam'
-        # is wide
-        conj = tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-        return _schur(conj).flip(tvar(k) for k in range(2, sum(lam) + 1, 2))
-    return _sum_of_products(
-        ((-1) ** k, h_poly(lam[0] + k),
-         _linear_sum((1, _schur(rho)) for rho in _vertical_strips(lam[1:], k)))
-        for k in range(len(lam)))
+    """S_lam for a zero-stripped partition tuple, memoized in _SCHURS; the
+    recursion builds only such tuples, so only schur and schur_sum check
+    their arguments."""
+    got = _SCHURS.get(lam)
+    return _first_row({lam: 1}) if got is None else got
+
+
+def _first_row(coeffs):
+    """sum(c * S_lam) over a dict of zero-stripped shapes lam -> int c.
+
+    A shape already in _SCHURS is added as it is.  The tall shapes
+    (more rows than columns) are summed as their conjugates, which are
+    wide, and that sum goes through omega, t_k -> (-1)^(k+1) t_k, once.
+    Each wide lam contributes (-1)^k c S_rho for every rho with
+    (lam_2, ...)/rho a vertical k-strip to the bucket of j = lam_1 + k;
+    the sum of each bucket is multiplied by h_j once.  A combination that
+    is a single S_lam with coefficient 1, such as the conjugate group of one
+    tall shape, is memoized."""
+    triples, tall, buckets = [], {}, {}
+    for lam, c in coeffs.items():
+        if not c:
+            continue
+        if not lam:
+            triples.append((c, _ONE, _ONE))
+        elif lam in _SCHURS:
+            triples.append((c, _ONE, _SCHURS[lam]))
+        elif len(lam) > lam[0]:
+            tall[tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))] = c
+        else:
+            for k in range(len(lam)):
+                bucket = buckets.setdefault(lam[0] + k, {})
+                for rho in _vertical_strips(lam[1:], k):
+                    bucket[rho] = bucket.get(rho, 0) + (-1) ** k * c
+    if tall:
+        weight = max(sum(lam) for lam in tall)
+        triples.append((1, _ONE, _first_row(tall).flip(
+            tvar(k) for k in range(2, weight + 1, 2))))
+    triples.extend((1, h_poly(j), _linear_sum((c, _schur(rho))
+                                              for rho, c in bucket.items() if c))
+                   for j, bucket in buckets.items())
+    if not buckets and len(triples) == 1 and triples[0][0] == 1:
+        out = triples[0][2]  # one built term with coefficient 1: no copy
+    else:
+        out = _sum_of_products(triples)
+    if list(coeffs.values()) == [1]:
+        _SCHURS.setdefault(next(iter(coeffs)), out)
+    return out
 
 
 @lru_cache(maxsize=None, typed=True)

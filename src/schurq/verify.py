@@ -17,13 +17,13 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum,
+from .exactalg import (SparsePoly, Sqrt2Rational,
                        _sqrt2_pow_parts, _sum_of_products, svar, tvar, zvar)
 from .partitions import (bar_core, bar_quotient, delta0, delta1,
                          enumerate_added, residue_split)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
-                      subst_2t2, subst_odd, subst_q_u, subst_u)
+                      schur_sum, subst_2t2, subst_odd, subst_q_u, subst_u)
 from .fock import (FockVector, closed_form_labels,
                    core_state_image, f_power_normalized, phi, phi_labels)
 
@@ -64,8 +64,8 @@ def check_main1(m, n):
     if n > m:
         raise ValueError("needs n <= m")
     t0 = time.perf_counter()
-    lhs = _linear_sum((delta1(mu, n), schur(bar_quotient(mu).q1))
-                      for mu in _sorted_added(bar_core(m), 1, n))
+    lhs = schur_sum((delta1(mu, n), bar_quotient(mu).q1)
+                    for mu in _sorted_added(bar_core(m), 1, n))
     rhs = subst_2t2(schur((n,) * (m - n)))
     return _result("main1", {"m": m, "n": n}, lhs, rhs, t0)
 
@@ -76,17 +76,16 @@ def check_main2(m, n):
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     t0 = time.perf_counter()
-    members = _sorted_added(bar_core(-m), 0, n)
-    lhs, rhs = [], []
-    for mu in members:
+    # the members by q0: L_nu is the signed sum of S_q1 over those with q0 = nu
+    groups = {}
+    for mu in _sorted_added(bar_core(-m), 0, n):
         quot = bar_quotient(mu)
-        sign = delta0(mu, m)
-        lhs.append((sign, schur_q(quot.q0), schur(quot.q1)))
-        if not quot.q0:
-            rhs.append((sign, schur(quot.q1)))
+        groups.setdefault(quot.q0, []).append((delta0(mu, m), quot.q1))
+    sums = {nu: schur_sum(pairs) for nu, pairs in groups.items()}
+    lhs = _sum_of_products((1, schur_q(nu), total) for nu, total in sums.items())
     # subst_u is linear: substitute the signed sum once
-    return _result("main2", {"m": m, "n": n}, _sum_of_products(lhs),
-                   subst_u(_linear_sum(rhs)), t0)
+    return _result("main2", {"m": m, "n": n}, lhs,
+                   subst_u(sums.get((), SparsePoly.zero())), t0)
 
 
 def check_trapezoid(m, n):
@@ -104,9 +103,9 @@ def check_trapezoid(m, n):
     for mu in _sorted_added(bar_core(-m), 0, n):
         quot = bar_quotient(mu)
         if not quot.q0:
-            rhs.append((sign * delta0(mu, m), schur(quot.q1)))
+            rhs.append((sign * delta0(mu, m), quot.q1))
     return _result("trapezoid", {"m": m, "n": n}, lhs,
-                   subst_odd(_linear_sum(rhs)), t0)
+                   subst_odd(schur_sum(rhs)), t0)
 
 
 def check_f_power(i, m, n):

@@ -4,14 +4,15 @@ import pytest
 
 from schurq import symfunc
 
-# the process-lifetime memos of symfunc, each a functools cache on its function
-_MEMOS = (symfunc.h_poly, symfunc.q_poly, symfunc.qq_pair, symfunc._schur,
-          symfunc._schur_q)
+# the process-lifetime memos of symfunc: functools caches on their functions,
+# and the dict of Schur functions that schur and schur_sum share
+_MEMOS = (symfunc.h_poly, symfunc.q_poly, symfunc.qq_pair, symfunc._schur_q)
 
 
 def _clear():
     for memo in _MEMOS:
         memo.cache_clear()
+    symfunc._SCHURS.clear()
 
 
 @pytest.fixture

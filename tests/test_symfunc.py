@@ -20,7 +20,8 @@ from schurq.exactalg import (SQRT2, T, SparsePoly, Sqrt2Rational, _linear_sum,
 from schurq.partitions import bar_core, bar_quotient, delta0, enumerate_added
 from schurq.symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
                             power_sum_specialize, q_poly, qq_pair, schur,
-                            schur_q, subst_2t2, subst_odd, subst_q_u, subst_u)
+                            schur_q, schur_sum, subst_2t2, subst_odd,
+                            subst_q_u, subst_u)
 from schurq.verify import (_partitions_of, _strict_partitions_of, check_main1,
                            check_main2, check_trapezoid)
 
@@ -193,6 +194,20 @@ class TestSchur:
 
     def test_int_like_parts_are_accepted(self):
         assert schur([3, True, 0]) is schur((3, 1))
+
+    def test_sum_rejects_a_float_part_by_name(self):
+        with pytest.raises(TypeError, match=r"2\.5 in \(2\.5, 1\)"):
+            schur_sum([(1, (3,)), (1, (2.5, 1))])
+
+    def test_sum_rejects_a_non_partition(self):
+        with pytest.raises(ValueError, match=r"not a partition: \(1, 2\)"):
+            schur_sum([(1, (3,)), (1, (1, 2))])
+        with pytest.raises(ValueError, match="not a partition"):
+            schur_sum([(1, (2, -1))])
+
+    def test_sum_rejects_a_float_coefficient(self):
+        with pytest.raises(TypeError):
+            schur_sum([(0.5, (2, 1))])
 
     def test_pieri_rule(self):
         # s_1 * s_lambda sums the one-box extensions
@@ -415,6 +430,21 @@ def _schur_ref(lam):
     return poly_det([[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)])
 
 
+_REFS = {}
+
+
+def _schur_sum_ref(pairs):
+    """sum(c * S_lam) as a sum of Jacobi-Trudi determinants, each built once
+    per test session."""
+    terms = []
+    for c, lam in pairs:
+        lam = tuple(p for p in lam if p)
+        if lam not in _REFS:
+            _REFS[lam] = _schur_ref(lam)
+        terms.append((c, _REFS[lam]))
+    return _linear_sum(terms)
+
+
 def _pair_ref(m, n):
     if m == n:
         return SparsePoly.zero()
@@ -513,26 +543,92 @@ class TestMemoAgainstFreshComputation:
 
     def test_schur_cold_on_the_polynomial_workload_shapes(self, cold_symfunc,
                                                           monkeypatch):
-        # every shape main2(5,5), trapezoid(5,5) and main1(6,3) build, the
-        # sub-shapes of the first-row expansion included, rebuilt largest
-        # first from an empty cache against the plain Jacobi-Trudi determinant
+        # every signed sum that main2(5,5), trapezoid(5,5) and main1(6,3)
+        # expand, and every shape they build one by one (the tails of the
+        # first-row expansions and main1's rectangle), rebuilt from an empty
+        # memo against sums of plain Jacobi-Trudi determinants
         import schurq.symfunc
-        built = set()
+        import schurq.verify
+        built, sums = set(), []
         memo = schurq.symfunc._schur
 
         def _schur(lam):
             built.add(lam)
             return memo(lam)
 
+        def recorded_schur_sum(pairs):
+            pairs = list(pairs)
+            sums.append(pairs)
+            return schur_sum(pairs)
+
         monkeypatch.setattr(schurq.symfunc, "_schur", _schur)
+        monkeypatch.setattr(schurq.verify, "schur_sum", recorded_schur_sum)
         for check, args in ((check_main2, (5, 5)), (check_trapezoid, (5, 5)),
                             (check_main1, (6, 3))):
             assert check(*args).passed
+        # main2's 32 q0 groups, trapezoid's and main1's sums: 126 members,
+        # the largest of weight 18; only tails are built one by one
+        assert len(sums) == 34 and sum(map(len, sums)) == 126
+        assert max(sum(lam) for pairs in sums for _, lam in pairs) == 18
         shapes = sorted(built, key=sum, reverse=True)
-        assert sum(shapes[0]) == 18 and len(shapes) >= 142
+        assert sum(shapes[0]) == 12 and len(shapes) >= 81
+        cold_symfunc()
+        for pairs in sums:
+            assert schur_sum(pairs) == _schur_sum_ref(pairs), pairs
         cold_symfunc()
         for lam in shapes:
             assert schur(lam) == _schur_ref(lam), lam
+
+    def _assert_memo_is_true(self):
+        import schurq.symfunc
+        for lam, got in schurq.symfunc._SCHURS.items():
+            assert got == _schur_sum_ref([(1, lam)]), lam
+
+    @pytest.mark.parametrize("built_share", [0, 0.5])
+    def test_schur_sum_on_seeded_combinations(self, cold_symfunc, built_share):
+        # signed sums of up to six shapes of weight <= 12, tall and wide,
+        # some repeated with trailing zeros; from a cold memo, or one that
+        # holds a seeded share of the summands (and so of their tails)
+        rng = random.Random(20261019)
+        shapes = [lam for w in range(13) for lam in _partitions_of(w)]
+        for _ in range(40):
+            cold_symfunc()
+            pairs = [(rng.randint(-3, 3), rng.choice(shapes))
+                     for _ in range(rng.randint(1, 6))]
+            pairs += [(c, lam + (0,) * rng.randint(0, 2))
+                      for c, lam in pairs if rng.random() < 0.3]
+            for _, lam in pairs:
+                if rng.random() < built_share:
+                    schur(lam)
+            assert schur_sum(pairs) == _schur_sum_ref(pairs), pairs
+            self._assert_memo_is_true()
+
+    def test_schur_sum_edge_cases(self, cold_symfunc):
+        assert schur_sum([]) == SparsePoly.zero()
+        assert schur_sum([(3, ())]) == SparsePoly.constant(3)
+        assert schur_sum([(2, (0, 0)), (-2, ())]) == SparsePoly.zero()
+        # repeated shapes add up, with and without trailing zeros
+        assert schur_sum([(1, (2, 1)), (1, (2, 1, 0)), (-3, [2, 1])]) == -schur((2, 1))
+        # the members cancel, and so do the bucketed tails: (3,1) and (2,2)
+        # share the tail S_1 at h_3 with opposite signs
+        assert schur_sum([(1, (3, 2)), (-1, (3, 2, 0))]) == SparsePoly.zero()
+        for pairs in ([(1, (3, 1)), (1, (2, 2))], [(1, (3, 1)), (-1, (2, 2))]):
+            cold_symfunc()
+            assert schur_sum(pairs) == _schur_sum_ref(pairs)
+        self._assert_memo_is_true()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_schur_sum_mixes_tall_and_wide(self, cold_symfunc, warm):
+        # tall shapes go through omega as one group, a shape next to its
+        # conjugate included
+        pairs = [(1, (3, 1)), (2, (1, 1, 1, 1)), (-1, (2, 1, 1, 1)),
+                 (1, (2, 2, 1, 1, 1)), (3, (4,)), (-2, (2, 1, 1)),
+                 (1, (5, 2, 1)), (1, (3, 2, 1, 1, 1))]
+        if warm:
+            for _, lam in pairs[::2]:
+                schur(lam)
+        assert schur_sum(pairs) == _schur_sum_ref(pairs)
+        self._assert_memo_is_true()
 
     def test_schur_q(self):
         for w in range(9):

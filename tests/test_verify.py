@@ -582,6 +582,24 @@ class TestNegativeControls:
         self._assert_fails(capsys, lambda: check_main1(4, 2),
                            ["main1", "--m", "4", "--n", "2"])
 
+    @pytest.mark.parametrize("family, args", [
+        ("main1", (4, 2)), ("main2", (3, 3)), ("trapezoid", (3, 3))])
+    def test_unsigned_bucketed_tails_fail(self, monkeypatch, capsys, cold_symfunc,
+                                          family, args):
+        # the first-row combination sums each bucket of tails S_rho with
+        # the signs (-1)^k c; summed without their signs, cold Schur
+        # functions must show it
+        import schurq.symfunc
+        original = schurq.symfunc._linear_sum
+        check = {"main1": check_main1, "main2": check_main2,
+                 "trapezoid": check_trapezoid}[family]
+        assert check(*args).passed
+        monkeypatch.setattr(schurq.symfunc, "_linear_sum",
+                            lambda pairs: original((abs(c), p) for c, p in pairs))
+        cold_symfunc()
+        self._assert_fails(capsys, lambda: check(*args),
+                           [family, "--m", str(args[0]), "--n", str(args[1])])
+
     def test_plus_shift_fails_main2(self, monkeypatch, capsys):
         # odd t_j -> t_j + s_j in place of t_j - s_j, through the kernel
         import schurq.verify
