@@ -208,19 +208,17 @@ def bar_quotient(lam, k=None):
     the negatives -1..-k with the slots -(p+1)/3 of the residue-2 parts
     removed; subtracting the staircase that starts at l1-l2-1 and stepping
     down by one yields a partition once trailing zeros are stripped.  Any k
-    at least ceil((max residue-2 part + 1)/3) gives the same q1; k defaults
-    to the smallest legal choice.
+    at least ceil((max residue-2 part + 1)/3) gives the same q1, so a
+    larger k is checked and the list is built with the smallest one.
     """
     split = residue_split(lam)
     kmin = _canonical_k(split)
-    if k is None:
-        k = kmin
-    elif k < kmin:
+    if k is not None and operator.index(k) < kmin:
         raise ValueError("k too small for the residue-2 parts")
     q0 = tuple(p // 3 for p in split.p0 if p > 0)
     a_list = [(p - 1) // 3 for p in split.p1]
     removed = {-((p + 1) // 3) for p in split.p2}
-    b_list = [b for b in range(-1, -k - 1, -1) if b not in removed]
+    b_list = [b for b in range(-1, -kmin - 1, -1) if b not in removed]
     merged = a_list + b_list
     start = split.l1 - split.l2 - 1
     q1 = [merged[idx] - (start - idx) for idx in range(len(merged))]

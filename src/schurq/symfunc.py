@@ -13,7 +13,9 @@ Jacobi-Trudi determinant and a Pfaffian along the first row into cached
 smaller shapes; poly_det and pfaffian are the general expansions they are
 tested against.  schur_sum expands a signed sum of Schur functions along
 the first row as a whole, with one h_j product per first-row index j
-instead of one per shape; schur is its one-shape case.
+instead of one per shape; schur is its one-shape case.  Given the variable
+family S instead of T, schur_sum expands the same determinants over q_j(s),
+giving S_lam[q](s); each family keeps its own memo of built shapes.
 """
 
 import operator
@@ -116,57 +118,68 @@ def schur(lam):
     over rho with (lam_2, lam_3, ...)/rho a vertical k-strip.  The (1, k+1)
     minor is the skew function S_{(lam_2, ...)/1^k}, which the dual Pieri
     rule writes as that sum; each S_rho is a memo entry."""
-    return _schur(_shape(lam))
+    return _schur(_shape(lam), T)
 
 
-def schur_sum(pairs):
+def schur_sum(pairs, family=T):
     """sum(c * S_lam for c, lam in pairs), for int coefficients c and
     partitions lam checked as schur checks them, expanded along the first
     row as one combination: every tail S_rho that the shapes' expansions
     share is summed once per first-row index j, with its coefficients
-    added up, and multiplied once by h_j."""
+    added up, and multiplied once by the generator of weight j.
+
+    The variable family picks the generators: T (the default) gives
+    S_lam(t) over h_j(t); S gives S_lam[q](s), the same determinant over
+    q_j(s), the image of S_lam under h_j -> q_j."""
+    if family not in _SCHURS:
+        raise ValueError("family must be T or S, not %r" % (family,))
     coeffs = {}
     for c, lam in pairs:
         lam = _shape(lam)
         coeffs[lam] = coeffs.get(lam, 0) + operator.index(c)
-    return _first_row(coeffs)
+    return _first_row(coeffs, family)
 
 
-# S_lam by zero-stripped shape, for the life of the process: a dict, not a
-# functools cache, because _first_row asks whether a shape is built without
-# building it.  SparsePoly is immutable, so sharing an entry is safe.
-_SCHURS = {}
+# S_lam by variable family and zero-stripped shape, for the life of the
+# process: dicts, not functools caches, because _first_row asks whether a
+# shape is built without building it.  SparsePoly is immutable, so sharing
+# an entry is safe.
+_SCHURS = {T: {}, S: {}}
 # S of the empty shape, and the other factor of a term added as it is
 _ONE = SparsePoly.constant(1)
 
 
-def _schur(lam):
-    """S_lam for a zero-stripped partition tuple, memoized in _SCHURS; the
-    recursion builds only such tuples, so only schur and schur_sum check
-    their arguments."""
-    got = _SCHURS.get(lam)
-    return _first_row({lam: 1}) if got is None else got
+def _schur(lam, family):
+    """S_lam of the family for a zero-stripped partition tuple, memoized in
+    _SCHURS[family]; the recursion builds only such tuples, so only schur
+    and schur_sum check their arguments."""
+    got = _SCHURS[family].get(lam)
+    return _first_row({lam: 1}, family) if got is None else got
 
 
-def _first_row(coeffs):
-    """sum(c * S_lam) over a dict of zero-stripped shapes lam -> int c.
+def _first_row(coeffs, family):
+    """sum(c * S_lam) over a dict of zero-stripped shapes lam -> int c, in
+    the family's generators: h_j(t) for T, q_j(s) for S.
 
-    A shape already in _SCHURS is added as it is.  The tall shapes
+    A shape already in _SCHURS[family] is added as it is.  The tall shapes
     (more rows than columns) are summed as their conjugates, which are
     wide, and that sum goes through omega, t_k -> (-1)^(k+1) t_k, once.
+    Omega fixes every q_j (q has only odd power sums), so S_lam'[q] =
+    S_lam[q], and the flip of the even t leaves an s-polynomial as it is.
     Each wide lam contributes (-1)^k c S_rho for every rho with
     (lam_2, ...)/rho a vertical k-strip to the bucket of j = lam_1 + k;
-    the sum of each bucket is multiplied by h_j once.  A combination that
-    is a single S_lam with coefficient 1, such as the conjugate group of one
-    tall shape, is memoized."""
+    the sum of each bucket is multiplied by the weight-j generator once.
+    A combination that is a single S_lam with coefficient 1, such as the
+    conjugate group of one tall shape, is memoized."""
+    memo = _SCHURS[family]
     triples, tall, buckets = [], {}, {}
     for lam, c in coeffs.items():
         if not c:
             continue
         if not lam:
             triples.append((c, _ONE, _ONE))
-        elif lam in _SCHURS:
-            triples.append((c, _ONE, _SCHURS[lam]))
+        elif lam in memo:
+            triples.append((c, _ONE, memo[lam]))
         elif len(lam) > lam[0]:
             tall[tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))] = c
         else:
@@ -176,17 +189,19 @@ def _first_row(coeffs):
                     bucket[rho] = bucket.get(rho, 0) + (-1) ** k * c
     if tall:
         weight = max(sum(lam) for lam in tall)
-        triples.append((1, _ONE, _first_row(tall).flip(
+        triples.append((1, _ONE, _first_row(tall, family).flip(
             tvar(k) for k in range(2, weight + 1, 2))))
-    triples.extend((1, h_poly(j), _linear_sum((c, _schur(rho))
-                                              for rho, c in bucket.items() if c))
+    generator = h_poly if family == T else q_poly
+    triples.extend((1, generator(j),
+                    _linear_sum((c, _schur(rho, family))
+                                for rho, c in bucket.items() if c))
                    for j, bucket in buckets.items())
     if not buckets and len(triples) == 1 and triples[0][0] == 1:
         out = triples[0][2]  # one built term with coefficient 1: no copy
     else:
         out = _sum_of_products(triples)
     if list(coeffs.values()) == [1]:
-        _SCHURS.setdefault(next(iter(coeffs)), out)
+        memo.setdefault(next(iter(coeffs)), out)
     return out
 
 

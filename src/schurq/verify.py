@@ -17,13 +17,13 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .exactalg import (SparsePoly, Sqrt2Rational,
+from .exactalg import (S, SparsePoly, Sqrt2Rational,
                        _sqrt2_pow_parts, _sum_of_products, svar, tvar, zvar)
 from .partitions import (bar_core, bar_quotient, delta0, delta1,
                          enumerate_added, residue_split)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
-                      schur_sum, subst_2t2, subst_odd, subst_q_u, subst_u)
+                      schur_sum, subst_2t2, subst_q_u, subst_u)
 from .fock import (FockVector, closed_form_labels,
                    core_state_image, f_power_normalized, phi, phi_labels)
 
@@ -89,23 +89,34 @@ def check_main2(m, n):
 
 
 def check_trapezoid(m, n):
-    """The trapezoidal Q-function in shifted variables equals the signed
-    odd-variable Schur sum over empty-Q color-0 additions."""
+    """The trapezoidal Q-function equals the signed Schur sum over empty-Q
+    color-0 additions, both read in u = t - s.
+
+    subst_odd sends h_j(t) to subst_q_u(q_j(s)); both are ring maps, so it
+    sends S_kappa(t) to subst_q_u(S_kappa[q](s)), and subst_q_u is injective
+    on s-polynomials.  So the verdict is the literal identity of
+    s-polynomials Q_trap(s) = sum c S_kappa[q](s), the right side expanded
+    by schur_sum in the family S; subst_q_u runs only to render the sides in
+    u, the right one only on a FAIL."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     if m - n + 1 < 0:
         raise ValueError("needs m - n + 1 >= 0")
     t0 = time.perf_counter()
     trapezoid = tuple(p for p in range(m, m - n, -1) if p > 0)
-    lhs = subst_q_u(schur_q(trapezoid))
+    q_trap = schur_q(trapezoid)
     sign = -1 if ((m + 1) * (m + 2 * n) // 2) % 2 else 1
-    rhs = []
+    pairs = []
     for mu in _sorted_added(bar_core(-m), 0, n):
         quot = bar_quotient(mu)
         if not quot.q0:
-            rhs.append((sign * delta0(mu, m), quot.q1))
+            pairs.append((sign * delta0(mu, m), quot.q1))
+    rhs = schur_sum(pairs, S)
+    passed = q_trap == rhs
+    # equal sides have one reading in u
+    lhs = subst_q_u(q_trap)
     return _result("trapezoid", {"m": m, "n": n}, lhs,
-                   subst_odd(schur_sum(rhs)), t0)
+                   lhs if passed else subst_q_u(rhs), t0, passed)
 
 
 def check_f_power(i, m, n):

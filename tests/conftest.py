@@ -5,14 +5,16 @@ import pytest
 from schurq import symfunc
 
 # the process-lifetime memos of symfunc: functools caches on their functions,
-# and the dict of Schur functions that schur and schur_sum share
+# and the dicts of Schur functions that schur and schur_sum share, one per
+# variable family
 _MEMOS = (symfunc.h_poly, symfunc.q_poly, symfunc.qq_pair, symfunc._schur_q)
 
 
 def _clear():
     for memo in _MEMOS:
         memo.cache_clear()
-    symfunc._SCHURS.clear()
+    for family_memo in symfunc._SCHURS.values():
+        family_memo.clear()
 
 
 @pytest.fixture

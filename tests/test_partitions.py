@@ -1,6 +1,8 @@
 """Tests for strict partitions, cores, added-node families, quotients and
 the sign statistics."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -143,6 +145,20 @@ class TestEnumeration:
             assert not is_added_member(core, i, n, lam)
 
 
+def _q1_with_k(lam, k):
+    """q1 from the merged list over all of -1..-k, the construction as
+    bar_quotient's docstring states it for any legal k."""
+    split = residue_split(lam)
+    removed = {-((p + 1) // 3) for p in split.p2}
+    merged = [(p - 1) // 3 for p in split.p1]
+    merged += [b for b in range(-1, -k - 1, -1) if b not in removed]
+    start = split.l1 - split.l2 - 1
+    q1 = [merged[idx] - (start - idx) for idx in range(len(merged))]
+    while q1 and q1[-1] == 0:
+        q1.pop()
+    return tuple(q1)
+
+
 class TestQuotient:
     def test_headline_example(self):
         quot = bar_quotient(P("11,9,8,4,3,2,1"))
@@ -182,6 +198,27 @@ class TestQuotient:
         from schurq.partitions import _canonical_k
         k = _canonical_k(residue_split(lam))
         assert bar_quotient(lam, k=k + extra) == bar_quotient(lam)
+
+    @given(strict_parts, st.integers(min_value=0, max_value=40))
+    def test_q1_against_the_list_over_k(self, lam, extra):
+        from schurq.partitions import _canonical_k
+        k = _canonical_k(residue_split(lam)) + extra
+        assert bar_quotient(lam, k=k).q1 == _q1_with_k(lam, k)
+
+    def test_large_k_allocates_nothing_of_its_size(self):
+        lam = StrictPartition((5, 2))
+        tracemalloc.start()
+        try:
+            got = bar_quotient(lam, k=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got == bar_quotient(lam)
+
+    def test_non_int_k_rejected(self):
+        with pytest.raises(TypeError):
+            bar_quotient(P("5,2"), k=2.5)
 
     @given(strict_parts)
     def test_quotient_shapes(self, lam):

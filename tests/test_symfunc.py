@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.exactalg import (SQRT2, T, SparsePoly, Sqrt2Rational, _linear_sum,
-                             _unpack, svar, tvar, zvar)
+from schurq.exactalg import (SQRT2, S, T, Z, SparsePoly, Sqrt2Rational,
+                             _linear_sum, _unpack, svar, tvar, zvar)
 from schurq.partitions import bar_core, bar_quotient, delta0, enumerate_added
 from schurq.symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
                             power_sum_specialize, q_poly, qq_pair, schur,
@@ -425,24 +425,44 @@ class TestBialternant:
 # differential tests: memoized and reused-power paths against slow references
 # ---------------------------------------------------------------------------
 
-def _schur_ref(lam):
+def _schur_ref(lam, family=T):
+    """The Jacobi-Trudi determinant of lam over h_n(t), or over q_n(s) for
+    the family S."""
+    gen = h_poly if family == T else q_poly
     d = len(lam)
-    return poly_det([[h_poly(lam[i] + j - i) for j in range(d)] for i in range(d)])
+    return poly_det([[gen(lam[i] + j - i) for j in range(d)] for i in range(d)])
 
 
 _REFS = {}
 
 
-def _schur_sum_ref(pairs):
+def _schur_sum_ref(pairs, family=T):
     """sum(c * S_lam) as a sum of Jacobi-Trudi determinants, each built once
-    per test session."""
+    per family and test session."""
     terms = []
     for c, lam in pairs:
-        lam = tuple(p for p in lam if p)
-        if lam not in _REFS:
-            _REFS[lam] = _schur_ref(lam)
-        terms.append((c, _REFS[lam]))
+        key = (family, tuple(p for p in lam if p))
+        if key not in _REFS:
+            _REFS[key] = _schur_ref(key[1], family)
+        terms.append((c, _REFS[key]))
     return _linear_sum(terms)
+
+
+def _assert_memo_is_true():
+    """Every entry of each family's Schur memo against its determinant."""
+    import schurq.symfunc
+    for family, memo in schurq.symfunc._SCHURS.items():
+        for lam, got in memo.items():
+            assert got == _schur_sum_ref([(1, lam)], family), (family, lam)
+
+
+def _seeded_pairs(rng, shapes):
+    """A signed combination of up to six of the shapes, some repeated with
+    trailing zeros."""
+    pairs = [(rng.randint(-3, 3), rng.choice(shapes))
+             for _ in range(rng.randint(1, 6))]
+    return pairs + [(c, lam + (0,) * rng.randint(0, 2))
+                    for c, lam in pairs if rng.random() < 0.3]
 
 
 def _pair_ref(m, n):
@@ -545,44 +565,44 @@ class TestMemoAgainstFreshComputation:
                                                           monkeypatch):
         # every signed sum that main2(5,5), trapezoid(5,5) and main1(6,3)
         # expand, and every shape they build one by one (the tails of the
-        # first-row expansions and main1's rectangle), rebuilt from an empty
-        # memo against sums of plain Jacobi-Trudi determinants
+        # first-row expansions and main1's rectangle), in its variable
+        # family, rebuilt from an empty memo against sums of plain
+        # Jacobi-Trudi determinants
         import schurq.symfunc
         import schurq.verify
         built, sums = set(), []
         memo = schurq.symfunc._schur
 
-        def _schur(lam):
-            built.add(lam)
-            return memo(lam)
+        def _schur(lam, family):
+            built.add((lam, family))
+            return memo(lam, family)
 
-        def recorded_schur_sum(pairs):
+        def recorded_schur_sum(pairs, family=T):
             pairs = list(pairs)
-            sums.append(pairs)
-            return schur_sum(pairs)
+            sums.append((pairs, family))
+            return schur_sum(pairs, family)
 
         monkeypatch.setattr(schurq.symfunc, "_schur", _schur)
         monkeypatch.setattr(schurq.verify, "schur_sum", recorded_schur_sum)
         for check, args in ((check_main2, (5, 5)), (check_trapezoid, (5, 5)),
                             (check_main1, (6, 3))):
             assert check(*args).passed
-        # main2's 32 q0 groups, trapezoid's and main1's sums: 126 members,
-        # the largest of weight 18; only tails are built one by one
-        assert len(sums) == 34 and sum(map(len, sums)) == 126
-        assert max(sum(lam) for pairs in sums for _, lam in pairs) == 18
-        shapes = sorted(built, key=sum, reverse=True)
-        assert sum(shapes[0]) == 12 and len(shapes) >= 81
+        # main2's 32 q0 groups and main1's sums over h(t), trapezoid's over
+        # q(s): 126 members, the largest of weight 18; only tails are built
+        # one by one
+        assert len(sums) == 34 and sum(len(pairs) for pairs, _ in sums) == 126
+        assert [family for _, family in sums].count(S) == 1
+        assert max(sum(lam) for pairs, _ in sums for _, lam in pairs) == 18
+        shapes = sorted(built, key=lambda key: sum(key[0]), reverse=True)
+        assert sum(shapes[0][0]) == 12 and len(shapes) >= 81
+        assert {family for _, family in shapes} == {S, T}
         cold_symfunc()
-        for pairs in sums:
-            assert schur_sum(pairs) == _schur_sum_ref(pairs), pairs
+        for pairs, family in sums:
+            assert schur_sum(pairs, family) == _schur_sum_ref(pairs, family), pairs
         cold_symfunc()
-        for lam in shapes:
-            assert schur(lam) == _schur_ref(lam), lam
-
-    def _assert_memo_is_true(self):
-        import schurq.symfunc
-        for lam, got in schurq.symfunc._SCHURS.items():
-            assert got == _schur_sum_ref([(1, lam)]), lam
+        for lam, family in shapes:
+            got = schur(lam) if family == T else schur_sum([(1, lam)], S)
+            assert got == _schur_ref(lam, family), (lam, family)
 
     @pytest.mark.parametrize("built_share", [0, 0.5])
     def test_schur_sum_on_seeded_combinations(self, cold_symfunc, built_share):
@@ -593,15 +613,12 @@ class TestMemoAgainstFreshComputation:
         shapes = [lam for w in range(13) for lam in _partitions_of(w)]
         for _ in range(40):
             cold_symfunc()
-            pairs = [(rng.randint(-3, 3), rng.choice(shapes))
-                     for _ in range(rng.randint(1, 6))]
-            pairs += [(c, lam + (0,) * rng.randint(0, 2))
-                      for c, lam in pairs if rng.random() < 0.3]
+            pairs = _seeded_pairs(rng, shapes)
             for _, lam in pairs:
                 if rng.random() < built_share:
                     schur(lam)
             assert schur_sum(pairs) == _schur_sum_ref(pairs), pairs
-            self._assert_memo_is_true()
+            _assert_memo_is_true()
 
     def test_schur_sum_edge_cases(self, cold_symfunc):
         assert schur_sum([]) == SparsePoly.zero()
@@ -615,7 +632,7 @@ class TestMemoAgainstFreshComputation:
         for pairs in ([(1, (3, 1)), (1, (2, 2))], [(1, (3, 1)), (-1, (2, 2))]):
             cold_symfunc()
             assert schur_sum(pairs) == _schur_sum_ref(pairs)
-        self._assert_memo_is_true()
+        _assert_memo_is_true()
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_schur_sum_mixes_tall_and_wide(self, cold_symfunc, warm):
@@ -628,7 +645,7 @@ class TestMemoAgainstFreshComputation:
             for _, lam in pairs[::2]:
                 schur(lam)
         assert schur_sum(pairs) == _schur_sum_ref(pairs)
-        self._assert_memo_is_true()
+        _assert_memo_is_true()
 
     def test_schur_q(self):
         for w in range(9):
@@ -656,6 +673,57 @@ class TestMemoAgainstFreshComputation:
                         first.substitute({tvar(1): _t(2)})):
             assert derived is not first
         assert str(schur((2, 1))) == "1/3*t1^3 - t3"
+
+
+def _conjugate(lam):
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
+
+
+class TestSchurSumOverQ:
+    """schur_sum in the family S, S_lam[q](s): the Jacobi-Trudi determinant
+    over q_n(s), whose reading through subst_q_u is subst_odd of S_lam(t)."""
+
+    @pytest.mark.parametrize("built_share", [0, 0.5])
+    def test_seeded_combinations_against_subst_odd(self, cold_symfunc, built_share):
+        # signed sums of up to six shapes of weight <= 10, tall and wide,
+        # some repeated with trailing zeros; from a cold memo, or one that
+        # holds a seeded share of the summands in the family S
+        rng = random.Random(20261020)
+        shapes = [lam for w in range(11) for lam in _partitions_of(w)]
+        for _ in range(30):
+            cold_symfunc()
+            pairs = _seeded_pairs(rng, shapes)
+            for _, lam in pairs:
+                if rng.random() < built_share:
+                    schur_sum([(1, lam)], S)
+            got = schur_sum(pairs, S)
+            assert subst_q_u(got) == subst_odd(schur_sum(pairs)), pairs
+            assert got == _schur_sum_ref(pairs, S), pairs
+            _assert_memo_is_true()
+
+    def test_conjugate_shapes_agree(self, cold_symfunc):
+        # omega fixes every q_n, so S_lam'[q] = S_lam[q]: once from a cold
+        # memo, once from the memo the first pass filled
+        shapes = [lam for w in range(11) for lam in _partitions_of(w)]
+        for _ in range(2):
+            for lam in shapes:
+                assert schur_sum([(1, lam)], S) == \
+                    schur_sum([(1, _conjugate(lam))], S), lam
+        _assert_memo_is_true()
+
+    def test_families_keep_separate_memos(self, cold_symfunc):
+        import schurq.symfunc
+        t_sum = schur_sum([(1, (2, 1))])
+        s_sum = schur_sum([(1, (2, 1))], S)
+        assert {v[0] for v in t_sum.variables()} == {T}
+        assert {v[0] for v in s_sum.variables()} == {S}
+        assert schurq.symfunc._SCHURS[T][(2, 1)] is t_sum
+        assert schurq.symfunc._SCHURS[S][(2, 1)] is s_sum
+        assert schur((2, 1)) is t_sum
+
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(ValueError, match="family"):
+            schur_sum([(1, (1,))], Z)
 
 
 def _pf_unmemoized(rows, active):

@@ -10,7 +10,7 @@ from schurq.exactalg import SparsePoly, Sqrt2Rational, T, _linear_sum, svar, zva
 from schurq.fock import FockVector, phi, phi_closed_form
 from schurq.partitions import (StrictPartition, bar_core, bar_quotient, delta0,
                                delta1, enumerate_added)
-from schurq.symfunc import schur, subst_odd, subst_u
+from schurq.symfunc import schur, schur_q, schur_sum, subst_odd, subst_q_u, subst_u
 from schurq.verify import (CheckResult, SuiteConfig,
                            check_core_states, check_f_power, check_main1,
                            check_main2, check_phi_consistency,
@@ -21,6 +21,24 @@ from schurq.verify import (CheckResult, SuiteConfig,
                            check_trapezoid, run_suite)
 
 P = StrictPartition.from_string
+
+
+def _trapezoid_ts(m, n):
+    """The trapezoid check read in (t, s): the Schur sum over h(t) through
+    subst_odd, Q_trap through subst_q_u, compared in u.  The reference for
+    the s-polynomial verdict; delta0 is looked up in schurq.verify at call
+    time, so a perturbation there reaches both."""
+    import schurq.verify
+    lhs = subst_q_u(schur_q(tuple(p for p in range(m, m - n, -1) if p > 0)))
+    sign = -1 if ((m + 1) * (m + 2 * n) // 2) % 2 else 1
+    rhs = subst_odd(schur_sum((sign * schurq.verify.delta0(mu, m), bar_quotient(mu).q1)
+                              for mu in enumerate_added(bar_core(-m), 0, n)
+                              if not bar_quotient(mu).q0))
+    return lhs == rhs, str(lhs), str(rhs)
+
+
+def _texts(res):
+    return res.passed, res.lhs_rendering, res.rhs_rendering
 
 
 class TestMainIdentity1:
@@ -95,6 +113,32 @@ class TestTrapezoid:
     def test_boundary_shape(self):
         # m - n + 1 = 0 drops the zero row and still balances
         assert check_trapezoid(3, 4).passed
+
+    def test_s_verdict_matches_the_ts_path(self):
+        for m in range(7):
+            for n in range(7):
+                if m - n + 1 >= 0:
+                    assert _texts(check_trapezoid(m, n)) == _trapezoid_ts(m, n), (m, n)
+
+    def test_passing_check_substitutes_once(self, monkeypatch):
+        # the verdict compares s-polynomials: subst_odd never runs, and
+        # subst_q_u only renders the left side, which a pass reuses
+        import sys
+        import schurq.symfunc
+        calls = {"subst_odd": 0, "subst_q_u": 0}
+        for name in calls:
+            original = getattr(schurq.symfunc, name)
+
+            def counted(p, name=name, original=original):
+                calls[name] += 1
+                return original(p)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "schurq" and \
+                        getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert check_trapezoid(5, 5).passed
+        assert calls == {"subst_odd": 0, "subst_q_u": 1}
 
 
 class TestFPower:
@@ -465,6 +509,22 @@ class TestNegativeControls:
         self._assert_fails(capsys, lambda: check_trapezoid(2, 2),
                            ["trapezoid", "--m", "2", "--n", "2"])
 
+    def test_flipped_delta0_fail_texts_match_the_ts_path(self, monkeypatch):
+        # a failing trapezoid prints the same two sides as the (t, s) path
+        import schurq.verify
+        original = schurq.verify.delta0
+        flipped = {P("5,4"), P("13,8,7,2")}
+
+        def delta0(mu, m):
+            sign = original(mu, m)
+            return -sign if mu in flipped else sign
+
+        monkeypatch.setattr(schurq.verify, "delta0", delta0)
+        for m, n in ((2, 2), (4, 4)):
+            res = check_trapezoid(m, n)
+            assert not res.passed
+            assert _texts(res) == _trapezoid_ts(m, n)
+
     def test_perturbed_core_state_image_fails_core_states(self, monkeypatch, capsys):
         import schurq.verify
         original = schurq.verify.core_state_image
@@ -581,6 +641,23 @@ class TestNegativeControls:
         cold_symfunc()
         self._assert_fails(capsys, lambda: check_main1(4, 2),
                            ["main1", "--m", "4", "--n", "2"])
+
+    def test_dropped_vertical_strip_fails_trapezoid(self, monkeypatch, capsys,
+                                                    cold_symfunc):
+        # the same perturbation in the q(s) family of the first-row engine,
+        # which builds the right side of the trapezoid
+        import schurq.symfunc
+        original = schurq.symfunc._vertical_strips
+
+        def _vertical_strips(lam, k):
+            shapes = original(lam, k)
+            return shapes[:-1] if len(shapes) > 1 else shapes
+
+        assert check_trapezoid(3, 3).passed
+        monkeypatch.setattr(schurq.symfunc, "_vertical_strips", _vertical_strips)
+        cold_symfunc()
+        self._assert_fails(capsys, lambda: check_trapezoid(3, 3),
+                           ["trapezoid", "--m", "3", "--n", "3"])
 
     @pytest.mark.parametrize("family, args", [
         ("main1", (4, 2)), ("main2", (3, 3)), ("trapezoid", (3, 3))])
