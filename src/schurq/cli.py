@@ -9,6 +9,7 @@ form or ``c:M`` for the core state indexed by the integer M.  Exit codes:
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .partitions import StrictPartition, bar_core, bar_quotient, enumerate_added
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
@@ -62,7 +63,7 @@ def _cmd_verify(args):
             args.family, "/".join("--" + k for k in foreign)))
     point = [getattr(args, k) for k in taken]
     if taken and None not in point:
-        results = FAMILY_TABLE[args.family].run(*point)
+        run = lambda: FAMILY_TABLE[args.family].run(*point)
     elif any(x is not None for x in point):
         flags = ["--" + k for k in taken]
         raise ValueError("%s needs %s%s and %s" % (
@@ -70,26 +71,35 @@ def _cmd_verify(args):
             ", ".join(flags[:-1]), flags[-1]))
     else:
         families = FAMILIES if args.family == "all" else (args.family,)
-        results = run_suite(SuiteConfig(max_m=args.max_m, max_n=args.max_n,
-                                        families=families))
-    payload = [r.as_dict() for r in results]
-    if args.json == "-":
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            params = " ".join("%s=%s" % (k, v) for k, v in r.params.items())
-            print("%s %s %s (%d ms)" % ("PASS" if r.passed else "FAIL",
-                                        r.name, params, r.elapsed_ms))
-            if not r.passed:
-                print("  lhs: %s" % r.lhs_rendering.replace("\n", "\n       "))
-                print("  rhs: %s" % r.rhs_rendering.replace("\n", "\n       "))
-        n_pass = sum(1 for r in results if r.passed)
-        print("%d checks, %d passed, %d failed" % (len(results), n_pass,
-                                                   len(results) - n_pass))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-            print("report written to %s" % args.json)
+        config = SuiteConfig(max_m=args.max_m, max_n=args.max_n, families=families)
+        run = lambda: run_suite(config)
+    report = None
+    if args.json not in (None, "-"):
+        # opened before any check runs, so a bad path costs none
+        try:
+            report = open(args.json, "w")
+        except OSError as exc:
+            raise ValueError("cannot write report %s: %s"
+                             % (args.json, exc.strerror or exc)) from None
+    with report or nullcontext():
+        results = run()
+        payload = [r.as_dict() for r in results]
+        if args.json == "-":
+            print(json.dumps(payload, indent=2))
+        else:
+            for r in results:
+                params = " ".join("%s=%s" % (k, v) for k, v in r.params.items())
+                print("%s %s %s (%d ms)" % ("PASS" if r.passed else "FAIL",
+                                            r.name, params, r.elapsed_ms))
+                if not r.passed:
+                    print("  lhs: %s" % r.lhs_rendering.replace("\n", "\n       "))
+                    print("  rhs: %s" % r.rhs_rendering.replace("\n", "\n       "))
+            n_pass = sum(1 for r in results if r.passed)
+            print("%d checks, %d passed, %d failed" % (len(results), n_pass,
+                                                       len(results) - n_pass))
+            if report:
+                json.dump(payload, report, indent=2)
+                print("report written to %s" % args.json)
     return 0 if all(r.passed for r in results) else 1
 
 

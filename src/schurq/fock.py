@@ -54,6 +54,7 @@ Labels also render with no expansion: a sector of one label is printed from
 the sorted terms of its two factors (BosonLabels.sector_texts).
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -69,9 +70,9 @@ from .symfunc import schur, schur_q
 
 def _check_word(word):
     word = as_int_parts(word)
-    if any(x < 0 for x in word):
+    if word and min(word) < 0:
         raise ValueError("word entries must be non-negative mode indices")
-    if any(word[i] <= word[i + 1] for i in range(len(word) - 1)):
+    if not all(map(operator.gt, word, word[1:])):
         raise ValueError("word entries must be strictly decreasing")
     return word
 

@@ -18,7 +18,10 @@ from math import comb
 
 def as_int_parts(parts):
     """The parts as a tuple of ints.  A part that is not an int, such as 2.5
-    or "2", is rejected by name instead of being truncated."""
+    or "2", is rejected by name instead of being truncated.  A tuple of
+    exact ints is returned as it is."""
+    if type(parts) is tuple and {*map(type, parts)} <= {int}:
+        return parts
     out = []
     for p in parts:
         try:
@@ -26,6 +29,14 @@ def as_int_parts(parts):
         except TypeError:
             raise TypeError("parts must be ints, not %r in %r" % (p, parts)) from None
     return tuple(out)
+
+
+def _as_int(value, name):
+    """`value` through operator.index; a TypeError names it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError("%s must be an int, not %r" % (name, value)) from None
 
 
 @dataclass(frozen=True, order=True)
@@ -36,9 +47,9 @@ class StrictPartition:
 
     def __init__(self, parts=()):
         parts = as_int_parts(parts)
-        if any(p <= 0 for p in parts):
+        if parts and min(parts) <= 0:
             raise ValueError("parts must be positive (pad zeros are implicit)")
-        if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
+        if not all(map(operator.gt, parts, parts[1:])):
             raise ValueError("parts must be strictly decreasing")
         object.__setattr__(self, "parts", parts)
 
@@ -128,6 +139,7 @@ def color(j):
 
 def bar_core(m):
     """The m-th staircase core: (3m-2,...,4,1), empty, or (3|m|-1,...,5,2)."""
+    m = _as_int(m, "m")
     if m == 0:
         return StrictPartition(())
     if m > 0:
@@ -135,63 +147,82 @@ def bar_core(m):
     return StrictPartition(tuple(3 * i - 1 for i in range(-m, 0, -1)))
 
 
+def _reachable(length, i, n):
+    """The lengths a row of `length` can reach with at most n added nodes of
+    color i: its own length, then each longer one whose new columns all
+    have color i (a wrong color blocks every longer one too)."""
+    out = [length]
+    top = length + n
+    while out[-1] < top and color(out[-1] + 1) == i:
+        out.append(out[-1] + 1)
+    return out
+
+
 def enumerate_added(core, i, n):
     """All strict partitions containing `core` with n added nodes, every
     added node of color i.
 
-    Enumerated row by row: each existing row may extend while the new
-    columns keep color i, and (for i = 0 only, since column 1 has color 0)
-    new rows may appear at the bottom.
+    Enumerated row by row over the reachable lengths of each core row, then
+    over the lengths of new rows at the bottom, keeping the rows strictly
+    decreasing.
     """
+    i, n = _as_int(i, "i"), _as_int(n, "n")
     if i not in (0, 1):
         raise ValueError("color must be 0 or 1")
     if n < 0:
         raise ValueError("node count must be non-negative")
     base = core.parts
+    rows = len(base)
+    reach = [_reachable(b, i, n) for b in base]
+    below = _reachable(0, i, n)[1:]  # the lengths of a new row (none for i = 1)
+    # room[row]: the most nodes that rows row, row+1, ... and the new rows
+    # below the core can add together
+    room = [sum(below)]
+    for b, lengths in zip(reversed(base), reversed(reach)):
+        room.append(room[-1] + lengths[-1] - b)
+    room.reverse()
     found = []
 
-    def extend(row, prev_len, remaining, acc):
-        if row >= len(base):
+    def extend(row, prev, remaining, acc):
+        if row == rows:
             if remaining == 0:
-                found.append(StrictPartition(tuple(acc)))
-                return
-            start = 1  # a new row must be non-empty
-        else:
-            start = base[row]
-        base_len = base[row] if row < len(base) else 0
-        top = min(prev_len - 1, base_len + remaining)
-        for new_len in range(start, top + 1):
-            # the skew columns base_len+1 .. new_len must all carry color i;
-            # a wrong color blocks every longer extension of this row too
-            if new_len > base_len and color(new_len) != i:
+                found.append(StrictPartition(acc))
+            for new_len in below:
+                if new_len >= prev or new_len > remaining:
+                    break
+                extend(row, new_len, remaining - new_len, acc + (new_len,))
+            return
+        b, later = base[row], room[row + 1]
+        for new_len in reach[row]:
+            left = remaining - (new_len - b)
+            if new_len >= prev or left < 0:
                 break
-            extend(row + 1, new_len, remaining - (new_len - base_len), acc + [new_len])
+            if left <= later:
+                extend(row + 1, new_len, left, acc + (new_len,))
 
-    extend(0, 10 ** 9, n, [])
+    # any bound above the longest reachable first row
+    extend(0, (base[0] if base else 0) + n + 1, n, ())
     return set(found)
 
 
 def is_added_member(core, i, n, lam):
-    """Membership test for enumerate_added(core, i, n) without enumerating."""
-    if lam.size != core.size + n:
-        return False
-    if not lam.contains(core):
+    """Membership test for enumerate_added(core, i, n) without enumerating:
+    each row of lam is a reachable length of the core row above it (of 0
+    below the core)."""
+    i, n = _as_int(i, "i"), _as_int(n, "n")
+    if lam.size != core.size + n or lam.length < core.length:
         return False
     base = core.parts + (0,) * (lam.length - core.length)
-    for row in range(lam.length):
-        for col in range(base[row] + 1, lam.parts[row] + 1):
-            if color(col) != i:
-                return False
-    return True
+    return all(_reachable(b, i, length - b)[-1] == length
+               for b, length in zip(base, lam.parts))
 
 
 def residue_split(lam):
     """Split the even-padded parts by residue mod 3."""
-    padded = lam.even_padded()
-    p0 = tuple(p for p in padded if p % 3 == 0)
-    p1 = tuple(p for p in padded if p % 3 == 1)
-    p2 = tuple(p for p in padded if p % 3 == 2)
-    return ResidueSplit(p0, p1, p2)
+    classes = ([], [], [])
+    for p in lam.even_padded():
+        classes[p % 3].append(p)
+    return ResidueSplit(*map(tuple, classes))
 
 
 def _canonical_k(split):

@@ -53,6 +53,21 @@ class TestVerifyCommand:
         payload = json.loads(target.read_text())
         assert payload[0]["name"] == "trapezoid"
 
+    def test_unwritable_report_path_exits_2_before_any_check(self, capsys, tmp_path,
+                                                             monkeypatch):
+        from schurq import verify
+
+        def no_check(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "check_main1", no_check)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "main1", "--m", "2", "--n", "1",
+                                 "--json", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write report %s: " % target)
+
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "main1", "--m", "2", "--n", "3")
         assert code == 2

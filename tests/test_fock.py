@@ -133,6 +133,26 @@ class TestFockVector:
         with pytest.raises(ValueError):
             FockVector.from_word((-1,))
 
+        class Int(int):
+            pass
+
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        # int-like modes are read as ints, from a tuple or a list
+        v = FockVector.from_word((3, 0), 5)
+        for word in ((3, False), (Int(3), 0), (Index(3), Index(0)), [3, 0]):
+            assert v.coefficient(word) == 5
+        assert FockVector({(True, False): 1}) == FockVector.from_word((1, 0))
+        assert v.coefficient([0, 3]) == 0  # not a word
+        # the sign is checked before order
+        with pytest.raises(ValueError, match="non-negative mode indices"):
+            FockVector({(-1, 3): 1})
+
     def test_float_mode_is_rejected_not_truncated(self):
         with pytest.raises(TypeError, match=r"2\.7 in \(2\.7, 0\)"):
             FockVector({(2.7, 0): 1})

@@ -1,6 +1,7 @@
 """Tests for strict partitions, cores, added-node families, quotients and
 the sign statistics."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -12,6 +13,20 @@ from schurq.partitions import (StrictPartition, bar_core, bar_quotient, color,
                                is_added_member, residue_split, stats)
 
 P = StrictPartition.from_string
+
+
+class _Int(int):
+    """An int subclass, which parts and indices accept as an int."""
+
+
+class _Index:
+    """A non-int with __index__, which parts and indices accept as an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 strict_parts = st.lists(st.integers(min_value=1, max_value=24), min_size=0,
                         max_size=7, unique=True).map(
@@ -32,6 +47,18 @@ class TestStrictPartition:
             StrictPartition((1, 4))
         with pytest.raises(ValueError):
             StrictPartition((3, 0))
+        # int-like parts become exact ints, from a tuple or a list
+        for parts in ((True,), (2, True), (_Int(3), 1), (_Index(3), _Index(1)),
+                      [3, 1]):
+            got = StrictPartition(parts).parts
+            assert got == tuple(int(p) for p in parts)
+            assert type(got) is tuple and {type(p) for p in got} == {int}
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            StrictPartition([1, 4])
+        # positivity is checked before order
+        for parts in ((0, 3), (1, 4, 0), (True, False)):
+            with pytest.raises(ValueError, match="must be positive"):
+                StrictPartition(parts)
 
     def test_float_part_is_rejected_not_truncated(self):
         with pytest.raises(TypeError, match=r"2\.5 in \(2\.5, 1\)"):
@@ -74,6 +101,16 @@ class TestColorsAndCores:
         assert bar_core(-1) == P("2")
         assert bar_core(-3) == P("8,5,2")
 
+    @pytest.mark.parametrize("m", [2.5, "3", None])
+    def test_non_int_index_is_named(self, m):
+        with pytest.raises(TypeError, match="m must be an int, not %s"
+                           % re.escape(repr(m))):
+            bar_core(m)
+
+    def test_int_like_index(self):
+        assert bar_core(True) == bar_core(1)
+        assert bar_core(_Int(-3)) == bar_core(_Index(-3)) == bar_core(-3)
+
     @given(st.integers(min_value=-6, max_value=6))
     def test_core_has_empty_quotient(self, m):
         quot = bar_quotient(bar_core(m))
@@ -113,6 +150,28 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_added(bar_core(1), 0, -1)
 
+    @pytest.mark.parametrize("i, n, bad", [(0, 2.0, "n must be an int, not 2.0"),
+                                           (0.0, 2, "i must be an int, not 0.0"),
+                                           (0, "2", "n must be an int, not '2'")])
+    def test_non_int_color_or_count_is_named(self, i, n, bad):
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            enumerate_added(bar_core(-2), i, n)
+
+    @pytest.mark.parametrize("i, n, bad", [(0, 2.0, "n must be an int, not 2.0"),
+                                           (0.0, 2, "i must be an int, not 0.0")])
+    def test_membership_rejects_non_int_color_or_count(self, i, n, bad):
+        # a float count once passed the size test and answered True
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            is_added_member(bar_core(-2), i, n, P("6,2,1"))
+
+    def test_int_like_color_and_count(self):
+        core = bar_core(3)
+        want = enumerate_added(core, 1, 2)
+        assert enumerate_added(core, True, _Index(2)) == want
+        assert enumerate_added(core, _Int(1), _Int(2)) == want
+        assert all(is_added_member(core, True, _Index(2), lam) for lam in want)
+        assert enumerate_added(bar_core(-2), False, 2) == enumerate_added(bar_core(-2), 0, 2)
+
     def test_membership_predicate(self):
         assert is_added_member(bar_core(-2), 0, 2, P("6,2,1"))
         assert not is_added_member(bar_core(-2), 0, 2, P("6,2"))
@@ -143,6 +202,83 @@ class TestEnumeration:
         # a partition of the right size not in the set is rejected
         for lam in enumerate_added(core, i, n + 1):
             assert not is_added_member(core, i, n, lam)
+
+
+def _strict_partitions(size, cap=None):
+    """Every strict partition of `size` with parts at most `cap`."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(size if cap is None else min(size, cap), 0, -1):
+        for rest in _strict_partitions(size - first, first - 1):
+            yield (first,) + rest
+
+
+def _added_by_definition(core, i, n):
+    """The strict partitions of size |core| + n that contain `core` and
+    whose added cells all have color i."""
+    out = set()
+    for parts in _strict_partitions(core.size + n):
+        lam = StrictPartition(parts)
+        if not lam.contains(core):
+            continue
+        base = core.parts + (0,) * (lam.length - core.length)
+        if all(color(col) == i for b, p in zip(base, parts)
+               for col in range(b + 1, p + 1)):
+            out.add(lam)
+    return out
+
+
+def _added_by_recursion(core, i, n):
+    """The row-by-row recursion that enumerate_added replaced: each row
+    extends while the new columns keep color i, calling color per column."""
+    base = core.parts
+    found = []
+
+    def extend(row, prev_len, remaining, acc):
+        if row >= len(base):
+            if remaining == 0:
+                found.append(StrictPartition(tuple(acc)))
+                return
+            start = 1  # a new row must be non-empty
+        else:
+            start = base[row]
+        base_len = base[row] if row < len(base) else 0
+        top = min(prev_len - 1, base_len + remaining)
+        for new_len in range(start, top + 1):
+            if new_len > base_len and color(new_len) != i:
+                break
+            extend(row + 1, new_len, remaining - (new_len - base_len), acc + [new_len])
+
+    extend(0, 10 ** 9, n, [])
+    return set(found)
+
+
+# every strict partition with at most 4 parts and size at most 9, most of
+# them not bar cores
+_SMALL_CORES = [StrictPartition(parts) for size in range(10)
+                for parts in _strict_partitions(size) if len(parts) <= 4]
+
+
+class TestEnumerationAgainstReferences:
+    @pytest.mark.parametrize("core", _SMALL_CORES, ids=str)
+    def test_against_the_definition(self, core):
+        for i in (0, 1):
+            for n in range(5):
+                want = _added_by_definition(core, i, n)
+                assert enumerate_added(core, i, n) == want
+                for parts in _strict_partitions(core.size + n):
+                    lam = StrictPartition(parts)
+                    assert is_added_member(core, i, n, lam) == (lam in want)
+
+    @pytest.mark.parametrize("m", range(-8, 9))
+    def test_bar_cores_against_the_former_recursion(self, m):
+        core = bar_core(m)
+        for i in (0, 1):
+            for n in range(9):
+                want = _added_by_recursion(core, i, n)
+                assert enumerate_added(core, i, n) == want
+                assert all(is_added_member(core, i, n, lam) for lam in want)
 
 
 def _q1_with_k(lam, k):
