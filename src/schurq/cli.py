@@ -3,13 +3,14 @@
 Partitions are written as comma-separated parts (``11,9,8,4,3,2,1``) with
 ``-`` for the empty partition.  Fock states are either a partition in that
 form or ``c:M`` for the core state indexed by the integer M.  Exit codes:
-0 on success, 1 when a verification check fails, 2 on usage errors.
+0 on success, 1 when a verification check fails, 2 on usage errors, 141
+(128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
 
 from .partitions import StrictPartition, bar_core, bar_quotient, enumerate_added
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
@@ -54,6 +55,27 @@ def _boson_json(labels):
             for (sigma, charge), text in labels.sector_texts()]
 
 
+def _report_error(path, exc):
+    return ValueError("cannot write report %s: %s" % (path, exc.strerror or exc))
+
+
+def _probe_report(path):
+    """Check before any check runs that the report path can be written,
+    changing nothing there: the file it names (through any symlink) is
+    opened for appending, which truncates nothing, and removed if the probe
+    created it, so a usage error raised by a check leaves the path as it
+    was."""
+    target = os.path.realpath(path)
+    existed = os.path.exists(target)
+    try:
+        with open(target, "a"):
+            pass
+    except OSError as exc:
+        raise _report_error(path, exc) from None
+    if not existed:
+        os.remove(target)
+
+
 def _cmd_verify(args):
     # "all" takes no point parameters; a family takes all of its own or none
     taken = FAMILY_TABLE[args.family].params if args.family in FAMILY_TABLE else ""
@@ -73,33 +95,30 @@ def _cmd_verify(args):
         families = FAMILIES if args.family == "all" else (args.family,)
         config = SuiteConfig(max_m=args.max_m, max_n=args.max_n, families=families)
         run = lambda: run_suite(config)
-    report = None
     if args.json not in (None, "-"):
-        # opened before any check runs, so a bad path costs none
-        try:
-            report = open(args.json, "w")
-        except OSError as exc:
-            raise ValueError("cannot write report %s: %s"
-                             % (args.json, exc.strerror or exc)) from None
-    with report or nullcontext():
-        results = run()
-        payload = [r.as_dict() for r in results]
-        if args.json == "-":
-            print(json.dumps(payload, indent=2))
-        else:
-            for r in results:
-                params = " ".join("%s=%s" % (k, v) for k, v in r.params.items())
-                print("%s %s %s (%d ms)" % ("PASS" if r.passed else "FAIL",
-                                            r.name, params, r.elapsed_ms))
-                if not r.passed:
-                    print("  lhs: %s" % r.lhs_rendering.replace("\n", "\n       "))
-                    print("  rhs: %s" % r.rhs_rendering.replace("\n", "\n       "))
-            n_pass = sum(1 for r in results if r.passed)
-            print("%d checks, %d passed, %d failed" % (len(results), n_pass,
-                                                       len(results) - n_pass))
-            if report:
-                json.dump(payload, report, indent=2)
-                print("report written to %s" % args.json)
+        _probe_report(args.json)
+    results = run()
+    payload = [r.as_dict() for r in results]
+    if args.json == "-":
+        print(json.dumps(payload, indent=2))
+    else:
+        for r in results:
+            params = " ".join("%s=%s" % (k, v) for k, v in r.params.items())
+            print("%s %s %s (%d ms)" % ("PASS" if r.passed else "FAIL",
+                                        r.name, params, r.elapsed_ms))
+            if not r.passed:
+                print("  lhs: %s" % r.lhs_rendering.replace("\n", "\n       "))
+                print("  rhs: %s" % r.rhs_rendering.replace("\n", "\n       "))
+        n_pass = sum(1 for r in results if r.passed)
+        print("%d checks, %d passed, %d failed" % (len(results), n_pass,
+                                                   len(results) - n_pass))
+        if args.json:
+            try:
+                with open(args.json, "w") as report:
+                    json.dump(payload, report, indent=2)
+            except OSError as exc:
+                raise _report_error(args.json, exc) from None
+            print("report written to %s" % args.json)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -242,10 +261,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that the final
+        # flush at exit has nowhere to fail, and exit as if killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ in three indexed variable families:
 
 The weighted degree counts t_j and s_j with weight j, and z_j with weight 1
 per unit of exponent.  All values are immutable, all operations pure and
-exact; no floating point anywhere.
+exact; no floating point anywhere.  A monomial's sort key and text are
+memoized, and joined from its t-, s- and z-parts, which are memoized too and
+read through per-slot tables of variable, weight and name.
 """
 
 from fractions import Fraction
@@ -265,9 +267,12 @@ class _IntCombination:
 _WIDTH = 16
 _LIMIT = 1 << (_WIDTH - 1)
 _MASK = (1 << _WIDTH) - 1
-_SLOTS = {}   # variable -> bit offset of its slot
-_VARS = []    # the variable of each slot, in offset order
-_GUARD = 0    # the guard bits of every assigned slot
+_SLOTS = {}    # variable -> bit offset of its slot
+_VARS = []     # the variable of each slot, in offset order
+_WEIGHTS = []  # the weight of each slot's variable: j for t_j, s_j; 1 for z_j
+_NAMES = []    # the name of each slot's variable, as var_name gives it
+_FAMILY_MASKS = [0, 0, 0]  # by family tag: the bits of its assigned slots
+_GUARD = 0     # the guard bits of every assigned slot
 
 
 def tvar(j):
@@ -303,8 +308,12 @@ def _pack(mono):
             raise OverflowError("exponent of %s exceeds %d" % (var_name(v), _LIMIT - 1))
         offset = _SLOTS.get(v)
         if offset is None:
+            name = var_name(v)  # an unknown family fails before any table grows
             offset = _SLOTS[v] = len(_VARS) * _WIDTH
             _VARS.append(v)
+            _WEIGHTS.append(1 if v[0] == Z else v[1])
+            _NAMES.append(name)
+            _FAMILY_MASKS[v[0]] |= _MASK << offset
             _GUARD |= _LIMIT << offset
         packed += e << offset
     _check_guard((packed,))
@@ -633,17 +642,38 @@ def _mono_text(m):
     (-deg, fam1, idx1, -e1, fam2, idx2, -e2, ...) over the variables in
     order, so terms sort by weighted degree descending, then lexicographically
     in variable order with the higher power of the earlier variable first;
-    at equal degree no key is a proper prefix of another.  It is read from
-    the variables, not their slot offsets, so a variable slotted after
-    others still sorts in its place."""
-    key, deg, parts = [0], 0, []
-    for v, e in _unpack(m):
-        fam, idx = v
-        deg += e if fam == Z else idx * e
-        key += (fam, idx, -e)
-        parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
-    key[0] = -deg
-    return tuple(key), "*".join(parts)
+    at equal degree no key is a proper prefix of another.  Both are joined
+    from the monomial's t-, s- and z-parts, in that order, each cut out by
+    its family's slot mask and memoized in _family_part."""
+    t_mask, s_mask, z_mask = _FAMILY_MASKS
+    t, s, z = m & t_mask, m & s_mask, m & z_mask
+    if m in (t, s, z):  # at most one family: the monomial is its one part
+        deg, fields, text = _family_part(m)
+        return (-deg,) + fields, text
+    t, s, z = _family_part(t), _family_part(s), _family_part(z)
+    return ((-t[0] - s[0] - z[0],) + t[1] + s[1] + z[1],
+            "*".join(filter(None, (t[2], s[2], z[2]))))
+
+
+@cache
+def _family_part(part):
+    """(degree, key fields, text) of a packed monomial in one family's
+    slots, read through the per-slot tables.  The fields and the text run
+    in index order, not slot order, so a variable slotted after others of
+    its family still sorts in its place."""
+    slots = []
+    while part:
+        slot = ((part & -part).bit_length() - 1) // _WIDTH
+        e = (part >> slot * _WIDTH) & _MASK
+        part ^= e << slot * _WIDTH
+        slots.append((_VARS[slot], e, slot))
+    slots.sort()
+    deg, fields, texts = 0, (), []
+    for v, e, slot in slots:
+        deg += _WEIGHTS[slot] * e
+        fields += (*v, -e)
+        texts.append(_NAMES[slot] if e == 1 else "%s^%d" % (_NAMES[slot], e))
+    return deg, fields, "*".join(texts)
 
 
 def _product(out, a, b, scale=1):

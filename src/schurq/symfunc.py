@@ -13,9 +13,11 @@ Jacobi-Trudi determinant and a Pfaffian along the first row into cached
 smaller shapes; poly_det and pfaffian are the general expansions they are
 tested against.  schur_sum expands a signed sum of Schur functions along
 the first row as a whole, with one h_j product per first-row index j
-instead of one per shape; schur is its one-shape case.  Given the variable
-family S instead of T, schur_sum expands the same determinants over q_j(s),
-giving S_lam[q](s); each family keeps its own memo of built shapes.
+instead of one per shape; schur is its one-shape case.  The vertical strips
+of each tail come from one memoized table per tail, built for every strip
+size at once.  Given the variable family S instead of T, schur_sum expands
+the same determinants over q_j(s), giving S_lam[q](s); each family keeps
+its own memo of built shapes.
 """
 
 import operator
@@ -89,13 +91,29 @@ def poly_det(rows):
 
 def _vertical_strips(lam, k):
     """The partitions rho with lam/rho a vertical k-strip: one box off each
-    of k rows, taken from the lowest rows of each run of equal parts."""
+    of k rows, taken from the lowest rows of each run of equal parts.  A
+    tuple read from the strip table of lam, empty for k outside 0..len."""
+    table = _strip_table(lam)
+    return table[k] if 0 <= k < len(table) else ()
+
+
+@cache
+def _strip_table(lam):
+    """The vertical strips of a zero-stripped partition tuple for every k
+    at once: entry k is the tuple of the rho with lam/rho a vertical
+    k-strip.  One pass over the runs of equal parts takes r boxes off the
+    lowest r rows of each run, for every r; a part 1 that loses its box
+    is dropped.  Memoized and shared, so entries are tuples."""
     shapes = [((), 0)]
     for part, run in groupby(lam):
         b = len(list(run))
-        shapes = [(rho + (part,) * (b - r) + (part - 1,) * r, used + r)
-                  for rho, used in shapes for r in range(min(b, k - used) + 1)]
-    return [tuple(p for p in rho if p) for rho, used in shapes if used == k]
+        low = (part - 1,) if part > 1 else ()
+        shapes = [(rho + (part,) * (b - r) + low * r, used + r)
+                  for rho, used in shapes for r in range(b + 1)]
+    table = [[] for _ in range(len(lam) + 1)]
+    for rho, used in shapes:
+        table[used].append(rho)
+    return tuple(map(tuple, table))
 
 
 def _shape(lam):
@@ -183,10 +201,12 @@ def _first_row(coeffs, family):
         elif len(lam) > lam[0]:
             tall[tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))] = c
         else:
+            tail = lam[1:]
             for k in range(len(lam)):
                 bucket = buckets.setdefault(lam[0] + k, {})
-                for rho in _vertical_strips(lam[1:], k):
-                    bucket[rho] = bucket.get(rho, 0) + (-1) ** k * c
+                for rho in _vertical_strips(tail, k):
+                    bucket[rho] = bucket.get(rho, 0) + c
+                c = -c
     if tall:
         weight = max(sum(lam) for lam in tall)
         triples.append((1, _ONE, _first_row(tall, family).flip(

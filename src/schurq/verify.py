@@ -14,7 +14,7 @@ including its parameter errors, all derive from it.
 import random
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (S, SparsePoly, Sqrt2Rational,
@@ -37,7 +37,11 @@ class CheckResult:
     elapsed_ms: int
 
     def as_dict(self):
-        return asdict(self)
+        """The fields in declaration order, with params copied."""
+        return {"name": self.name, "params": dict(self.params),
+                "passed": self.passed, "lhs_rendering": self.lhs_rendering,
+                "rhs_rendering": self.rhs_rendering,
+                "elapsed_ms": self.elapsed_ms}
 
 
 def _result(name, params, lhs, rhs, t0, passed=None):

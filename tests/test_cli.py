@@ -2,9 +2,13 @@
 exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import schurq
 from schurq.cli import main
 
 
@@ -67,6 +71,54 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot write report %s: " % target)
+
+    def test_usage_error_keeps_an_existing_report(self, capsys, tmp_path):
+        # core-states --m 0 is rejected by the check itself, after the path
+        # was checked; the report there stays byte for byte
+        target = tmp_path / "x.json"
+        old = b'[{"name": "an earlier report"}]\n'
+        target.write_bytes(old)
+        code, out, err = run_cli(capsys, "verify", "core-states", "--m", "0",
+                                 "--json", str(target))
+        assert code == 2 and out == ""
+        assert "needs m >= 1" in err
+        assert target.read_bytes() == old
+
+    def test_usage_error_leaves_no_new_report(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "verify", "core-states", "--m", "0",
+                               "--json", str(target))
+        assert code == 2 and "needs m >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_through_a_dangling_symlink(self, capsys, tmp_path):
+        # the probe creates and removes the file the link names, so a usage
+        # error leaves the link dangling, and a run writes through it
+        link, target = tmp_path / "link.json", tmp_path / "target.json"
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, "verify", "core-states", "--m", "0",
+                             "--json", str(link))
+        assert code == 2
+        assert link.is_symlink() and not target.exists()
+        code, _, _ = run_cli(capsys, "verify", "core-states", "--m", "1",
+                             "--json", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())[0]["name"] == "core-states"
+
+    def test_report_replaces_a_longer_one(self, capsys, tmp_path):
+        target = tmp_path / "x.json"
+        target.write_text("x" * 100000)
+        code, _, _ = run_cli(capsys, "verify", "core-states", "--m", "1",
+                             "--json", str(target))
+        assert code == 0
+        assert json.loads(target.read_text())[0]["name"] == "core-states"
+
+    def test_directory_as_report_path_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "core-states", "--m", "1",
+                                 "--json", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write report %s: " % tmp_path)
 
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "main1", "--m", "2", "--n", "3")
@@ -319,3 +371,28 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the command quietly with exit
+    141 (128 + SIGPIPE), not with a traceback and the exit code of a failed
+    check.  Both outputs are larger than a pipe holds, so the command is
+    still writing when the reader goes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--core", "-10", "--color", "0", "--nodes", "10"],
+        ["verify", "all", "--json", "-"]])
+    def test_reader_closing_after_one_line(self, argv):
+        src = os.path.dirname(os.path.dirname(schurq.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "schurq.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first.strip()
+        assert err == b""  # no traceback, no message

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import schurq.exactalg
 from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
-                             _LIMIT, _linear_sum, _promote_scalar,
+                             _LIMIT, _linear_sum, _pack, _promote_scalar,
                              _render_product, _sqrt2_pow_parts,
-                             _sum_of_products, svar, tvar, var_name, zvar)
+                             _sum_of_products, _unpack, svar, tvar, var_name,
+                             zvar)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
@@ -475,6 +476,32 @@ term_dicts = st.dictionaries(
 point_values = st.one_of(st.integers(min_value=-6, max_value=6), fractions, scalars)
 
 
+# variables slotted in this order the first time a test needs them: z and s
+# before t, and each family against its index order; no other test uses them
+_LATE_VARS = [zvar(1202), svar(1203), zvar(1201), tvar(1202), svar(1201),
+              tvar(1201)]
+
+
+def _slot_late_vars():
+    for v in _LATE_VARS:
+        SparsePoly.variable(v)
+    slots = schurq.exactalg._SLOTS
+    assert [slots[v] for v in _LATE_VARS] == sorted(slots[v] for v in _LATE_VARS)
+
+
+def _mono_text_ref(m):
+    """The sort key and the text of a packed monomial, read through _unpack:
+    (-deg, fam1, idx1, -e1, ...) over the variables in order, and the
+    variable names joined by '*'."""
+    key, deg, parts = [0], 0, []
+    for v, e in _unpack(m):
+        deg += e if v[0] == Z else v[1] * e
+        key += (v[0], v[1], -e)
+        parts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
+    key[0] = -deg
+    return tuple(key), "*".join(parts)
+
+
 def _ref_evaluate(p, point):
     """Term-by-term evaluation in Sqrt2Rational arithmetic."""
     total = ZERO
@@ -522,6 +549,26 @@ class TestAgainstReferenceKernel:
         assert str(p) == want
         assert str(p) == want
         assert str(SparsePoly(a)) == want
+
+    @settings(max_examples=80)
+    @given(st.lists(st.dictionaries(st.sampled_from(_VARS + _LATE_VARS),
+                                    st.integers(1, 12), min_size=0, max_size=5),
+                    min_size=1, max_size=8))
+    def test_monomial_text_from_family_parts(self, monos):
+        # _mono_text and its per-family part memo, both cleared, then cold
+        # and warm, against the reference read through _unpack; _LATE_VARS
+        # got their slots with z and s before t, and against index order
+        # within each family
+        _slot_late_vars()
+        packed = [_pack(tuple(sorted(d.items()))) for d in monos]
+        want = [_mono_text_ref(m) for m in packed]
+        schurq.exactalg._mono_text.cache_clear()
+        schurq.exactalg._family_part.cache_clear()
+        assert [schurq.exactalg._mono_text(m) for m in packed] == want
+        assert [schurq.exactalg._mono_text(m) for m in packed] == want
+        # a cold monomial memo over warm parts
+        schurq.exactalg._mono_text.cache_clear()
+        assert [schurq.exactalg._mono_text(m) for m in packed] == want
 
     def test_rendering_ignores_slot_order(self):
         # a t-variable slotted after s1 and z1 must still sort before them:

@@ -7,8 +7,9 @@ recurrences.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 from schurq.exactalg import (SQRT2, S, T, Z, SparsePoly, Sqrt2Rational,
                              _linear_sum, _unpack, svar, tvar, zvar)
 from schurq.partitions import bar_core, bar_quotient, delta0, enumerate_added
-from schurq.symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
-                            power_sum_specialize, q_poly, qq_pair, schur,
-                            schur_q, schur_sum, subst_2t2, subst_odd,
-                            subst_q_u, subst_u)
+from schurq.symfunc import (_vertical_strips, bialternant_eval, h_poly,
+                            pfaffian, poly_det, power_sum_specialize, q_poly,
+                            qq_pair, schur, schur_q, schur_sum, subst_2t2,
+                            subst_odd, subst_q_u, subst_u)
 from schurq.verify import (_partitions_of, _strict_partitions_of, check_main1,
                            check_main2, check_trapezoid)
 
@@ -232,6 +233,30 @@ class TestSchur:
             p = schur(lam)
             assert p.is_homogeneous()
             assert p.weighted_degree() == sum(lam)
+
+
+def _strips_by_definition(lam, k):
+    """Every rho with rho_i in {lam_i - 1, lam_i}, rho a partition and
+    |lam/rho| = k, zero-stripped: the vertical k-strips from the definition."""
+    out = []
+    for drops in product((0, 1), repeat=len(lam)):
+        rho = [p - d for p, d in zip(lam, drops)]
+        if sum(drops) == k and all(a >= b for a, b in zip(rho, rho[1:])):
+            out.append(tuple(p for p in rho if p))
+    return out
+
+
+class TestVerticalStrips:
+    def test_table_against_the_definition(self):
+        # every partition of weight <= 12, every k from 0 to len + 1; the
+        # entries are tuples, because the table is shared
+        for w in range(13):
+            for lam in _partitions_of(w):
+                for k in range(len(lam) + 2):
+                    got = _vertical_strips(lam, k)
+                    assert isinstance(got, tuple)
+                    assert Counter(got) == Counter(_strips_by_definition(lam, k)), \
+                        (lam, k)
 
 
 class TestSchurQ:

@@ -244,6 +244,14 @@ class TestSuite:
         assert set(payload) == {"name", "params", "passed", "lhs_rendering",
                                 "rhs_rendering", "elapsed_ms"}
 
+    def test_result_dict_is_the_dataclass_dict(self):
+        # the same keys in the same order as dataclasses.asdict, so the JSON
+        # report is unchanged, and params is a copy
+        for res in run_suite(SuiteConfig(max_m=2, max_n=2)):
+            payload = res.as_dict()
+            assert list(payload.items()) == list(dataclasses.asdict(res).items())
+            assert payload["params"] is not res.params
+
 
 def _nested_loop_suite(cfg):
     """The suite as per-family nested loops, the form run_suite had before
