@@ -15,7 +15,7 @@ import sys
 from .partitions import StrictPartition, bar_core, bar_quotient, enumerate_added
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
                       subst_odd, subst_q_u, subst_u)
-from .fock import FockVector, f_power_normalized, phi_labels
+from .fock import FockVector, f_power_normalized, phi
 from .verify import FAMILIES, FAMILY_TABLE, SuiteConfig, run_suite
 
 _SUBST = {"2t2": subst_2t2, "u": subst_u, "odd": subst_odd}
@@ -50,9 +50,9 @@ def _fock_json(vec):
             for w in sorted(terms, reverse=True)]
 
 
-def _boson_json(labels):
+def _boson_json(image):
     return [{"sigma": sigma, "charge": charge, "poly": text}
-            for (sigma, charge), text in labels.sector_texts()]
+            for (sigma, charge), text in image.sector_texts()]
 
 
 def _report_error(path, exc):
@@ -179,11 +179,11 @@ def _cmd_fock_apply_f(args):
 
 
 def _cmd_fock_phi(args):
-    labels = phi_labels(_parse_state(args.state))
+    image = phi(_parse_state(args.state))
     if args.json:
-        print(json.dumps(_boson_json(labels)))
+        print(json.dumps(_boson_json(image)))
     else:
-        print(labels)
+        print(image)
     return 0
 
 

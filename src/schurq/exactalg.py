@@ -181,8 +181,9 @@ class _IntCombination:
     """A finite combination (_num + sqrt2*_root)/_den of int keys over
     Q(sqrt2), in canonical form: _num and _root map keys to nonzero ints,
     and the positive int _den is coprime to them all, so equal combinations
-    have equal parts.  SparsePoly (keys: packed monomials) and
-    fock.FockVector (keys: words as bitsets) store their values this way.
+    have equal parts.  SparsePoly (keys: packed monomials),
+    fock.FockVector (keys: words as bitsets) and fock.BosonElement (keys:
+    labels) store their values this way.
     Immutable: operations build new values through _make."""
 
     __slots__ = ("_den", "_num", "_root")
@@ -275,22 +276,34 @@ _FAMILY_MASKS = [0, 0, 0]  # by family tag: the bits of its assigned slots
 _GUARD = 0     # the guard bits of every assigned slot
 
 
+# the index each family takes, as tvar, svar and zvar state it
+_INDEX_RULES = {T: "a positive int", S: "an odd positive int", Z: "a positive int"}
+
+
+def _checked_var(v):
+    """v itself when it is a variable: a pair (family, j) of a family tag
+    and an int j >= 1, odd for S.  Anything else is a ValueError that names
+    it."""
+    family, j = v if type(v) is tuple and len(v) == 2 else (None, None)
+    if type(family) is not int or family not in _INDEX_RULES:
+        raise ValueError("%r is not a variable of the t, s or z family" % (v,))
+    if type(j) is not int or j < 1 or (family == S and j % 2 == 0):
+        name = _FAMILY_NAMES[family]
+        raise ValueError("%s%r is not a variable: the %s-index must be %s"
+                         % (name, j, name, _INDEX_RULES[family]))
+    return v
+
+
 def tvar(j):
-    if j < 1:
-        raise ValueError("t-index must be positive")
-    return (T, j)
+    return _checked_var((T, j))
 
 
 def svar(j):
-    if j < 1 or j % 2 == 0:
-        raise ValueError("s-index must be odd and positive")
-    return (S, j)
+    return _checked_var((S, j))
 
 
 def zvar(j):
-    if j < 1:
-        raise ValueError("z-index must be positive")
-    return (Z, j)
+    return _checked_var((Z, j))
 
 
 def var_name(v):
@@ -298,21 +311,23 @@ def var_name(v):
 
 
 def _pack(mono):
-    """The packed int of a tuple monomial."""
+    """The packed int of a tuple monomial.  Every variable is checked, so a
+    malformed one fails the same way whether or not an equal key already has
+    a slot, and no table grows for it."""
     global _GUARD
     packed = 0
     for v, e in mono:
+        _checked_var(v)
         if e < 0:
             raise ValueError("negative exponent of %s" % var_name(v))
         if e >= _LIMIT:
             raise OverflowError("exponent of %s exceeds %d" % (var_name(v), _LIMIT - 1))
         offset = _SLOTS.get(v)
         if offset is None:
-            name = var_name(v)  # an unknown family fails before any table grows
             offset = _SLOTS[v] = len(_VARS) * _WIDTH
             _VARS.append(v)
             _WEIGHTS.append(1 if v[0] == Z else v[1])
-            _NAMES.append(name)
+            _NAMES.append(var_name(v))
             _FAMILY_MASKS[v[0]] |= _MASK << offset
             _GUARD |= _LIMIT << offset
         packed += e << offset

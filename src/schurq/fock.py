@@ -47,11 +47,12 @@ off as one label ((a mod 2, q + r), nu, kappa) with scalar c * sqrt(2)^(-a),
 standing for Q_nu(s) * S_kappa(t): nu is the phi indices and kappa the psi
 indices re-based at the charge, zeros stripped.  The closed form on added-
 node families gives one label per state.  The products Q_nu * S_kappa (nu
-strict, kappa a partition) are linearly independent, so boson images compare
-as label combinations (BosonLabels, stored as a FockVector is), and every
-polynomial image is built from labels by one expansion (BosonLabels.expand).
-Labels also render with no expansion: a sector of one label is printed from
-the sorted terms of its two factors (BosonLabels.sector_texts).
+strict, kappa a partition) are linearly independent, so the label
+combination is the boson image (BosonElement, stored as a FockVector is):
+images add, scale and compare as labels, and the polynomial of each sector
+is built only on request, by one expansion (BosonElement.expand).  Images
+also render with no expansion: a sector of one label is printed from the
+sorted terms of its two factors (BosonElement.sector_texts).
 """
 
 import operator
@@ -60,9 +61,9 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import (ONE, SQRT2, ZERO, SparsePoly, _IntCombination,
-                       _linear_sum, _promote_scalar, _render_product,
-                       _sqrt2_pow_parts, _sum_of_products)
+from .exactalg import (ONE, SQRT2, ZERO, _IntCombination, _linear_sum,
+                       _promote_scalar, _render_product, _sqrt2_pow_parts,
+                       _sum_of_products)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
                          as_int_parts, is_added_member, stats)
 from .symfunc import schur, schur_q
@@ -291,99 +292,41 @@ def to_normal_words(word):
 # boson image
 # ---------------------------------------------------------------------------
 
-class BosonElement:
-    """Immutable element of the charged-boson space: `components` is a
-    read-only view (sigma in {0,1}, charge) -> nonzero polynomial."""
-
-    __slots__ = ("_components",)
-
-    def __init__(self, components=None):
-        clean = {}
-        for key, poly in (components or {}).items():
-            if not poly.is_zero():
-                sigma, charge = key
-                if sigma not in (0, 1):
-                    raise ValueError("sector parity must be 0 or 1")
-                clean[(sigma, int(charge))] = poly
-        object.__setattr__(self, "_components", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BosonElement is immutable")
-
-    @property
-    def components(self):
-        return MappingProxyType(self._components)
-
-    @staticmethod
-    def zero():
-        return BosonElement()
-
-    def is_zero(self):
-        return not self._components
-
-    def __eq__(self, other):
-        if not isinstance(other, BosonElement):
-            return NotImplemented
-        return self._components == other._components
-
-    def __add__(self, other):
-        if not isinstance(other, BosonElement):
-            return NotImplemented
-        # cancelled sectors stay as zeros for the constructor to drop
-        components = dict(self._components)
-        for key, poly in other._components.items():
-            components[key] = components[key] + poly if key in components else poly
-        return BosonElement(components)
-
-    def __sub__(self, other):
-        if not isinstance(other, BosonElement):
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, scalar):
-        return BosonElement({key: poly._scaled(scalar)
-                             for key, poly in self._components.items()})
-
-    def component(self, sigma, charge):
-        return self._components.get((sigma, charge), SparsePoly.zero())
-
-    def __str__(self):
-        if not self._components:
-            return "0"
-        return "\n".join("(%d, %d): %s" % (sigma, charge, poly)
-                         for (sigma, charge), poly in sorted(self._components.items()))
-
-    def __repr__(self):
-        return "BosonElement(%r)" % (self._components,)
-
-
-class BosonLabels(_IntCombination):
-    """A boson image as labels: an _IntCombination of keys (sector, nu,
+class BosonElement(_IntCombination):
+    """Immutable boson image: an _IntCombination of labels (sector, nu,
     kappa), each standing for Q_nu(s) * S_kappa(t) in the sector (sigma,
     charge), with nu strict and kappa a partition, zeros stripped.  These
     products are linearly independent, so two images are equal exactly when
-    their labels are, and a verdict needs no polynomial; `expand` builds
-    the BosonElement, and str gives its text."""
+    their labels are, and no comparison builds a polynomial.  `expand` gives
+    the polynomial of each sector; str renders the sectors (sector_texts)."""
 
     __slots__ = ()
 
     def __eq__(self, other):
-        if not isinstance(other, BosonLabels):
+        if not isinstance(other, BosonElement):
             return NotImplemented
         return self._same(other)
 
+    def __add__(self, other):
+        if not isinstance(other, BosonElement):
+            return NotImplemented
+        return _linear_sum(((1, self), (1, other)))
+
+    def scale(self, scalar):
+        return self._scaled(scalar)
+
     def expand(self):
-        """The polynomials of the labels: per sector, one sum of products
-        over the int numerators of Q_nu * S_kappa (Q_nu times sqrt(2) for
-        the root part)."""
+        """A read-only mapping (sigma, charge) -> polynomial of each sector:
+        one sum of products over the int numerators of Q_nu * S_kappa
+        (Q_nu times sqrt(2) for the root part)."""
         sectors = {}
         for part, root in ((self._num, False), (self._root, True)):
             for (sector, nu, kappa), c in part.items():
                 q = schur_q(nu)
                 sectors.setdefault(sector, []).append(
                     (c, q._scaled(SQRT2) if root else q, schur(kappa)))
-        return BosonElement({key: _sum_of_products(triples, self._den)
-                             for key, triples in sectors.items()})
+        return MappingProxyType({key: _sum_of_products(triples, self._den)
+                                 for key, triples in sectors.items()})
 
     def sector_texts(self):
         """(sector, rendering) of each sector, in sector order: the text of
@@ -405,60 +348,50 @@ class BosonLabels(_IntCombination):
             else:
                 if image is None:
                     image = self.expand()
-                text = str(image.component(*sector))
+                text = str(image[sector])
             out.append((sector, text))
         return out
 
     def __str__(self):
-        """str(self.expand()), rendered sector by sector (sector_texts)."""
+        """One line "(sigma, charge): polynomial" per sector (sector_texts),
+        or "0"."""
         return "\n".join("(%d, %d): %s" % (sigma, charge, text)
                          for (sigma, charge), text in self.sector_texts()) or "0"
 
 
 def _label(sector, nu, kappa, c, k):
     """The label of c * sqrt(2)^k * Q_nu * S_kappa in a sector, as a
-    BosonLabels._of_parts pair."""
+    BosonElement._of_parts pair."""
     key = (sector, tuple(p for p in nu if p), tuple(p for p in kappa if p))
     return key, _sqrt2_pow_parts(k, c)
 
 
-def _normal_word_label(nw):
-    """A normal word reads off as sqrt(2)^(-a) times its coefficient times
-    the Q-function of the phi indices and the S-function of the psi indices
-    re-based at the charge, in the sector (a mod 2, q+r)."""
+def normal_word_image(nw):
+    """The image of a normal word as a (label, (p, q, d)) pair: sqrt(2)^(-a)
+    times its coefficient times the Q-function of the phi indices and the
+    S-function of the psi indices re-based at the charge, in the sector
+    (a mod 2, q+r)."""
     a, r, q = len(nw.phis), len(nw.psis), nw.charge
     kappa = tuple(nw.psis[j] - q - (r - 1 - j) for j in range(r))
     return _label((a % 2, q + r), nw.phis, kappa, nw.coeff, -a)
 
 
-def normal_word_image(nw):
-    """The sector and the polynomial image of a normal word."""
-    key, parts = _normal_word_label(nw)
-    sector = key[0]
-    return sector, BosonLabels._of_parts([(key, parts)]).expand().component(*sector)
-
-
-def phi_labels(vec):
-    """The boson image of a Fock vector as labels: the labels of the normal
-    words of each word, times its coefficient (p + q sqrt2)/d."""
+def phi(vec):
+    """The boson image of a Fock vector: the labels of the normal words of
+    each word, times its coefficient (p + q sqrt2)/d."""
     parts = []
     for bits in vec._keys():
         p, q = vec._num.get(bits, 0), vec._root.get(bits, 0)
         for nw in to_normal_words(_bits_word(bits)):
-            key, (a, b, d) = _normal_word_label(nw)
+            key, (a, b, d) = normal_word_image(nw)
             parts.append((key, (p * a + 2 * q * b, p * b + q * a, vec._den * d)))
-    return BosonLabels._of_parts(parts)
+    return BosonElement._of_parts(parts)
 
 
-def phi(vec):
-    """The boson image of a Fock vector."""
-    return phi_labels(vec).expand()
-
-
-def closed_form_labels(lam, i, m, n):
-    """The boson image of the basis state of lam as labels, by the closed
-    formula for members of the n-fold color-i addition family over the
-    staircase core (c_m for i = 1, c_{-m} for i = 0)."""
+def phi_closed_form(lam, i, m, n):
+    """The boson image of the basis state of lam by the closed formula for
+    members of the n-fold color-i addition family over the staircase core
+    (c_m for i = 1, c_{-m} for i = 0): one label."""
     if i not in (0, 1):
         raise ValueError("color must be 0 or 1")
     if m < 0 or n < 0:
@@ -476,13 +409,7 @@ def closed_form_labels(lam, i, m, n):
     else:
         sign = -1 if (st.f + st.g + (st.h if eps else 0)) % 2 else 1
         label = _label(((n + m) % 2, n - m), quot.q0, quot.q1, sign, -st.a)
-    return BosonLabels._of_parts([label])
-
-
-def phi_closed_form(lam, i, m, n):
-    """The closed-form boson image of the basis state of lam (see
-    closed_form_labels)."""
-    return closed_form_labels(lam, i, m, n).expand()
+    return BosonElement._of_parts([label])
 
 
 def core_state_image(m):
@@ -492,4 +419,4 @@ def core_state_image(m):
     eps = k % 2
     exponent = k if m >= 0 else k * (k - 1) // 2 + k
     sign = -1 if exponent % 2 else 1
-    return BosonLabels._of_parts([_label((eps, m), (), (), sign, -eps)]).expand()
+    return BosonElement._of_parts([_label((eps, m), (), (), sign, -eps)])

@@ -24,8 +24,8 @@ from .partitions import (bar_core, bar_quotient, delta0, delta1,
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
                       schur_sum, subst_2t2, subst_q_u, subst_u)
-from .fock import (FockVector, closed_form_labels,
-                   core_state_image, f_power_normalized, phi, phi_labels)
+from .fock import (FockVector, core_state_image, f_power_normalized, phi,
+                   phi_closed_form)
 
 @dataclass
 class CheckResult:
@@ -144,7 +144,7 @@ def check_f_power(i, m, n):
 
 def check_core_states(m):
     """Boson image of the two core states indexed by +-m against the stated
-    sign and sqrt(2)-power."""
+    sign and sqrt(2)-power, compared and rendered as labels."""
     if m < 1:
         raise ValueError("needs m >= 1")
     t0 = time.perf_counter()
@@ -170,8 +170,8 @@ def check_phi_consistency(i, m, n):
     for lam in _sorted_added(core, i, n):
         # the verdict compares labels, which render with no polynomial
         # built; only a failing state renders its right side on its own
-        left = phi_labels(FockVector.basis(lam))
-        right = closed_form_labels(lam, i, m, n)
+        left = phi(FockVector.basis(lam))
+        right = phi_closed_form(lam, i, m, n)
         line = "%s -> %s" % (lam, left)
         lhs_lines.append(line)
         if left != right:

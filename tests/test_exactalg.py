@@ -1,5 +1,8 @@
 """Tests for the exact scalar ring Q(sqrt2) and the sparse polynomial ring."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,6 +156,47 @@ class TestVariables:
             svar(2)  # s-variables carry odd indices only
         with pytest.raises(ValueError):
             zvar(-1)
+
+    # variables of no family, or with an index that tvar, svar or zvar
+    # rejects: packing one is a ValueError that names it, whether or not
+    # any slot exists, and no slot table grows
+    MALFORMED = [(3, 1), ("t", 1), (0, 0), (0, -1), (1, 2), (2, 0), (0, 2.0),
+                 (True, 1), 5]
+    NAMES = ["(3, 1)", "('t', 1)", "t0", "t-1", "s2", "z0", "t2.0", "(True, 1)", "5"]
+    REJECT = ("from schurq.exactalg import SparsePoly, _NAMES, _SLOTS, _VARS, _WEIGHTS\n"
+              "sizes = [len(table) for table in (_SLOTS, _VARS, _WEIGHTS, _NAMES)]\n"
+              "errors = []\n"
+              "for v in MALFORMED:\n"
+              "    try:\n"
+              "        SparsePoly.variable(v)\n"
+              "    except ValueError as exc:\n"
+              "        errors.append(str(exc))\n"
+              "assert sizes == [len(table) for table in (_SLOTS, _VARS, _WEIGHTS, _NAMES)]\n")
+
+    def _errors(self):
+        scope = {"MALFORMED": self.MALFORMED}
+        exec(self.REJECT, scope)
+        return scope["sizes"], scope["errors"]
+
+    def test_malformed_variables_rejected_warm(self):
+        SparsePoly.variable(tvar(2))  # (0, 2.0) is an equal key with a slot
+        sizes, errors = self._errors()
+        assert sizes[0] > 0
+        assert len(errors) == len(self.NAMES)
+        for error, name in zip(errors, self.NAMES):
+            assert error.startswith(name + " is not a variable")
+
+    def test_malformed_variables_rejected_cold(self):
+        # a fresh process, before any slot exists: the same errors
+        script = "MALFORMED = %r\n%sassert sizes == [0] * 4\nprint(repr(errors))\n" % (
+            self.MALFORMED, self.REJECT)
+        src = os.path.dirname(os.path.dirname(schurq.exactalg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(self._errors()[1])
 
     def test_svar_odd_only(self):
         assert var_name(svar(1)) == "s1"
@@ -670,7 +714,7 @@ class TestRenderingAtRealSizes:
         from schurq.fock import phi_closed_form
         from schurq.partitions import bar_core, enumerate_added
         polys = [poly for m in (4, 3) for lam in enumerate_added(bar_core(-m), 0, 4)
-                 for poly in phi_closed_form(lam, 0, m, 4).components.values()]
+                 for poly in phi_closed_form(lam, 0, m, 4).expand().values()]
         assert any(poly._root for poly in polys)
         self._assert_renders(polys)
 

@@ -12,11 +12,10 @@ from schurq.exactalg import ONE, SQRT2, SparsePoly, Sqrt2Rational
 from schurq.partitions import (StrictPartition, bar_core, bar_quotient, color,
                                enumerate_added, stats)
 from schurq.symfunc import schur, schur_q
-from schurq.fock import (BosonElement, BosonLabels, FockVector, NormalWord,
-                         beta_apply, closed_form_labels, core_state_image,
-                         f_apply, f_power_normalized, normal_word_image, phi,
-                         phi_closed_form, phi_labels, single_node_action,
-                         to_normal_words)
+from schurq.fock import (BosonElement, FockVector, NormalWord, _label,
+                         beta_apply, core_state_image, f_apply,
+                         f_power_normalized, normal_word_image, phi,
+                         phi_closed_form, single_node_action, to_normal_words)
 
 P = StrictPartition.from_string
 
@@ -542,65 +541,69 @@ class TestOnePassAgainstStraightener:
             assert type(nw.coeff) is int and nw.coeff in (1, -1)
 
 
+def _image(sector, nu, kappa, c, k):
+    """The boson image of one label: c * sqrt(2)^k * Q_nu * S_kappa."""
+    return BosonElement._of_parts([_label(sector, nu, kappa, c, k)])
+
+
+def _render_sectors(sectors):
+    """Reference: the text of a {sector: polynomial} mapping, one line
+    "(sigma, charge): polynomial" per sector in sector order, or "0"."""
+    return "\n".join("(%d, %d): %s" % (sigma, charge, poly)
+                     for (sigma, charge), poly in sorted(sectors.items())) or "0"
+
+
 class TestBosonElement:
     def test_component_access(self):
-        elt = BosonElement({(0, 1): SparsePoly.constant(2)})
-        assert elt.component(0, 1) == SparsePoly.constant(2)
-        assert elt.component(1, 1).is_zero()
-
-    def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            BosonElement({(2, 0): SparsePoly.constant(1)})
-
-    def test_zero_polys_dropped(self):
-        assert BosonElement({(0, 0): SparsePoly.zero()}).is_zero()
+        elt = _image((0, 1), (), (), 2, 0)
+        assert elt.expand()[(0, 1)] == SparsePoly.constant(2)
+        assert (1, 1) not in elt.expand()
 
     def test_arithmetic(self):
-        a = BosonElement({(0, 1): SparsePoly.constant(1)})
-        b = BosonElement({(0, 1): SparsePoly.constant(-1)})
+        a = _image((0, 1), (), (), 1, 0)
+        b = _image((0, 1), (), (), -1, 0)
         assert (a + b).is_zero()
-        assert (a - a).is_zero()
-        assert a.scale(3).component(0, 1) == SparsePoly.constant(3)
+        assert (a + a.scale(-1)).is_zero()
+        assert a.scale(3).expand()[(0, 1)] == SparsePoly.constant(3)
 
     def test_unsupported_operand_raises_type_error(self):
         with pytest.raises(TypeError):
-            BosonElement.zero() - 1
+            BosonElement._of([]) - 1
         with pytest.raises(TypeError):
-            BosonElement.zero() + FockVector.zero()
+            BosonElement._of([]) + FockVector.zero()
 
     def test_immutable(self):
-        elt = BosonElement({(0, 1): SparsePoly.constant(2)})
+        elt = _image((0, 1), (), (), 2, 0)
         with pytest.raises(AttributeError):
-            elt.components = {}
+            elt._num = {}
         with pytest.raises(TypeError):
-            elt.components[(0, 1)] = SparsePoly.constant(3)
-        assert elt.component(0, 1) == SparsePoly.constant(2)
+            elt.expand()[(0, 1)] = SparsePoly.constant(3)
+        assert elt.expand()[(0, 1)] == SparsePoly.constant(2)
 
     def test_rendering(self):
-        elt = BosonElement({(1, -7): SparsePoly.constant(SQRT2 * Fraction(1, 2))})
+        elt = _image((1, -7), (), (), 1, -1)
         assert str(elt) == "(1, -7): (0+1/2*r2)"
-        assert str(BosonElement.zero()) == "0"
+        assert str(BosonElement._of([])) == "0"
 
 
 class TestBosonImage:
     def test_image_of_vacuum(self):
-        assert phi(FockVector.from_word(())) == BosonElement(
-            {(0, 0): SparsePoly.constant(1)})
+        assert phi(FockVector.from_word(())).expand() == {
+            (0, 0): SparsePoly.constant(1)}
 
     def test_image_of_single_box(self):
-        got = phi(FockVector.basis(P("1")))
-        want = BosonElement({(1, 1): SparsePoly.constant(
-            Sqrt2Rational(0, Fraction(-1, 2)))})
+        got = phi(FockVector.basis(P("1"))).expand()
+        want = {(1, 1): SparsePoly.constant(Sqrt2Rational(0, Fraction(-1, 2)))}
         assert got == want
 
     def test_image_matches_pair_product(self):
         # |7,2> carries the empty Q part and the single-row S part of weight 3
-        got = phi(FockVector.basis(P("7,2")))
-        assert got == BosonElement({(0, 0): schur((3,))})
+        got = phi(FockVector.basis(P("7,2"))).expand()
+        assert got == {(0, 0): schur((3,))}
 
     def test_normal_word_image_factors(self):
         (nw,) = to_normal_words(P("20,18,16,12,8,7,2"))
-        key, poly = normal_word_image(nw)
+        ((key, poly),) = BosonElement._of_parts([normal_word_image(nw)]).expand().items()
         assert key == (1, -1)
         scalar = SparsePoly.constant(Sqrt2Rational.sqrt2_pow(-3))
         assert poly == scalar * schur_q((6, 4)) * schur((7, 5, 2, 1, 1, 1))
@@ -615,13 +618,13 @@ class TestBosonImage:
     @given(strict_parts)
     def test_basis_image_is_single_sector(self, lam):
         got = phi(FockVector.basis(lam))
-        assert len(got.components) == 1
+        assert len(got.expand()) == 1
 
     def test_core_state_images(self):
-        assert core_state_image(0) == BosonElement({(0, 0): SparsePoly.constant(1)})
-        assert core_state_image(2).component(0, 2) == SparsePoly.constant(1)
-        assert core_state_image(-2).component(0, -2) == SparsePoly.constant(-1)
-        odd = core_state_image(3).component(1, 3)
+        assert core_state_image(0).expand() == {(0, 0): SparsePoly.constant(1)}
+        assert core_state_image(2).expand()[(0, 2)] == SparsePoly.constant(1)
+        assert core_state_image(-2).expand()[(0, -2)] == SparsePoly.constant(-1)
+        odd = core_state_image(3).expand()[(1, 3)]
         assert odd == SparsePoly.constant(Sqrt2Rational(0, Fraction(-1, 2)))
 
     def test_phi_matches_core_state_formula(self):
@@ -670,9 +673,9 @@ class TestClosedForm:
     def test_sector_keys(self):
         # color-1 additions land at charge m - 2n, color-0 at n - m
         lam = P("8,4,2")
-        assert set(phi_closed_form(lam, 1, 3, 2).components) == {(1, -1)}
+        assert set(phi_closed_form(lam, 1, 3, 2).expand()) == {(1, -1)}
         mu = P("6,2,1")
-        assert set(phi_closed_form(mu, 0, 2, 2).components) == {(0, 0)}
+        assert set(phi_closed_form(mu, 0, 2, 2).expand()) == {(0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -689,13 +692,14 @@ def _ref_normal_word_image(nw):
 
 
 def _ref_phi(vec):
-    """Reference: phi as a sum of scaled normal-word polynomials."""
-    out = BosonElement.zero()
+    """Reference: phi as a sum of scaled normal-word polynomials, per
+    sector, with the sectors that cancel dropped."""
+    out = {}
     for word, coeff in vec.terms.items():
         for nw in to_normal_words(word):
             key, poly = _ref_normal_word_image(nw)
-            out = out + BosonElement({key: SparsePoly.constant(coeff) * poly})
-    return out
+            out[key] = out.get(key, SparsePoly.zero()) + SparsePoly.constant(coeff) * poly
+    return {key: poly for key, poly in out.items() if not poly.is_zero()}
 
 
 def _ref_phi_closed_form(lam, i, m, n):
@@ -705,11 +709,11 @@ def _ref_phi_closed_form(lam, i, m, n):
     if i == 1:
         sign = -1 if (st_.f + m) % 2 else 1
         scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-eps)
-        return BosonElement({(eps, m - 2 * n): SparsePoly.constant(scalar) * schur(quot.q1)})
+        return {(eps, m - 2 * n): SparsePoly.constant(scalar) * schur(quot.q1)}
     sign = -1 if (st_.f + st_.g + (st_.h if eps else 0)) % 2 else 1
     scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-st_.a)
     poly = SparsePoly.constant(scalar) * schur_q(quot.q0) * schur(quot.q1)
-    return BosonElement({((n + m) % 2, n - m): poly})
+    return {((n + m) % 2, n - m): poly}
 
 
 class TestLabelsAgainstPolynomials:
@@ -720,36 +724,36 @@ class TestLabelsAgainstPolynomials:
             vec = FockVector.basis(lam)
             want_left = _ref_phi(vec)
             want_right = _ref_phi_closed_form(lam, i, m, n)
-            assert phi(vec) == phi_labels(vec).expand() == want_left
-            assert phi_closed_form(lam, i, m, n) == \
-                closed_form_labels(lam, i, m, n).expand() == want_right
-            assert (phi_labels(vec) == closed_form_labels(lam, i, m, n)) == \
+            assert phi(vec).expand() == want_left
+            assert phi_closed_form(lam, i, m, n).expand() == want_right
+            assert (phi(vec) == phi_closed_form(lam, i, m, n)) == \
                 (want_left == want_right)
             for nw in to_normal_words(lam):
-                assert normal_word_image(nw) == _ref_normal_word_image(nw)
+                image = BosonElement._of_parts([normal_word_image(nw)]).expand()
+                assert image == dict([_ref_normal_word_image(nw)])
 
     @settings(max_examples=60, deadline=None)
     @given(padded_vectors)
     def test_vectors_with_sqrt2_coefficients(self, vec):
-        assert phi(vec) == _ref_phi(vec)
+        assert phi(vec).expand() == _ref_phi(vec)
 
     def test_core_states(self):
         for m in range(-6, 7):
             k, eps = abs(m), abs(m) % 2
             exponent = k if m >= 0 else k * (k - 1) // 2 + k
             scalar = Sqrt2Rational((-1) ** exponent) * Sqrt2Rational.sqrt2_pow(-eps)
-            assert core_state_image(m) == BosonElement({(eps, m): SparsePoly.constant(scalar)})
+            assert core_state_image(m).expand() == {(eps, m): SparsePoly.constant(scalar)}
 
     def test_labels_are_canonical(self):
         # zeros are stripped, so a phi_0 moves the sector and the sqrt(2)
         # power but not the Q index; cancelling words leave no label
         (nw,) = to_normal_words(bar_core(3))
         assert nw.phis == (0,)
-        labels = phi_labels(FockVector.basis(bar_core(3)))
+        labels = phi(FockVector.basis(bar_core(3)))
         assert set(labels._keys()) == {((1, 3), (), ())}
         vec = FockVector.basis(P("5,2"))
-        assert phi_labels(vec - vec) == BosonLabels._of([])
-        assert phi(vec - vec).is_zero()
+        assert phi(vec - vec) == BosonElement._of([])
+        assert not phi(vec - vec).expand()
 
 
 def _phi_families():
@@ -760,29 +764,29 @@ def _phi_families():
 
 
 class TestLabelRendering:
-    """BosonLabels render sector by sector from the factors S_kappa(t) and
+    """Boson images render sector by sector from the factors S_kappa(t) and
     Q_nu(s), with no product polynomial built; the reference is the
-    rendering of the expanded image."""
+    rendering of the expanded sector polynomials."""
 
     @staticmethod
     def _assert_renders(labels):
         for lab in labels:
-            image = lab.expand()
-            assert str(lab) == str(image)
+            sectors = lab.expand()
+            assert str(lab) == _render_sectors(sectors)
             assert lab.sector_texts() == [(key, str(poly)) for key, poly
-                                          in sorted(image.components.items())]
+                                          in sorted(sectors.items())]
 
     def test_phi_consistency_families(self):
         labels = [lab for i, m, n, core in _phi_families()
                   for lam in enumerate_added(core, i, n)
-                  for lab in (phi_labels(FockVector.basis(lam)),
-                              closed_form_labels(lam, i, m, n))]
+                  for lab in (phi(FockVector.basis(lam)),
+                              phi_closed_form(lam, i, m, n))]
         assert len(labels) == 994
         assert sum(1 for lab in labels if lab._root) == 480
         self._assert_renders(labels)
 
     def test_multi_label_sectors_expand(self):
-        labels = [phi_labels(f_power_normalized(i, n, FockVector.basis(core)))
+        labels = [phi(f_power_normalized(i, n, FockVector.basis(core)))
                   for i, m, n, core in _phi_families()]
         # more labels than sectors: some sector has several
         assert any(len(lab._keys()) > len({key[0] for key in lab._keys()}) for lab in labels)
@@ -790,22 +794,18 @@ class TestLabelRendering:
 
     def test_zero_image(self):
         vec = FockVector.basis(P("5,2"))
-        for zero in (phi_labels(FockVector.zero()), phi_labels(vec - vec)):
-            assert str(zero) == str(zero.expand()) == "0"
+        for zero in (phi(FockVector.zero()), phi(vec - vec)):
+            assert str(zero) == _render_sectors(zero.expand()) == "0"
             assert zero.sector_texts() == []
 
     def test_empty_factors(self):
         # kappa = () or nu = () is the constant factor 1, joined with no "*"
-        def labels(nu, kappa, c, k, sector=(1, 1)):
-            from schurq.fock import _label
-            return BosonLabels._of_parts([_label(sector, nu, kappa, c, k)])
-
-        cases = [(labels((), (2, 1), 1, 0, (0, 0)), "(0, 0): 1/3*t1^3 - t3"),
-                 (labels((1,), (), -1, -1), "(1, 1): (0-1/2*r2)*s1"),
-                 (labels((0,), (0,), 1, -1, (1, -7)), "(1, -7): (0+1/2*r2)"),
-                 (labels((), (), -3, 2, (0, 2)), "(0, 2): -6")]
+        cases = [(_image((0, 0), (), (2, 1), 1, 0), "(0, 0): 1/3*t1^3 - t3"),
+                 (_image((1, 1), (1,), (), -1, -1), "(1, 1): (0-1/2*r2)*s1"),
+                 (_image((1, -7), (0,), (0,), 1, -1), "(1, -7): (0+1/2*r2)"),
+                 (_image((0, 2), (), (), -3, 2), "(0, 2): -6")]
         for lab, text in cases:
-            assert str(lab) == str(lab.expand()) == text
+            assert str(lab) == _render_sectors(lab.expand()) == text
         self._assert_renders([lab for lab, _ in cases])
 
     def test_rendering_builds_no_polynomial(self, monkeypatch):
@@ -814,8 +814,8 @@ class TestLabelRendering:
         def refuse(*args, **kwargs):
             raise AssertionError("a product polynomial was built")
 
-        want = [str(phi_labels(FockVector.basis(lam)).expand())
+        want = [_render_sectors(phi(FockVector.basis(lam)).expand())
                 for lam in enumerate_added(bar_core(-3), 0, 3)]
         monkeypatch.setattr(schurq.fock, "_sum_of_products", refuse)
-        assert [str(phi_labels(FockVector.basis(lam)))
+        assert [str(phi(FockVector.basis(lam)))
                 for lam in enumerate_added(bar_core(-3), 0, 3)] == want

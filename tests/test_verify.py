@@ -23,6 +23,13 @@ from schurq.verify import (CheckResult, SuiteConfig,
 P = StrictPartition.from_string
 
 
+def _render_sectors(sectors):
+    """Reference: the text of a {sector: polynomial} mapping, one line
+    "(sigma, charge): polynomial" per sector in sector order, or "0"."""
+    return "\n".join("(%d, %d): %s" % (sigma, charge, poly)
+                     for (sigma, charge), poly in sorted(sectors.items())) or "0"
+
+
 def _trapezoid_ts(m, n):
     """The trapezoid check read in (t, s): the Schur sum over h(t) through
     subst_odd, Q_trap through subst_q_u, compared in u.  The reference for
@@ -167,6 +174,17 @@ class TestCoreStates:
     def test_validation(self):
         with pytest.raises(ValueError):
             check_core_states(0)
+
+    def test_builds_no_product_polynomial(self, monkeypatch):
+        # core-state images compare and render as labels
+        import schurq.fock
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a product polynomial was built")
+
+        monkeypatch.setattr(schurq.fock, "_sum_of_products", refuse)
+        for m in range(1, 5):
+            assert check_core_states(m).passed
 
 
 class TestPhiConsistency:
@@ -328,12 +346,14 @@ class TestFastPathsAgainstSlowPaths:
         def phi_both(i, m, n):
             members = sorted(enumerate_added(bar_core(m if i == 1 else -m), i, n),
                              key=lambda p: p.parts, reverse=True)
-            pairs = [(lam, phi(FockVector.basis(lam)), phi_closed_form(lam, i, m, n))
-                     for lam in members]
+            pairs = [(lam, phi(FockVector.basis(lam)).expand(),
+                      phi_closed_form(lam, i, m, n).expand()) for lam in members]
             return Result("phi-consistency", {"i": i, "m": m, "n": n},
                           all(left == right for _, left, right in pairs),
-                          "\n".join("%s -> %s" % (lam, left) for lam, left, _ in pairs),
-                          "\n".join("%s -> %s" % (lam, right) for lam, _, right in pairs),
+                          "\n".join("%s -> %s" % (lam, _render_sectors(left))
+                                    for lam, left, _ in pairs),
+                          "\n".join("%s -> %s" % (lam, _render_sectors(right))
+                                    for lam, _, right in pairs),
                           0)
 
         def reports():
