@@ -1,13 +1,13 @@
 """Exact arithmetic: the scalar ring Q(sqrt2) and sparse multivariate
 polynomials over it.
 
-Scalars are a + b*sqrt(2) with rational a, b (Fraction keeps lowest terms).
-A polynomial runs on ints: packed-int monomials, and integer numerators over
-one shared denominator.  Its sqrt(2) part is a second numerator dict, filled
-only in boson sectors, so the symmetric-function kernel, which never leaves
-Q, multiplies plain ints.  Fock vectors (fock.FockVector) share this integer
-form, _IntCombination, with words in place of monomials.  Polynomials live
-in three indexed variable families:
+Every exact value is one integer form, _IntCombination: integer numerators
+over one shared denominator, with the sqrt(2) part in a second numerator
+dict.  A scalar a + b*sqrt(2) is its one-key case.  A polynomial keys it by
+packed-int monomials; its sqrt(2) part is filled only in boson sectors, so
+the symmetric-function kernel, which never leaves Q, multiplies plain ints.
+Fock vectors and boson images (fock.FockVector, fock.BosonElement) key it by
+words and labels.  Polynomials live in three indexed variable families:
 
     t1, t2, t3, ...   (family T)
     s1, s3, s5, ...   (family S, odd indices only)
@@ -32,164 +32,43 @@ T, S, Z = 0, 1, 2
 _FAMILY_NAMES = {T: "t", S: "s", Z: "z"}
 
 
-class Sqrt2Rational:
-    """An element a + b*sqrt(2) of Q(sqrt2), components in lowest terms."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0):
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("Sqrt2Rational components must be exact, not float")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sqrt2Rational is immutable")
-
-    @staticmethod
-    def sqrt2_pow(k):
-        """sqrt(2)**k for any integer k (negative allowed)."""
-        if k % 2 == 0:
-            return Sqrt2Rational(Fraction(2) ** (k // 2), 0)
-        return Sqrt2Rational(0, Fraction(2) ** ((k - 1) // 2))
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def __eq__(self, other):
-        other = _promote_scalar(other)
-        if other is None:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        # a rational scalar equals its Fraction, so it hashes as one
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
-    def __add__(self, other):
-        other = _promote_scalar(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2Rational(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Sqrt2Rational(-self.a, -self.b)
-
-    def __sub__(self, other):
-        other = _promote_scalar(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2Rational(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        other = _promote_scalar(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt2Rational(self.a * other.a + 2 * self.b * other.b,
-                             self.a * other.b + self.b * other.a)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        """Multiplicative inverse: (a - b*sqrt2) / (a^2 - 2 b^2)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        norm = self.a * self.a - 2 * self.b * self.b
-        return Sqrt2Rational(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        other = _promote_scalar(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __str__(self):
-        return _scalar_str(*_int_parts(self))
-
-    def __repr__(self):
-        return "Sqrt2Rational(%r, %r)" % (str(self.a), str(self.b))
-
-
-def _promote_scalar(x):
-    if isinstance(x, Sqrt2Rational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Sqrt2Rational(x)
-    return None
-
-
-ZERO = Sqrt2Rational(0)
-ONE = Sqrt2Rational(1)
-SQRT2 = Sqrt2Rational(0, 1)
-
-
-def _int_parts(x):
-    """Ints (p, q, d) with d > 0 and the scalar x = (p + q*sqrt2)/d."""
-    if isinstance(x, Sqrt2Rational):
-        a, b = x.a, x.b
-    elif isinstance(x, (int, Fraction)):
-        a, b = x, 0
-    else:
-        raise TypeError("not a scalar in Q(sqrt2): %r" % (x,))
-    d = lcm(a.denominator, b.denominator)
-    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
-
-
-def _sqrt2_pow_parts(k, c=1):
-    """Ints (p, q, d) with d > 0 and c * sqrt2**k = (p + q*sqrt2)/d, for a
-    rational c and any int k: sqrt2**k is a power of two, times sqrt2 when
-    k is odd, so it lands in p or in q."""
-    c = Fraction(c)
-    e = k // 2
-    p, d = c.numerator << max(e, 0), c.denominator << max(-e, 0)
-    return (0, p, d) if k % 2 else (p, 0, d)
-
-
-def _ratio_str(n, d):
-    """str(Fraction(n, d)) for ints n and d > 0."""
-    g = gcd(n, d)
-    return str(n // g) if d == g else "%d/%d" % (n // g, d // g)
-
-
-def _scalar_str(p, q, d):
-    """The rendering of the scalar (p + q*sqrt2)/d: `a`, `a/b`, or
-    `(a+b*r2)`, with a and b rational in lowest terms."""
-    if not q:
-        return _ratio_str(p, d)
-    return "(%s%s%s*r2)" % (_ratio_str(p, d), "+" if q > 0 else "-",
-                            _ratio_str(abs(q), d))
-
-
 class _IntCombination:
-    """A finite combination (_num + sqrt2*_root)/_den of int keys over
-    Q(sqrt2), in canonical form: _num and _root map keys to nonzero ints,
-    and the positive int _den is coprime to them all, so equal combinations
-    have equal parts.  SparsePoly (keys: packed monomials),
-    fock.FockVector (keys: words as bitsets) and fock.BosonElement (keys:
-    labels) store their values this way.
+    """A finite combination (_num + sqrt2*_root)/_den of keys over Q(sqrt2),
+    in canonical form: _num and _root map keys to nonzero ints, and the
+    positive int _den is coprime to them all, so equal combinations have
+    equal parts.  Sqrt2Rational (one key), SparsePoly (keys: packed
+    monomials), fock.FockVector (keys: words as bitsets) and
+    fock.BosonElement (keys: labels) store their values this way, and share
+    construction, `terms`, equality and linear arithmetic from here.  A class
+    maps its public keys to stored ones by _encode and back by _decode, and
+    says by _promote which other operands it takes.
     Immutable: operations build new values through _make."""
 
     __slots__ = ("_den", "_num", "_root")
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    @staticmethod
+    def _encode(key):
+        return key
+
+    @staticmethod
+    def _decode(key):
+        return key
+
+    def __new__(cls, terms=None):
+        return cls._of((cls._encode(k), c) for k, c in (terms or {}).items())
+
+    @property
+    def terms(self):
+        """A read-only view mapping each public key to its coefficient (a
+        Fraction unless the sqrt(2) part is nonzero)."""
+        return MappingProxyType({self._decode(k): self._coeff(k) for k in self._keys()})
+
+    @classmethod
+    def zero(cls):
+        return cls._make(1, {}, {})
 
     @classmethod
     def _make(cls, den, num, root):
@@ -221,12 +100,19 @@ class _IntCombination:
             root[k] = root.get(k, 0) + q * (den // d)
         return cls._make(den, num, root)
 
+    @classmethod
+    def _promote(cls, x):
+        """x as an operand of this class, or None: here, x itself when it is
+        one."""
+        return x if isinstance(x, cls) else None
+
     def _coeff(self, key):
         """The coefficient of a key: a Fraction when its sqrt(2) part is
         zero, else a Sqrt2Rational."""
-        a = Fraction(self._num.get(key, 0), self._den)
         b = self._root.get(key)
-        return Sqrt2Rational(a, Fraction(b, self._den)) if b else a
+        if b:
+            return Sqrt2Rational._make(self._den, {0: self._num.get(key, 0)}, {0: b})
+        return Fraction(self._num.get(key, 0), self._den)
 
     def _coeff_str(self, key):
         """str(self._coeff(key)), from the ints."""
@@ -235,11 +121,35 @@ class _IntCombination:
     def _keys(self):
         return self._num.keys() | self._root.keys() if self._root else self._num.keys()
 
-    def _same(self, other):
+    def is_zero(self):
+        return not self._num and not self._root
+
+    def __eq__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
         return (self._den == other._den and self._num == other._num
                 and self._root == other._root)
 
-    def _scaled(self, scalar):
+    def __add__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return _linear_sum(((1, self), (1, other)))
+
+    def __neg__(self):
+        return _linear_sum(((-1, self),))
+
+    def __sub__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return _linear_sum(((1, self), (-1, other)))
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def scale(self, scalar):
         """This combination times a scalar, on the int numerators:
         (A + sqrt2 B)(p + sqrt2 q) = pA + 2qB + sqrt2 (qA + pB)."""
         p, q, d = _int_parts(scalar)
@@ -252,8 +162,129 @@ class _IntCombination:
                 root[k] = root.get(k, 0) + q * c
         return self._make(self._den * d, num, root)
 
-    def is_zero(self):
-        return not self._num and not self._root
+
+class Sqrt2Rational(_IntCombination):
+    """An element a + b*sqrt(2) of Q(sqrt2): the one-key combination
+    (p + q*sqrt2)/d, with a = p/d and b = q/d."""
+
+    __slots__ = ()
+
+    def __new__(cls, a, b=0):
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("Sqrt2Rational components must be exact, not float")
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)
+        return cls._make(d, {0: a.numerator * (d // a.denominator)},
+                         {0: b.numerator * (d // b.denominator)})
+
+    @property
+    def a(self):
+        return Fraction(self._num.get(0, 0), self._den)
+
+    @property
+    def b(self):
+        return Fraction(self._root.get(0, 0), self._den)
+
+    @staticmethod
+    def sqrt2_pow(k):
+        """sqrt(2)**k for any integer k (negative allowed)."""
+        if k % 2 == 0:
+            return Sqrt2Rational(Fraction(2) ** (k // 2), 0)
+        return Sqrt2Rational(0, Fraction(2) ** ((k - 1) // 2))
+
+    @classmethod
+    def _promote(cls, x):
+        if isinstance(x, Sqrt2Rational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Sqrt2Rational(x)
+        return None
+
+    def __hash__(self):
+        # a rational scalar equals its Fraction, so it hashes as one
+        return hash((self.a, self.b)) if self._root else hash(self.a)
+
+    # perfbench's tracer wraps only the names in a class's own namespace
+    __add__ = __radd__ = _IntCombination.__add__
+
+    def __mul__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        """Multiplicative inverse: (a - b*sqrt2) / (a^2 - 2 b^2)."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
+        a, b = self.a, self.b
+        norm = a * a - 2 * b * b
+        return Sqrt2Rational(a / norm, -b / norm)
+
+    def __truediv__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inv()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inv() ** (-n)
+        out = ONE
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __str__(self):
+        return self._coeff_str(0)
+
+    def __repr__(self):
+        return "Sqrt2Rational(%r, %r)" % (str(self.a), str(self.b))
+
+
+ZERO = Sqrt2Rational(0)
+ONE = Sqrt2Rational(1)
+SQRT2 = Sqrt2Rational(0, 1)
+
+
+def _int_parts(x):
+    """Ints (p, q, d) with d > 0 and the scalar x = (p + q*sqrt2)/d."""
+    if isinstance(x, Sqrt2Rational):
+        return x._num.get(0, 0), x._root.get(0, 0), x._den
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    raise TypeError("not a scalar in Q(sqrt2): %r" % (x,))
+
+
+def _sqrt2_pow_parts(k, c=1):
+    """Ints (p, q, d) with d > 0 and c * sqrt2**k = (p + q*sqrt2)/d, for a
+    rational c and any int k: sqrt2**k is a power of two, times sqrt2 when
+    k is odd, so it lands in p or in q."""
+    c = Fraction(c)
+    e = k // 2
+    p, d = c.numerator << max(e, 0), c.denominator << max(-e, 0)
+    return (0, p, d) if k % 2 else (p, 0, d)
+
+
+def _ratio_str(n, d):
+    """str(Fraction(n, d)) for ints n and d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else "%d/%d" % (n // g, d // g)
+
+
+def _scalar_str(p, q, d):
+    """The rendering of the scalar (p + q*sqrt2)/d: `a`, `a/b`, or
+    `(a+b*r2)`, with a and b rational in lowest terms."""
+    if not q:
+        return _ratio_str(p, d)
+    return "(%s%s%s*r2)" % (_ratio_str(p, d), "+" if q > 0 else "-",
+                            _ratio_str(abs(q), d))
 
 
 # ---------------------------------------------------------------------------
@@ -358,25 +389,16 @@ def _unpack(packed):
 class SparsePoly(_IntCombination):
     """Sparse multivariate polynomial over Q(sqrt2): an _IntCombination
     of packed monomials.  Immutable: every operation returns a fresh value,
-    so caches may hand the same instance to every caller.  `terms` is a
-    read-only view mapping each tuple monomial to its coefficient (a
-    Fraction unless the sqrt(2) part is nonzero).
+    so caches may hand the same instance to every caller.  `terms` maps
+    each tuple monomial to its coefficient.
     """
 
     __slots__ = ()
 
-    def __new__(cls, terms=None):
-        return cls._of((_pack(mono), c) for mono, c in (terms or {}).items())
-
-    @property
-    def terms(self):
-        return MappingProxyType({_unpack(m): self._coeff(m) for m in self._keys()})
+    _encode = staticmethod(_pack)
+    _decode = staticmethod(_unpack)
 
     # -- constructors --
-
-    @staticmethod
-    def zero():
-        return SparsePoly()
 
     @staticmethod
     def constant(c):
@@ -389,11 +411,8 @@ class SparsePoly(_IntCombination):
 
     # -- predicates --
 
-    def __eq__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return self._same(other)
+    # perfbench's tracer wraps only the names in a class's own namespace
+    __eq__ = _IntCombination.__eq__
 
     def __hash__(self):
         if self._keys() <= {0}:
@@ -402,8 +421,8 @@ class SparsePoly(_IntCombination):
         return hash((self._den, frozenset(self._num.items()),
                      frozenset(self._root.items())))
 
-    @staticmethod
-    def _promote(x):
+    @classmethod
+    def _promote(cls, x):
         if isinstance(x, SparsePoly):
             return x
         if isinstance(x, (int, Fraction, Sqrt2Rational)):
@@ -412,25 +431,8 @@ class SparsePoly(_IntCombination):
 
     # -- ring operations --
 
-    def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return _linear_sum(((1, self), (1, other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _linear_sum(((-1, self),))
-
-    def __sub__(self, other):
-        other = self._promote(other)
-        if other is None:
-            return NotImplemented
-        return _linear_sum(((1, self), (-1, other)))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+    # perfbench's tracer wraps only the names in a class's own namespace
+    __add__ = __radd__ = _IntCombination.__add__
 
     def __mul__(self, other):
         other = self._promote(other)
@@ -565,7 +567,7 @@ class SparsePoly(_IntCombination):
                 a, b = a * x + 2 * b * y, a * y + b * x
             num += a
             root += b
-        return Sqrt2Rational(Fraction(num, scale), Fraction(root, scale))
+        return Sqrt2Rational._make(scale, {0: num}, {0: root})
 
     # -- rendering --
 

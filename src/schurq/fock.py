@@ -61,9 +61,8 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import (ONE, SQRT2, ZERO, _IntCombination, _linear_sum,
-                       _promote_scalar, _render_product, _sqrt2_pow_parts,
-                       _sum_of_products)
+from .exactalg import (ONE, SQRT2, ZERO, Sqrt2Rational, _IntCombination,
+                       _render_product, _sqrt2_pow_parts, _sum_of_products)
 from .partitions import (StrictPartition, bar_core, bar_quotient, color,
                          as_int_parts, is_added_member, stats)
 from .symfunc import schur, schur_q
@@ -91,58 +90,24 @@ def _bits_word(bits):
 class FockVector(_IntCombination):
     """Immutable linear combination of words, stored as a polynomial is (see
     exactalg._IntCombination) with each word as its bitset.  Bitsets order
-    as their words do.  `terms` is a read-only view word -> coefficient (a
-    Fraction unless the sqrt(2) part is nonzero)."""
+    as their words do.  `terms` maps each word to its coefficient."""
 
     __slots__ = ()
 
-    def __new__(cls, terms=None):
-        return cls._of((_word_bits(w), c) for w, c in (terms or {}).items())
-
-    @property
-    def terms(self):
-        return MappingProxyType({_bits_word(w): self._coeff(w) for w in self._keys()})
-
-    @staticmethod
-    def zero():
-        return FockVector()
-
-    @staticmethod
-    def from_word(word, coeff=ONE):
-        return FockVector({tuple(word): coeff})
+    _encode = staticmethod(_word_bits)
+    _decode = staticmethod(_bits_word)
 
     @staticmethod
     def basis(lam):
         """The state of a strict partition: its even-padded parts as a word."""
         return FockVector({lam.even_padded(): ONE})
 
-    def __eq__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self._same(other)
-
-    def __add__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return _linear_sum(((1, self), (1, other)))
-
-    def __neg__(self):
-        return _linear_sum(((-1, self),))
-
-    def __sub__(self, other):
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return _linear_sum(((1, self), (-1, other)))
-
-    def scale(self, scalar):
-        return self._scaled(scalar)
-
     def coefficient(self, word):
         try:
             bits = _word_bits(word)
         except ValueError:
             return ZERO  # not a word, so no term carries it
-        return _promote_scalar(self._coeff(bits))
+        return Sqrt2Rational._promote(self._coeff(bits))
 
     def __str__(self):
         if self.is_zero():
@@ -213,7 +178,7 @@ def f_apply(i, vec):
         raise ValueError("operator index must be 0 or 1")
     top = max(vec._keys(), default=0).bit_length()
     nodes = sum(1 << p for p in range(max(top, 1)) if color(p + 1) == i)
-    return _node_sum(vec, nodes)._scaled(SQRT2 if i == 0 else 2)
+    return _node_sum(vec, nodes).scale(SQRT2 if i == 0 else 2)
 
 
 def f_power_normalized(i, n, vec):
@@ -302,19 +267,6 @@ class BosonElement(_IntCombination):
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        if not isinstance(other, BosonElement):
-            return NotImplemented
-        return self._same(other)
-
-    def __add__(self, other):
-        if not isinstance(other, BosonElement):
-            return NotImplemented
-        return _linear_sum(((1, self), (1, other)))
-
-    def scale(self, scalar):
-        return self._scaled(scalar)
-
     def expand(self):
         """A read-only mapping (sigma, charge) -> polynomial of each sector:
         one sum of products over the int numerators of Q_nu * S_kappa
@@ -324,7 +276,7 @@ class BosonElement(_IntCombination):
             for (sector, nu, kappa), c in part.items():
                 q = schur_q(nu)
                 sectors.setdefault(sector, []).append(
-                    (c, q._scaled(SQRT2) if root else q, schur(kappa)))
+                    (c, q.scale(SQRT2) if root else q, schur(kappa)))
         return MappingProxyType({key: _sum_of_products(triples, self._den)
                                  for key, triples in sectors.items()})
 

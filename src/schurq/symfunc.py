@@ -316,14 +316,12 @@ def _schur_q(parts):
 # ---------------------------------------------------------------------------
 
 def subst_2t2(p):
-    """Doubling substitution t_j -> 2 t_{2j} (t-polynomials only).  It maps
-    monomials to monomials, t^mu -> 2^(sum of exponents) t^(2 mu), and no
-    two to the same one, so it relabels the terms with no products."""
-    if any(v[0] != T for v in p.variables()):
+    """Doubling substitution t_j -> 2 t_{2j} (t-polynomials only)."""
+    variables = p.variables()
+    if any(v[0] != T for v in variables):
         raise ValueError("doubling substitution is defined on t-variables only")
-    return SparsePoly({tuple((tvar(2 * j), e) for (_, j), e in mono):
-                       c * 2 ** sum(e for _, e in mono)
-                       for mono, c in p.terms.items()})
+    return p.substitute({v: SparsePoly.variable(tvar(2 * v[1])).scale(2)
+                         for v in variables})
 
 
 def subst_u(p):

@@ -16,9 +16,10 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .exactalg import (S, SparsePoly, Sqrt2Rational,
-                       _sqrt2_pow_parts, _sum_of_products, svar, tvar, zvar)
+from .exactalg import (S, SparsePoly, _sqrt2_pow_parts, _sum_of_products,
+                       svar, tvar, zvar)
 from .partitions import (bar_core, bar_quotient, delta0, delta1,
                          enumerate_added, residue_split)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
@@ -197,15 +198,9 @@ def _partitions_of(n, max_part=None):
             yield (first,) + rest
 
 
-def _strict_partitions_of(n, max_part=None):
-    if n == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = n
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _strict_partitions_of(n - first, first - 1):
-            yield (first,) + rest
+def _strict_partitions_of(n):
+    """The partitions of n with distinct parts, in _partitions_of's order."""
+    return (lam for lam in _partitions_of(n) if len(set(lam)) == len(lam))
 
 
 # the fixed bounds of the property checks, each reported in its params
@@ -218,25 +213,25 @@ _BIALTERNANT_LENGTH = 3
 _BIALTERNANT_POINTS = 5
 
 
+def _violations(name, params, bad, cases, t0, unit="cases"):
+    """The CheckResult of a property check: bad violations in its cases."""
+    return _result(name, params, "%d violations in %d %s" % (bad, cases, unit),
+                   "0 violations in %d %s" % (cases, unit), t0, bad == 0)
+
+
 def check_symfunc_homogeneity():
     """Every S and Q polynomial is homogeneous of its index weight."""
     t0 = time.perf_counter()
     bad = 0
     cases = 0
     for w in range(_HOMOGENEITY_MAX_WEIGHT + 1):
-        for lam in _partitions_of(w):
+        for p in chain(map(schur, _partitions_of(w)),
+                       map(schur_q, _strict_partitions_of(w))):
             cases += 1
-            p = schur(lam)
             if p.is_zero() or not p.is_homogeneous() or p.weighted_degree() != w:
                 bad += 1
-        for lam in _strict_partitions_of(w):
-            cases += 1
-            p = schur_q(lam)
-            if p.is_zero() or not p.is_homogeneous() or p.weighted_degree() != w:
-                bad += 1
-    report = "%d violations in %d cases" % (bad, cases)
-    return _result("symfunc-props:homogeneity", {"max_weight": _HOMOGENEITY_MAX_WEIGHT},
-                   report, "0 violations in %d cases" % cases, t0, bad == 0)
+    return _violations("symfunc-props:homogeneity",
+                       {"max_weight": _HOMOGENEITY_MAX_WEIGHT}, bad, cases, t0)
 
 
 def check_symfunc_antisymmetry():
@@ -250,9 +245,8 @@ def check_symfunc_antisymmetry():
             cases += 1
             if not (qq_pair(m, n) + qq_pair(n, m)).is_zero():
                 bad += 1
-    report = "%d violations in %d cases" % (bad, cases)
-    return _result("symfunc-props:antisymmetry", {"max_index": _ANTISYMMETRY_MAX_INDEX},
-                   report, "0 violations in %d cases" % cases, t0, bad == 0)
+    return _violations("symfunc-props:antisymmetry",
+                       {"max_index": _ANTISYMMETRY_MAX_INDEX}, bad, cases, t0)
 
 
 def check_symfunc_pfaffian_det():
@@ -273,10 +267,9 @@ def check_symfunc_pfaffian_det():
                 rows[j][i] = -entry
         if not (pfaffian(rows) ** 2 - poly_det(rows)).is_zero():
             bad += 1
-    report = "%d violations in %d trials" % (bad, _PFAFFIAN_TRIALS)
-    return _result("symfunc-props:pfaffian-det",
-                   {"trials": _PFAFFIAN_TRIALS, "seed": _SEED},
-                   report, "0 violations in %d trials" % _PFAFFIAN_TRIALS, t0, bad == 0)
+    return _violations("symfunc-props:pfaffian-det",
+                       {"trials": _PFAFFIAN_TRIALS, "seed": _SEED},
+                       bad, _PFAFFIAN_TRIALS, t0, "trials")
 
 
 def check_symfunc_bialternant():
@@ -290,6 +283,7 @@ def check_symfunc_bialternant():
               for _ in range(_BIALTERNANT_LENGTH)]
         if 0 not in zs and len(set(zs)) == _BIALTERNANT_LENGTH:
             zpoints.append(zs)
+    points = [{zvar(k + 1): z for k, z in enumerate(zs)} for zs in zpoints]
     bad = 0
     cases = 0
     for w in range(_BIALTERNANT_MAX_WEIGHT + 1):
@@ -297,18 +291,15 @@ def check_symfunc_bialternant():
             if len(lam) > _BIALTERNANT_LENGTH:
                 continue
             specialized = power_sum_specialize(schur(lam), _BIALTERNANT_LENGTH)
-            for zs in zpoints:
+            for zs, point in zip(zpoints, points):
                 cases += 1
-                point = {zvar(k + 1): Sqrt2Rational(zs[k])
-                         for k in range(_BIALTERNANT_LENGTH)}
                 if specialized.evaluate(point) != bialternant_eval(lam, zs):
                     bad += 1
-    report = "%d violations in %d cases" % (bad, cases)
-    return _result("symfunc-props:bialternant",
-                   {"max_weight": _BIALTERNANT_MAX_WEIGHT,
-                    "max_length": _BIALTERNANT_LENGTH,
-                    "points": _BIALTERNANT_POINTS, "seed": _SEED},
-                   report, "0 violations in %d cases" % cases, t0, bad == 0)
+    return _violations("symfunc-props:bialternant",
+                       {"max_weight": _BIALTERNANT_MAX_WEIGHT,
+                        "max_length": _BIALTERNANT_LENGTH,
+                        "points": _BIALTERNANT_POINTS, "seed": _SEED},
+                       bad, cases, t0)
 
 
 def check_symfunc_props():

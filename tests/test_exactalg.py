@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import schurq.exactalg
 from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
-                             _LIMIT, _linear_sum, _pack, _promote_scalar,
+                             _LIMIT, _linear_sum, _pack,
                              _render_product, _sqrt2_pow_parts,
                              _sum_of_products, _unpack, svar, tvar, var_name,
                              zvar)
@@ -550,11 +550,11 @@ def _ref_evaluate(p, point):
     """Term-by-term evaluation in Sqrt2Rational arithmetic."""
     total = ZERO
     for mono, coeff in p.terms.items():
-        val = _promote_scalar(coeff)
+        val = Sqrt2Rational._promote(coeff)
         for v, e in mono:
             if v not in point:
                 raise ValueError("no value assigned to %s" % var_name(v))
-            val = val * (_promote_scalar(point[v]) ** e)
+            val = val * (Sqrt2Rational._promote(point[v]) ** e)
         total = total + val
     return total
 

@@ -797,9 +797,12 @@ class TestPfaffianMemo:
 
 
 def _substitute_2t2(p):
-    """Reference: t_j -> 2 t_{2j} through substitute."""
-    return p.substitute({v: SparsePoly.constant(2) * SparsePoly.variable(tvar(2 * v[1]))
-                         for v in p.variables()})
+    """Reference: t_j -> 2 t_{2j} as a relabelling of the terms,
+    t^mu -> 2^(sum of exponents) t^(2 mu), which maps no two monomials to
+    the same one."""
+    return SparsePoly({tuple((tvar(2 * j), e) for (_, j), e in mono):
+                       c * 2 ** sum(e for _, e in mono)
+                       for mono, c in p.terms.items()})
 
 
 def _substitute_odd(p):
