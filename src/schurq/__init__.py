@@ -17,8 +17,7 @@ from .symfunc import (bialternant_eval, h_poly, pfaffian, poly_det,
                       schur_sum, subst_2t2, subst_odd, subst_q_u, subst_u)
 from .fock import (BosonElement, FockVector, NormalWord, beta_apply,
                    core_state_image, f_apply, f_power_normalized,
-                   normal_word_image, phi, phi_closed_form,
-                   single_node_action, to_normal_words)
+                   normal_word_image, phi, phi_closed_form, to_normal_words)
 from .verify import (FAMILIES, CheckResult, SuiteConfig, check_core_states,
                      check_f_power, check_main1, check_main2,
                      check_phi_consistency, check_symfunc_props,
@@ -37,7 +36,7 @@ __all__ = [
     "subst_2t2", "subst_odd", "subst_q_u", "subst_u",
     "BosonElement", "FockVector", "NormalWord", "beta_apply",
     "core_state_image", "f_apply", "f_power_normalized", "normal_word_image",
-    "phi", "phi_closed_form", "single_node_action", "to_normal_words",
+    "phi", "phi_closed_form", "to_normal_words",
     "FAMILIES", "CheckResult", "SuiteConfig", "check_core_states",
     "check_f_power", "check_main1", "check_main2", "check_phi_consistency",
     "check_symfunc_props", "check_trapezoid", "run_suite",

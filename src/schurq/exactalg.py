@@ -16,8 +16,9 @@ words and labels.  Polynomials live in three indexed variable families:
 The weighted degree counts t_j and s_j with weight j, and z_j with weight 1
 per unit of exponent.  All values are immutable, all operations pure and
 exact; no floating point anywhere.  A monomial's sort key and text are
-memoized, and joined from its t-, s- and z-parts, which are memoized too and
-read through per-slot tables of variable, weight and name.
+one memo entry: a monomial of one family is read through _unpack, the one
+decoder of a packed int; one of several joins the entries of its t-, s- and
+z-parts.
 """
 
 from fractions import Fraction
@@ -39,9 +40,9 @@ class _IntCombination:
     equal parts.  Sqrt2Rational (one key), SparsePoly (keys: packed
     monomials), fock.FockVector (keys: words as bitsets) and
     fock.BosonElement (keys: labels) store their values this way, and share
-    construction, `terms`, equality and linear arithmetic from here.  A class
-    maps its public keys to stored ones by _encode and back by _decode, and
-    says by _promote which other operands it takes.
+    construction, `terms`, equality, linear arithmetic and pickling from
+    here.  A class maps its public keys to stored ones by _encode and back
+    by _decode, and says by _promote which other operands it takes.
     Immutable: operations build new values through _make."""
 
     __slots__ = ("_den", "_num", "_root")
@@ -59,6 +60,20 @@ class _IntCombination:
 
     def __new__(cls, terms=None):
         return cls._of((cls._encode(k), c) for k, c in (terms or {}).items())
+
+    def __reduce__(self):
+        # public keys: a packed monomial names a variable only through the
+        # slot order of the process that packed it
+        decode = self._decode
+        return (self._rebuild, (self._den, {decode(k): c for k, c in self._num.items()},
+                                {decode(k): c for k, c in self._root.items()}))
+
+    @classmethod
+    def _rebuild(cls, den, num, root):
+        """The combination that __reduce__ took apart, keys encoded here."""
+        encode = cls._encode
+        return cls._make(den, {encode(k): c for k, c in num.items()},
+                         {encode(k): c for k, c in root.items()})
 
     @property
     def terms(self):
@@ -301,8 +316,6 @@ _LIMIT = 1 << (_WIDTH - 1)
 _MASK = (1 << _WIDTH) - 1
 _SLOTS = {}    # variable -> bit offset of its slot
 _VARS = []     # the variable of each slot, in offset order
-_WEIGHTS = []  # the weight of each slot's variable: j for t_j, s_j; 1 for z_j
-_NAMES = []    # the name of each slot's variable, as var_name gives it
 _FAMILY_MASKS = [0, 0, 0]  # by family tag: the bits of its assigned slots
 _GUARD = 0     # the guard bits of every assigned slot
 
@@ -344,7 +357,7 @@ def var_name(v):
 def _pack(mono):
     """The packed int of a tuple monomial.  Every variable is checked, so a
     malformed one fails the same way whether or not an equal key already has
-    a slot, and no table grows for it."""
+    a slot, and gets none."""
     global _GUARD
     packed = 0
     for v, e in mono:
@@ -357,8 +370,6 @@ def _pack(mono):
         if offset is None:
             offset = _SLOTS[v] = len(_VARS) * _WIDTH
             _VARS.append(v)
-            _WEIGHTS.append(1 if v[0] == Z else v[1])
-            _NAMES.append(var_name(v))
             _FAMILY_MASKS[v[0]] |= _MASK << offset
             _GUARD |= _LIMIT << offset
         packed += e << offset
@@ -374,15 +385,14 @@ def _check_guard(*parts):
 
 
 def _unpack(packed):
-    """The sorted tuple monomial of a packed int, read slot by slot up to
-    its highest occupied slot."""
+    """The sorted tuple monomial of a packed int, read over its occupied
+    slots only, lowest set bit first."""
     mono = []
-    for v in _VARS:
-        if not packed:
-            break
-        if e := packed & _MASK:
-            mono.append((v, e))
-        packed >>= _WIDTH
+    while packed:
+        slot = ((packed & -packed).bit_length() - 1) // _WIDTH
+        e = (packed >> slot * _WIDTH) & _MASK
+        packed ^= e << slot * _WIDTH
+        mono.append((_VARS[slot], e))
     return tuple(sorted(mono))
 
 
@@ -533,24 +543,20 @@ class SparsePoly(_IntCombination):
     def evaluate(self, point):
         """Exact evaluation at a full assignment variable -> scalar, on ints.
 
-        With the value of a slot's variable (p + q*sqrt2)/d and top the
-        slot's highest exponent here, the slot gets one table of the int
-        pairs (p + q*sqrt2)**e * d**(top - e); each term multiplies its
-        numerator by one entry per slot, and the sum is divided once by
-        _den times the product of the d**top."""
+        With the value of a variable (p + q*sqrt2)/d and top its highest
+        exponent here, each variable gets one table of the int pairs
+        (p + q*sqrt2)**e * d**(top - e); each term multiplies its numerator
+        by one entry per variable, and the sum is divided once by _den times
+        the product of the d**top.  Variables are read in (family, index)
+        order, so an unassigned one named is the first in that order."""
         keys = self._keys()
-        used = 0
-        for m in keys:
-            used |= m
         tables = []
         scale = self._den
-        for offset in range(0, used.bit_length(), _WIDTH):
-            if not (used >> offset) & _MASK:
-                continue
-            top = max((m >> offset) & _MASK for m in keys)
-            v = _VARS[offset // _WIDTH]
+        for v in sorted(self.variables()):
             if v not in point:
                 raise ValueError("no value assigned to %s" % var_name(v))
+            offset = _SLOTS[v]
+            top = max((m >> offset) & _MASK for m in keys)
             p, q, d = _int_parts(point[v])
             table = []
             a, b = 1, 0
@@ -659,38 +665,26 @@ def _mono_text(m):
     (-deg, fam1, idx1, -e1, fam2, idx2, -e2, ...) over the variables in
     order, so terms sort by weighted degree descending, then lexicographically
     in variable order with the higher power of the earlier variable first;
-    at equal degree no key is a proper prefix of another.  Both are joined
-    from the monomial's t-, s- and z-parts, in that order, each cut out by
-    its family's slot mask and memoized in _family_part."""
+    at equal degree no key is a proper prefix of another.  A monomial of one
+    family is read through _unpack, so it runs in index order, not slot
+    order; one of several joins the entries of its t-, s- and z-parts, in
+    that order, each cut out by its family's slot mask."""
     t_mask, s_mask, z_mask = _FAMILY_MASKS
-    t, s, z = m & t_mask, m & s_mask, m & z_mask
-    if m in (t, s, z):  # at most one family: the monomial is its one part
-        deg, fields, text = _family_part(m)
-        return (-deg,) + fields, text
-    t, s, z = _family_part(t), _family_part(s), _family_part(z)
-    return ((-t[0] - s[0] - z[0],) + t[1] + s[1] + z[1],
-            "*".join(filter(None, (t[2], s[2], z[2]))))
-
-
-@cache
-def _family_part(part):
-    """(degree, key fields, text) of a packed monomial in one family's
-    slots, read through the per-slot tables.  The fields and the text run
-    in index order, not slot order, so a variable slotted after others of
-    its family still sorts in its place."""
-    slots = []
-    while part:
-        slot = ((part & -part).bit_length() - 1) // _WIDTH
-        e = (part >> slot * _WIDTH) & _MASK
-        part ^= e << slot * _WIDTH
-        slots.append((_VARS[slot], e, slot))
-    slots.sort()
+    parts = m & t_mask, m & s_mask, m & z_mask
     deg, fields, texts = 0, (), []
-    for v, e, slot in slots:
-        deg += _WEIGHTS[slot] * e
-        fields += (*v, -e)
-        texts.append(_NAMES[slot] if e == 1 else "%s^%d" % (_NAMES[slot], e))
-    return deg, fields, "*".join(texts)
+    if m not in parts:  # several families
+        for part in parts:
+            if part:
+                key, text = _mono_text(part)
+                deg -= key[0]
+                fields += key[1:]
+                texts.append(text)
+    else:
+        for v, e in _unpack(m):
+            deg += e if v[0] == Z else v[1] * e
+            fields += (*v, -e)
+            texts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
+    return (-deg,) + fields, "*".join(texts)
 
 
 def _product(out, a, b, scale=1):

@@ -162,14 +162,6 @@ def _node_sum(vec, nodes):
     return FockVector._make(2 * vec._den, num, root)
 
 
-def single_node_action(i, vec):
-    """The quadratic term growing a part i into i+1 (or creating a part 1
-    when i = 0): (-1)^i b_{i+1} b_{-i} for i > 0, and b_1 b_0 for i = 0."""
-    if i < 0:
-        raise ValueError("part index must be non-negative")
-    return _node_sum(vec, 1 << i)
-
-
 def f_apply(i, vec):
     """One application of F0 or F1: the single-node actions of the p with
     color(p + 1) == i, summed (the m and 1-m mode terms of F1 coincide,

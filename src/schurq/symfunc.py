@@ -389,8 +389,9 @@ def _int_det(rows):
 
 def bialternant_eval(lam, zs):
     """Ratio of alternants det(z_i^{lam_j + N - j}) / det(z_i^{N - j})
-    at a rational point with pairwise distinct nonzero coordinates."""
-    lam = tuple(p for p in lam if p > 0)
+    at a rational point with pairwise distinct nonzero coordinates, for a
+    partition lam checked as schur checks it."""
+    lam = _shape(lam)
     zs = [Fraction(z) for z in zs]
     n = len(zs)
     if len(set(zs)) != n:

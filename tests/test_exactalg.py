@@ -1,6 +1,7 @@
 """Tests for the exact scalar ring Q(sqrt2) and the sparse polynomial ring."""
 
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,18 @@ from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 scalars = st.builds(Sqrt2Rational, fractions, fractions)
+
+
+def _fresh_process(script, *args):
+    """The stripped stdout of a script run in a fresh interpreter on this
+    package's source, which must exit 0."""
+    src = os.path.dirname(os.path.dirname(schurq.exactalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def random_polys():
@@ -159,44 +172,54 @@ class TestVariables:
 
     # variables of no family, or with an index that tvar, svar or zvar
     # rejects: packing one is a ValueError that names it, whether or not
-    # any slot exists, and no slot table grows
+    # any slot exists, and no slot or family mask changes
     MALFORMED = [(3, 1), ("t", 1), (0, 0), (0, -1), (1, 2), (2, 0), (0, 2.0),
                  (True, 1), 5]
     NAMES = ["(3, 1)", "('t', 1)", "t0", "t-1", "s2", "z0", "t2.0", "(True, 1)", "5"]
-    REJECT = ("from schurq.exactalg import SparsePoly, _NAMES, _SLOTS, _VARS, _WEIGHTS\n"
-              "sizes = [len(table) for table in (_SLOTS, _VARS, _WEIGHTS, _NAMES)]\n"
+    REJECT = ("from schurq.exactalg import SparsePoly, _FAMILY_MASKS, _SLOTS, _VARS\n"
+              "state = (len(_SLOTS), len(_VARS), list(_FAMILY_MASKS))\n"
               "errors = []\n"
               "for v in MALFORMED:\n"
               "    try:\n"
               "        SparsePoly.variable(v)\n"
               "    except ValueError as exc:\n"
               "        errors.append(str(exc))\n"
-              "assert sizes == [len(table) for table in (_SLOTS, _VARS, _WEIGHTS, _NAMES)]\n")
+              "assert state == (len(_SLOTS), len(_VARS), list(_FAMILY_MASKS))\n")
 
     def _errors(self):
         scope = {"MALFORMED": self.MALFORMED}
         exec(self.REJECT, scope)
-        return scope["sizes"], scope["errors"]
+        return scope["state"], scope["errors"]
 
     def test_malformed_variables_rejected_warm(self):
         SparsePoly.variable(tvar(2))  # (0, 2.0) is an equal key with a slot
-        sizes, errors = self._errors()
-        assert sizes[0] > 0
+        state, errors = self._errors()
+        assert state[0] > 0
         assert len(errors) == len(self.NAMES)
         for error, name in zip(errors, self.NAMES):
             assert error.startswith(name + " is not a variable")
 
     def test_malformed_variables_rejected_cold(self):
         # a fresh process, before any slot exists: the same errors
-        script = "MALFORMED = %r\n%sassert sizes == [0] * 4\nprint(repr(errors))\n" % (
+        script = "MALFORMED = %r\n%sassert state == (0, 0, [0, 0, 0])\nprint(repr(errors))\n" % (
             self.MALFORMED, self.REJECT)
-        src = os.path.dirname(os.path.dirname(schurq.exactalg.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == repr(self._errors()[1])
+        assert _fresh_process(script) == repr(self._errors()[1])
+
+    def test_pickle_loads_under_another_slot_order(self):
+        # the loading process slots other variables first, so a packed key
+        # carried over would name other variables there
+        t1, s3, z2 = (SparsePoly.variable(v) for v in (tvar(1), svar(3), zvar(2)))
+        p = SparsePoly.constant(Sqrt2Rational(Fraction(1, 2), -1)) * t1 * s3 ** 2 \
+            + 2 * t1 * z2 - Fraction(1, 3)
+        script = ("import pickle, sys\n"
+                  "from schurq.exactalg import SparsePoly, _SLOTS, svar, tvar, zvar\n"
+                  "for v in (tvar(7), zvar(5), svar(9), zvar(2), svar(3), tvar(1)):\n"
+                  "    SparsePoly.variable(v)\n"
+                  "assert _SLOTS[tvar(7)] == 0\n"
+                  "p = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+                  "print(type(p).__name__, sorted(p.variables()), p)\n")
+        assert _fresh_process(script, pickle.dumps(p).hex()) == "SparsePoly %s %s" % (
+            sorted(p.variables()), p)
 
     def test_svar_odd_only(self):
         assert var_name(svar(1)) == "s1"
@@ -599,20 +622,35 @@ class TestAgainstReferenceKernel:
                                     st.integers(1, 12), min_size=0, max_size=5),
                     min_size=1, max_size=8))
     def test_monomial_text_from_family_parts(self, monos):
-        # _mono_text and its per-family part memo, both cleared, then cold
-        # and warm, against the reference read through _unpack; _LATE_VARS
-        # got their slots with z and s before t, and against index order
-        # within each family
+        # _mono_text, cleared, then cold and warm, against the reference
+        # read through _unpack; _LATE_VARS got their slots with z and s
+        # before t, and against index order within each family
         _slot_late_vars()
         packed = [_pack(tuple(sorted(d.items()))) for d in monos]
         want = [_mono_text_ref(m) for m in packed]
         schurq.exactalg._mono_text.cache_clear()
-        schurq.exactalg._family_part.cache_clear()
         assert [schurq.exactalg._mono_text(m) for m in packed] == want
         assert [schurq.exactalg._mono_text(m) for m in packed] == want
-        # a cold monomial memo over warm parts
+        # cold monomials over warm parts, which are entries of the same memo
         schurq.exactalg._mono_text.cache_clear()
+        for m in packed:
+            for mask in schurq.exactalg._FAMILY_MASKS:
+                schurq.exactalg._mono_text(m & mask)
         assert [schurq.exactalg._mono_text(m) for m in packed] == want
+
+    def test_one_memo_entry_per_monomial_and_part(self):
+        # a monomial of several families adds itself and its parts, which
+        # later renderings share; a monomial of one family adds itself only
+        t1, t3, s1 = (SparsePoly.variable(v) for v in (tvar(1), tvar(3), svar(1)))
+        entries = schurq.exactalg._mono_text.cache_info
+        schurq.exactalg._mono_text.cache_clear()
+        assert str(t1 * s1) == "t1*s1"
+        assert entries().currsize == 3
+        assert str(t1 + s1) == "t1 + s1"
+        assert entries().currsize == 3
+        schurq.exactalg._mono_text.cache_clear()
+        assert str(t1 ** 2 * t3) == "t1^2*t3"
+        assert entries().currsize == 1
 
     def test_rendering_ignores_slot_order(self):
         # a t-variable slotted after s1 and z1 must still sort before them:
@@ -686,6 +724,18 @@ class TestAgainstReferenceKernel:
         with pytest.raises(ValueError, match="no value assigned to s3"):
             (SparsePoly.variable(tvar(1)) * SparsePoly.variable(svar(3))).evaluate(
                 {tvar(1): 1})
+
+    def test_evaluate_names_the_first_missing_variable_in_index_order(self):
+        # z_k is slotted before t_k, so slot order would name z_k first
+        slots = schurq.exactalg._SLOTS
+        k = next(j for j in range(200, 1000) if zvar(j) not in slots and tvar(j) not in slots)
+        z = SparsePoly.variable(zvar(k))
+        t = SparsePoly.variable(tvar(k))
+        assert slots[zvar(k)] < slots[tvar(k)]
+        with pytest.raises(ValueError, match="no value assigned to t%d$" % k):
+            (z * t + z).evaluate({})
+        with pytest.raises(ValueError, match="no value assigned to z%d$" % k):
+            (z * t + z).evaluate({tvar(k): 1})
 
 
 class TestRenderingAtRealSizes:

@@ -1,6 +1,8 @@
 """Tests for the neutral-fermion Fock space: mode operators, lowering
 operators, normal ordering, and the boson image."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -13,9 +15,9 @@ from schurq.partitions import (StrictPartition, bar_core, bar_quotient, color,
                                enumerate_added, stats)
 from schurq.symfunc import schur, schur_q
 from schurq.fock import (BosonElement, FockVector, NormalWord, _label,
-                         beta_apply, core_state_image, f_apply,
+                         _node_sum, beta_apply, core_state_image, f_apply,
                          f_power_normalized, normal_word_image, phi,
-                         phi_closed_form, single_node_action, to_normal_words)
+                         phi_closed_form, to_normal_words)
 
 P = StrictPartition.from_string
 
@@ -271,10 +273,6 @@ class TestBetaAction:
 
 
 class TestLoweringOperators:
-    def test_single_node_validation(self):
-        with pytest.raises(ValueError):
-            single_node_action(-1, FockVector({(): 1}))
-
     def test_f_apply_validation(self):
         with pytest.raises(ValueError):
             f_apply(2, FockVector({(): 1}))
@@ -345,7 +343,7 @@ class TestAgainstTupleReference:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=11), padded_vectors)
     def test_single_node_action(self, p, vec):
-        _assert_matches(single_node_action(p, vec), _ref_node(p, dict(vec.terms)))
+        _assert_matches(_node_sum(vec, 1 << p), _ref_node(p, dict(vec.terms)))
 
     def test_f_power_normalized_chains(self):
         for i in (0, 1):
@@ -592,6 +590,23 @@ def test_empty_constructor_gives_the_zero_value(cls):
     assert zero == cls._of([])
     assert zero.is_zero()
     assert str(zero) == "0"
+
+
+@pytest.mark.parametrize("value", [
+    Sqrt2Rational(Fraction(-2, 3), Fraction(5, 4)),
+    SparsePoly.constant(SQRT2) * SparsePoly({(((0, 1), 2), ((1, 3), 1)): 1}) - Fraction(1, 6),
+    FockVector({(5, 2, 0): Fraction(3, 2), (1,): SQRT2}),
+    _image((1, -7), (3, 1), (2,), Fraction(1, 3), -1) + _image((0, 2), (), (1, 1), 2, 0),
+    BosonElement(),
+], ids=["scalar", "polynomial", "fock-vector", "boson-image", "zero-image"])
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_exact_values_copy_and_pickle(value, copier):
+    got = copier(value)
+    assert type(got) is type(value)
+    assert got == value
+    assert str(got) == str(value)
 
 
 class TestBosonImage:

@@ -403,6 +403,16 @@ class TestBialternant:
         with pytest.raises(ValueError):
             bialternant_eval((2, 1), [Fraction(0), Fraction(1)])
 
+    @pytest.mark.parametrize("lam, error, message", [
+        ((2, -1), ValueError, r"not a partition: \(2, -1\)"),
+        ((1, 3), ValueError, r"not a partition: \(1, 3\)"),
+        ((2.5,), TypeError, r"parts must be ints, not 2\.5"),
+    ], ids=["negative-part", "increasing", "non-int-part"])
+    def test_rejects_a_non_partition(self, lam, error, message):
+        # checked as schur checks its shape, not read as some other one
+        with pytest.raises(error, match=message):
+            bialternant_eval(lam, [1, 2, 3])
+
     @settings(max_examples=40)
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1,
                     max_size=3).map(lambda xs: tuple(sorted(xs, reverse=True))),
