@@ -56,7 +56,7 @@ sorted terms of its two factors (BosonElement.sector_texts).
 """
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
@@ -186,16 +186,12 @@ def f_power_normalized(i, n, vec):
 # normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalWord:
+class NormalWord(namedtuple("NormalWord", "coeff phis psis charge")):
     """A straightened word phi_{j1}..phi_{ja} psi_{i1}..psi_{ir} |0,charge>
     with strictly decreasing indices, the j's >= 0 and the i's > charge, and
     coefficient the int 1 or -1."""
 
-    coeff: int
-    phis: tuple
-    psis: tuple
-    charge: int
+    __slots__ = ()
 
 
 def to_normal_words(word):

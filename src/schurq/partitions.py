@@ -12,7 +12,8 @@ Conventions used throughout:
 """
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import total_ordering
 from math import comb
 
 
@@ -39,11 +40,14 @@ def _as_int(value, name):
         raise TypeError("%s must be an int, not %r" % (name, value)) from None
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class StrictPartition:
-    """Strictly decreasing positive parts, canonical zero-free form."""
+    """Strictly decreasing positive parts, canonical zero-free form.
 
-    parts: tuple
+    Immutable, hashed and ordered by its parts.  It iterates over its parts,
+    so it is a slotted class rather than a tuple."""
+
+    __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         parts = as_int_parts(parts)
@@ -52,6 +56,32 @@ class StrictPartition:
         if not all(map(operator.gt, parts, parts[1:])):
             raise ValueError("parts must be strictly decreasing")
         object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # the default reduce would restore the slot through __setattr__
+        return type(self), (self.parts,)
+
+    def __repr__(self):
+        return "%s(parts=%r)" % (type(self).__name__, self.parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts < other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @staticmethod
     def from_string(text):
@@ -90,13 +120,10 @@ class StrictPartition:
         return iter(self.parts)
 
 
-@dataclass(frozen=True)
-class ResidueSplit:
+class ResidueSplit(namedtuple("ResidueSplit", "p0 p1 p2")):
     """Even-padded parts split by residue mod 3 (p0 may contain the pad 0)."""
 
-    p0: tuple
-    p1: tuple
-    p2: tuple
+    __slots__ = ()
 
     @property
     def l1(self):
@@ -107,14 +134,13 @@ class ResidueSplit:
         return len(self.p2)
 
 
-@dataclass(frozen=True)
-class BarQuotient:
-    q0: tuple  # strict
-    q1: tuple  # weakly decreasing, trailing zeros stripped
+class BarQuotient(namedtuple("BarQuotient", "q0 q1")):
+    """q0 is strict; q1 is weakly decreasing with trailing zeros stripped."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Stats:
+class Stats(namedtuple("Stats", "f g h a eps_len")):
     """Sign statistics of a strict partition, on the even-padded view.
 
     f: sum of the parts = 2 (mod 3); g: number of pairs (i, j) with the j-th
@@ -123,11 +149,7 @@ class Stats:
     included; eps_len: 1 when the padded view needed a zero.
     """
 
-    f: int
-    g: int
-    h: int
-    a: int
-    eps_len: int
+    __slots__ = ()
 
 
 def color(j):

@@ -387,12 +387,20 @@ def _int_det(rows):
     return minor(0, (1 << d) - 1)
 
 
+def _coordinate(z):
+    """z as a Fraction.  A float is refused, as Sqrt2Rational refuses one:
+    its binary value is not the rational it prints as."""
+    if isinstance(z, float):
+        raise TypeError("z coordinates must be exact, not float %r" % z)
+    return Fraction(z)
+
+
 def bialternant_eval(lam, zs):
     """Ratio of alternants det(z_i^{lam_j + N - j}) / det(z_i^{N - j})
     at a rational point with pairwise distinct nonzero coordinates, for a
     partition lam checked as schur checks it."""
     lam = _shape(lam)
-    zs = [Fraction(z) for z in zs]
+    zs = [_coordinate(z) for z in zs]
     n = len(zs)
     if len(set(zs)) != n:
         raise ValueError("z coordinates must be pairwise distinct")

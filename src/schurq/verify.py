@@ -14,7 +14,6 @@ including its parameter errors, all derive from it.
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -28,14 +27,44 @@ from .symfunc import (bialternant_eval, pfaffian, poly_det,
 from .fock import (FockVector, core_state_image, f_power_normalized, phi,
                    phi_closed_form)
 
-@dataclass
-class CheckResult:
-    name: str
-    params: dict
-    passed: bool
-    lhs_rendering: str
-    rhs_rendering: str
-    elapsed_ms: int
+
+class _Record:
+    """A mutable record over its __slots__: equal to a record of the same
+    class with equal fields, unhashable, and shown with its fields in
+    order."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self.__slots__, self._values())))
+
+    def __reduce__(self):
+        # the default reduce refuses slots under pickle protocols 0 and 1
+        return type(self), self._values()
+
+
+class CheckResult(_Record):
+    __slots__ = ("name", "params", "passed", "lhs_rendering", "rhs_rendering",
+                 "elapsed_ms")
+
+    def __init__(self, name, params, passed, lhs_rendering, rhs_rendering,
+                 elapsed_ms):
+        self.name = name
+        self.params = params
+        self.passed = passed
+        self.lhs_rendering = lhs_rendering
+        self.rhs_rendering = rhs_rendering
+        self.elapsed_ms = elapsed_ms
 
     def as_dict(self):
         """The fields in declaration order, with params copied."""
@@ -343,18 +372,21 @@ FAMILY_TABLE = {
 FAMILIES = tuple(FAMILY_TABLE)
 
 
-@dataclass
-class SuiteConfig:
-    max_m: int = 4
-    max_n: int = 4
-    families: tuple = FAMILIES
+class SuiteConfig(_Record):
+    __slots__ = ("max_m", "max_n", "families")
 
-    def __post_init__(self):
-        if self.max_m < 0 or self.max_n < 0:
+    def __init__(self, max_m=4, max_n=4, families=FAMILIES):
+        if max_m < 0 or max_n < 0:
             raise ValueError("grid bounds must be non-negative")
-        unknown = set(self.families) - set(FAMILIES)
+        if isinstance(families, str):
+            raise TypeError("families must be a sequence of family names, not the "
+                            "string %r" % families)
+        unknown = set(families) - set(FAMILIES)
         if unknown:
             raise ValueError("unknown families: %s" % ", ".join(sorted(unknown)))
+        self.max_m = max_m
+        self.max_n = max_n
+        self.families = families
 
 
 def run_suite(cfg):

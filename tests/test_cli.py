@@ -373,6 +373,25 @@ class TestParserBehavior:
         assert exc.value.code == 2
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # the modules that importing schurq.cli adds, in a fresh interpreter that
+    # reads no environment variable and no user site directory
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "before = set(sys.modules)\n"
+              "import schurq.cli\n"
+              "print(schurq.cli.__file__)\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = os.path.dirname(os.path.dirname(schurq.__file__))
+    out = subprocess.run([sys.executable, "-E", "-s", "-c", script, src],
+                         capture_output=True, text=True, check=True).stdout
+    where, loaded = out.splitlines()
+    assert where == os.path.join(src, "schurq", "cli.py")
+    loaded = set(loaded.split())
+    assert {"schurq.cli", "schurq.partitions", "schurq.verify"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 class TestClosedPipe:
     """A reader that closes stdout early ends the command quietly with exit
     141 (128 + SIGPIPE), not with a traceback and the exit code of a failed

@@ -403,6 +403,12 @@ class TestBialternant:
         with pytest.raises(ValueError):
             bialternant_eval((2, 1), [Fraction(0), Fraction(1)])
 
+    def test_rejects_a_float_coordinate(self):
+        # 0.1 is not the rational it prints as; exact coordinates still work
+        with pytest.raises(TypeError, match=r"not float 0\.1"):
+            bialternant_eval((1,), [0.1, 2])
+        assert bialternant_eval((1,), [1, "1/2", Fraction(2)]) == Sqrt2Rational(Fraction(7, 2))
+
     @pytest.mark.parametrize("lam, error, message", [
         ((2, -1), ValueError, r"not a partition: \(2, -1\)"),
         ((1, 3), ValueError, r"not a partition: \(1, 3\)"),

@@ -1,7 +1,6 @@
 """Tests for the verification engine: individual checks, the suite runner,
 and report structure."""
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -248,6 +247,17 @@ class TestSuite:
         with pytest.raises(ValueError):
             SuiteConfig(families=("main1", "bogus"))
 
+    def test_a_bare_string_of_families_is_rejected(self):
+        # a string would be read letter by letter as family names
+        with pytest.raises(TypeError, match="a sequence of family names, not the "
+                                            "string 'main1'"):
+            SuiteConfig(families="main1")
+        for families in (["main1"], ("main1",)):
+            cfg = SuiteConfig(max_m=1, max_n=1, families=families)
+            assert [r.params for r in run_suite(cfg)] == [{"m": 0, "n": 0},
+                                                          {"m": 1, "n": 0},
+                                                          {"m": 1, "n": 1}]
+
     def test_negative_bounds_rejected(self):
         with pytest.raises(ValueError):
             SuiteConfig(max_m=-1)
@@ -262,12 +272,14 @@ class TestSuite:
         assert set(payload) == {"name", "params", "passed", "lhs_rendering",
                                 "rhs_rendering", "elapsed_ms"}
 
-    def test_result_dict_is_the_dataclass_dict(self):
-        # the same keys in the same order as dataclasses.asdict, so the JSON
-        # report is unchanged, and params is a copy
+    def test_result_dict_has_the_fields_in_order(self):
+        # the fields in declaration order, as the JSON report has always
+        # listed them, and params is a copy
+        fields = ("name", "params", "passed", "lhs_rendering", "rhs_rendering",
+                  "elapsed_ms")
         for res in run_suite(SuiteConfig(max_m=2, max_n=2)):
             payload = res.as_dict()
-            assert list(payload.items()) == list(dataclasses.asdict(res).items())
+            assert list(payload.items()) == [(f, getattr(res, f)) for f in fields]
             assert payload["params"] is not res.params
 
 
@@ -592,7 +604,7 @@ class TestNegativeControls:
 
         def stats(lam):
             st = original(lam)
-            return dataclasses.replace(st, f=st.f + 1) if lam == flipped else st
+            return st._replace(f=st.f + 1) if lam == flipped else st
 
         assert check_phi_consistency(0, 2, 2).passed
         monkeypatch.setattr(schurq.fock, "stats", stats)
