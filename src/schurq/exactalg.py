@@ -129,10 +129,6 @@ class _IntCombination:
             return Sqrt2Rational._make(self._den, {0: self._num.get(key, 0)}, {0: b})
         return Fraction(self._num.get(key, 0), self._den)
 
-    def _coeff_str(self, key):
-        """str(self._coeff(key)), from the ints."""
-        return _scalar_str(self._num.get(key, 0), self._root.get(key, 0), self._den)
-
     def _keys(self):
         return self._num.keys() | self._root.keys() if self._root else self._num.keys()
 
@@ -257,7 +253,7 @@ class Sqrt2Rational(_IntCombination):
         return out
 
     def __str__(self):
-        return self._coeff_str(0)
+        return _scalar_str(self._num.get(0, 0), self._root.get(0, 0), self._den)
 
     def __repr__(self):
         return "Sqrt2Rational(%r, %r)" % (str(self.a), str(self.b))
@@ -278,10 +274,9 @@ def _int_parts(x):
 
 
 def _sqrt2_pow_parts(k, c=1):
-    """Ints (p, q, d) with d > 0 and c * sqrt2**k = (p + q*sqrt2)/d, for a
-    rational c and any int k: sqrt2**k is a power of two, times sqrt2 when
-    k is odd, so it lands in p or in q."""
-    c = Fraction(c)
+    """Ints (p, q, d) with d > 0 and c * sqrt2**k = (p + q*sqrt2)/d, for an
+    int or Fraction c and any int k: sqrt2**k is a power of two, times
+    sqrt2 when k is odd, so it lands in p or in q."""
     e = k // 2
     p, d = c.numerator << max(e, 0), c.denominator << max(-e, 0)
     return (0, p, d) if k % 2 else (p, 0, d)

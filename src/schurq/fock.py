@@ -62,9 +62,10 @@ from math import factorial
 from types import MappingProxyType
 
 from .exactalg import (ONE, SQRT2, ZERO, Sqrt2Rational, _IntCombination,
-                       _render_product, _sqrt2_pow_parts, _sum_of_products)
-from .partitions import (StrictPartition, bar_core, bar_quotient, color,
-                         as_int_parts, is_added_member, stats)
+                       _render_product, _scalar_str, _sqrt2_pow_parts,
+                       _sum_of_products)
+from .partitions import (StrictPartition, _as_int, as_int_parts, bar_core,
+                         bar_quotient, color, is_added_member, stats)
 from .symfunc import schur, schur_q
 
 
@@ -83,8 +84,14 @@ def _word_bits(word):
 
 
 def _bits_word(bits):
-    """The word of a bitset: its set bits, highest first."""
-    return tuple(p for p in range(bits.bit_length() - 1, -1, -1) if bits >> p & 1)
+    """The word of a bitset: its set bits, highest first, each peeled off
+    as the top bit."""
+    word = []
+    while bits:
+        top = bits.bit_length() - 1
+        word.append(top)
+        bits ^= 1 << top
+    return tuple(word)
 
 
 class FockVector(_IntCombination):
@@ -110,13 +117,21 @@ class FockVector(_IntCombination):
         return Sqrt2Rational._promote(self._coeff(bits))
 
     def __str__(self):
+        """One line "coefficient * |word>" per word, highest word first
+        (|vac> for the empty word), or "0"; each distinct coefficient is
+        formatted once."""
         if self.is_zero():
             return "0"
+        num, root = self._num, self._root
+        texts = {}  # (p, q) -> the text of (p + q*sqrt2)/_den
         lines = []
         for bits in sorted(self._keys(), reverse=True):
-            word = _bits_word(bits)
-            ket = "|%s>" % ",".join(str(x) for x in word) if word else "|vac>"
-            lines.append("%s * %s" % (self._coeff_str(bits), ket))
+            pq = num.get(bits, 0), root.get(bits, 0)
+            text = texts.get(pq)
+            if text is None:
+                text = texts[pq] = _scalar_str(*pq, self._den)
+            ket = ",".join(map(str, _bits_word(bits))) or "vac"
+            lines.append("%s * |%s>" % (text, ket))
         return "\n".join(lines)
 
     def __repr__(self):
@@ -174,7 +189,11 @@ def f_apply(i, vec):
 
 
 def f_power_normalized(i, n, vec):
-    """F_i^n / n! applied to a vector."""
+    """F_i^n / n! applied to a vector: n calls of the module-global f_apply
+    (which tests and the tracer replace), then one scale."""
+    if i not in (0, 1):
+        raise ValueError("operator index must be 0 or 1")
+    n = _as_int(n, "n")
     if n < 0:
         raise ValueError("power must be non-negative")
     for _ in range(n):

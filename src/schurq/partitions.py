@@ -120,6 +120,18 @@ class StrictPartition:
         return iter(self.parts)
 
 
+_set_parts = StrictPartition.parts.__set__
+
+
+def _trusted(parts):
+    """The StrictPartition of a tuple already known to be strictly
+    decreasing positive ints, with no check: the enumerator's members are
+    built so by construction."""
+    lam = object.__new__(StrictPartition)
+    _set_parts(lam, parts)
+    return lam
+
+
 class ResidueSplit(namedtuple("ResidueSplit", "p0 p1 p2")):
     """Even-padded parts split by residue mod 3 (p0 may contain the pad 0)."""
 
@@ -186,7 +198,8 @@ def enumerate_added(core, i, n):
 
     Enumerated row by row over the reachable lengths of each core row, then
     over the lengths of new rows at the bottom, keeping the rows strictly
-    decreasing.
+    decreasing.  Every row is a positive int, so each member is built with
+    no re-check (_trusted).
     """
     i, n = _as_int(i, "i"), _as_int(n, "n")
     if i not in (0, 1):
@@ -208,7 +221,7 @@ def enumerate_added(core, i, n):
     def extend(row, prev, remaining, acc):
         if row == rows:
             if remaining == 0:
-                found.append(StrictPartition(acc))
+                found.append(_trusted(acc))
             for new_len in below:
                 if new_len >= prev or new_len > remaining:
                     break

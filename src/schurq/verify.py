@@ -19,8 +19,7 @@ from itertools import chain
 
 from .exactalg import (S, SparsePoly, _sqrt2_pow_parts, _sum_of_products,
                        svar, tvar, zvar)
-from .partitions import (bar_core, bar_quotient, delta0, delta1,
-                         enumerate_added, residue_split)
+from .partitions import bar_core, bar_quotient, delta0, delta1, enumerate_added
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
                       schur_sum, subst_2t2, subst_q_u, subst_u)
@@ -153,6 +152,24 @@ def check_trapezoid(m, n):
                    lhs if passed else subst_q_u(rhs), t0, passed)
 
 
+def _f_power_terms(core, i, m, n):
+    """The expected side of check_f_power as FockVector._of_parts pairs:
+    each member of the n-fold color-i addition family over the core, as its
+    padded word, with coefficient 2^n for F1 and sqrt2^(a - m mod 2) for
+    F0, where a counts the padded parts = 0 (mod 3), the pad included.  One
+    pass over each member's padded parts gives its bitset and a."""
+    coeffs = {}  # a - m mod 2 -> the int parts of its coefficient
+    for lam in enumerate_added(core, i, n):
+        bits, k = 0, -(m % 2)
+        for p in lam.even_padded():
+            bits |= 1 << p
+            if not p % 3:
+                k += 1
+        if k not in coeffs:
+            coeffs[k] = _sqrt2_pow_parts(k) if i == 0 else (2 ** n, 0, 1)
+        yield bits, coeffs[k]
+
+
 def check_f_power(i, m, n):
     """Iterated lowering operator on a core state against its combinatorial
     expansion over added-node families."""
@@ -163,12 +180,7 @@ def check_f_power(i, m, n):
     t0 = time.perf_counter()
     core = bar_core(m if i == 1 else -m)
     lhs = f_power_normalized(i, n, FockVector.basis(core))
-    # members are validated strict partitions: their words need no re-check
-    rhs = FockVector._of_parts(
-        (sum(1 << p for p in lam.even_padded()),
-         (2 ** n, 0, 1) if i == 1
-         else _sqrt2_pow_parts(len(residue_split(lam).p0) - m % 2))
-        for lam in _sorted_added(core, i, n))
+    rhs = FockVector._of_parts(_f_power_terms(core, i, m, n))
     return _result("f-power", {"i": i, "m": m, "n": n}, lhs, rhs, t0)
 
 

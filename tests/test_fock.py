@@ -3,6 +3,8 @@ operators, normal ordering, and the boson image."""
 
 import copy
 import pickle
+import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -10,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurq.exactalg import ONE, SQRT2, SparsePoly, Sqrt2Rational
+from schurq.exactalg import ONE, SQRT2, SparsePoly, Sqrt2Rational, _scalar_str
 from schurq.partitions import (StrictPartition, bar_core, bar_quotient, color,
                                enumerate_added, stats)
 from schurq.symfunc import schur, schur_q
-from schurq.fock import (BosonElement, FockVector, NormalWord, _label,
-                         _node_sum, beta_apply, core_state_image, f_apply,
+from schurq.fock import (BosonElement, FockVector, NormalWord, _bits_word,
+                         _label, _node_sum, beta_apply, core_state_image, f_apply,
                          f_power_normalized, normal_word_image, phi,
                          phi_closed_form, to_normal_words)
 
@@ -41,6 +43,9 @@ padded_words = st.tuples(words, st.booleans()).map(
     lambda wb: tuple(x for x in wb[0] if x) + ((0,) if wb[1] else ()))
 
 padded_vectors = st.dictionaries(padded_words, fock_coeffs, max_size=4).map(FockVector)
+
+# up to ten words over seven coefficients, so coefficients repeat
+repeating_vectors = st.dictionaries(padded_words, fock_coeffs, max_size=10).map(FockVector)
 
 
 def _mode_sum_f_apply(i, vec):
@@ -108,6 +113,25 @@ def _ref_f(i, terms):
 def _assert_matches(vec, ref_terms):
     """vec has exactly the nonzero terms of the reference dict."""
     assert dict(vec.terms) == {w: c for w, c in ref_terms.items() if c != 0}
+
+
+def _bits_word_by_bit(bits):
+    """Reference: the word of a bitset, testing every bit below the top."""
+    return tuple(p for p in range(bits.bit_length() - 1, -1, -1) if bits >> p & 1)
+
+
+def _fock_str_line_by_line(vec):
+    """Reference: FockVector rendering with each line's coefficient
+    formatted on its own and its word decoded bit by bit."""
+    if vec.is_zero():
+        return "0"
+    lines = []
+    for bits in sorted(vec._keys(), reverse=True):
+        word = _bits_word_by_bit(bits)
+        ket = "|%s>" % ",".join(str(x) for x in word) if word else "|vac>"
+        coeff = _scalar_str(vec._num.get(bits, 0), vec._root.get(bits, 0), vec._den)
+        lines.append("%s * %s" % (coeff, ket))
+    return "\n".join(lines)
 
 
 def _vec(*pairs):
@@ -228,6 +252,35 @@ class TestFockVector:
         assert str(two) == "1 * |5,1>\n2 * |2,0>"  # descending word order
 
 
+class TestFastPathsAgainstReferences:
+    """The word decoder and the vector rendering against the code they
+    replace."""
+
+    def test_bits_word_on_zero_and_single_bits(self):
+        assert _bits_word(0) == _bits_word_by_bit(0) == ()
+        for p in range(200):
+            assert _bits_word(1 << p) == _bits_word_by_bit(1 << p) == (p,)
+
+    def test_bits_word_on_random_bitsets(self):
+        rng = random.Random(23)
+        for _ in range(1000):
+            dense = rng.getrandbits(rng.randint(1, 200))
+            sparse = sum(1 << p for p in rng.sample(range(200), rng.randint(1, 12)))
+            for bits in (dense, sparse):
+                assert _bits_word(bits) == _bits_word_by_bit(bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeating_vectors, fock_coeffs)
+    def test_rendering(self, vec, c):
+        for v in (vec, vec.scale(c), vec + vec.scale(c)):
+            assert str(v) == _fock_str_line_by_line(v)
+
+    def test_rendering_of_divided_powers(self):
+        for i, m in ((0, -7), (1, 8)):
+            vec = f_power_normalized(i, 7, FockVector.basis(bar_core(m)))
+            assert str(vec) == _fock_str_line_by_line(vec)
+
+
 class TestBetaAction:
     def test_create_from_vacuum(self):
         assert beta_apply(3, FockVector({(): 1})) == FockVector({(3,): 1})
@@ -295,6 +348,18 @@ class TestLoweringOperators:
         assert f_power_normalized(0, 0, v) == v
         with pytest.raises(ValueError):
             f_power_normalized(0, -1, v)
+
+    def test_divided_power_validation(self):
+        v = FockVector.basis(bar_core(-2))
+        # a bad operator index is refused even when no step runs
+        for n in (0, 2):
+            with pytest.raises(ValueError, match="operator index must be 0 or 1"):
+                f_power_normalized(2, n, v)
+        for bad in (2.0, "2", None):
+            with pytest.raises(TypeError, match=r"^n must be an int, not %s$"
+                               % re.escape(repr(bad))):
+                f_power_normalized(0, bad, v)
+        assert f_power_normalized(0, True, v) == f_apply(0, v)
 
     def test_divided_power_coefficient(self):
         # the padded word (10,6,2,0) has two entries divisible by three and

@@ -1,6 +1,7 @@
 """Tests for strict partitions, cores, added-node families, quotients and
 the sign statistics."""
 
+import pickle
 import re
 import tracemalloc
 
@@ -279,6 +280,24 @@ class TestEnumerationAgainstReferences:
                 want = _added_by_recursion(core, i, n)
                 assert enumerate_added(core, i, n) == want
                 assert all(is_added_member(core, i, n, lam) for lam in want)
+
+    @pytest.mark.parametrize("m", range(-12, 13))
+    def test_unchecked_members_match_checked_ones(self, m):
+        # enumerate_added builds its members with no check; each must be the
+        # partition the validating constructor builds from the same parts,
+        # with the same hash, order and pickle round trip
+        core = bar_core(m)
+        for i in (0, 1):
+            for n in range(9):
+                members = sorted(enumerate_added(core, i, n))
+                checked = [StrictPartition(lam.parts) for lam in members]
+                assert members == checked
+                assert all(type(lam) is StrictPartition and type(lam.parts) is tuple
+                           and all(type(p) is int for p in lam.parts)
+                           for lam in members)
+                assert list(map(hash, members)) == list(map(hash, checked))
+                assert sorted(checked) == checked
+                assert pickle.loads(pickle.dumps(members)) == checked
 
 
 def _q1_with_k(lam, k):

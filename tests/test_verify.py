@@ -5,12 +5,13 @@ import hashlib
 
 import pytest
 
-from schurq.exactalg import SparsePoly, Sqrt2Rational, T, _linear_sum, svar, zvar
+from schurq.exactalg import (SparsePoly, Sqrt2Rational, T, _linear_sum,
+                             _sqrt2_pow_parts, svar, zvar)
 from schurq.fock import FockVector, phi, phi_closed_form
 from schurq.partitions import (StrictPartition, bar_core, bar_quotient, delta0,
-                               delta1, enumerate_added)
+                               delta1, enumerate_added, residue_split)
 from schurq.symfunc import schur, schur_q, schur_sum, subst_odd, subst_q_u, subst_u
-from schurq.verify import (CheckResult, SuiteConfig,
+from schurq.verify import (CheckResult, SuiteConfig, _f_power_terms,
                            check_core_states, check_f_power, check_main1,
                            check_main2, check_phi_consistency,
                            check_symfunc_antisymmetry,
@@ -344,6 +345,20 @@ class TestFastPathsAgainstSlowPaths:
                                         subst_odd(schur(bar_quotient(mu).q1)))
                                        for mu in empty)
                     assert check_trapezoid(m, n).rhs_rendering == str(want)
+
+    def test_f_power_expected_side_matches_the_residue_split(self):
+        # each member's word and its sqrt(2) power counted in one pass over
+        # its parts, against the residue split of every member
+        for i in (0, 1):
+            for m in range(8):
+                core = bar_core(m if i == 1 else -m)
+                for n in range(8):
+                    want = FockVector._of_parts(
+                        (sum(1 << p for p in lam.even_padded()),
+                         (2 ** n, 0, 1) if i == 1
+                         else _sqrt2_pow_parts(len(residue_split(lam).p0) - m % 2))
+                        for lam in sorted(enumerate_added(core, i, n), reverse=True))
+                    assert FockVector._of_parts(_f_power_terms(core, i, m, n)) == want
 
     def test_render_once_matches_rendering_both_sides(self, monkeypatch):
         # every check of the default grid, against a run that renders both
