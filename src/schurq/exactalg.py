@@ -16,9 +16,12 @@ words and labels.  Polynomials live in three indexed variable families:
 The weighted degree counts t_j and s_j with weight j, and z_j with weight 1
 per unit of exponent.  All values are immutable, all operations pure and
 exact; no floating point anywhere.  A monomial's sort key and text are
-one memo entry: a monomial of one family is read through _unpack, the one
-decoder of a packed int; one of several joins the entries of its t-, s- and
-z-parts.
+one memo entry: a monomial of one family decodes its occupied slots into
+memoized per-(slot, exponent) pieces; one of several joins the entries of
+its t-, s- and z-parts.  A rendering formats each distinct coefficient
+once and emits each term as that text and the monomial's; the product of
+two factors renders this way in one pass over their pairs of terms, with
+no product built.
 """
 
 from fractions import Fraction
@@ -106,13 +109,17 @@ class _IntCombination:
     @classmethod
     def _of_parts(cls, parts):
         """The combination of (key, (p, q, d)) pairs, each standing for the
-        scalar (p + q*sqrt2)/d with d > 0; repeated keys add up."""
+        scalar (p + q*sqrt2)/d with d > 0; repeated keys add up.  A zero p
+        or q adds no entry, so a sum with nothing to cancel is canonical
+        as built."""
         parts = list(parts)
         den = lcm(*(d for _, (_, _, d) in parts))
         num, root = {}, {}
         for k, (p, q, d) in parts:
-            num[k] = num.get(k, 0) + p * (den // d)
-            root[k] = root.get(k, 0) + q * (den // d)
+            if p:
+                num[k] = num.get(k, 0) + p * (den // d)
+            if q:
+                root[k] = root.get(k, 0) + q * (den // d)
         return cls._make(den, num, root)
 
     @classmethod
@@ -589,39 +596,51 @@ def _sorted_texts(keys):
     return keys, [_mono_text(m)[1] for m in keys]
 
 
+def _coeff_text(n, r, den):
+    """The separator and coefficient that precede a monomial's text in a
+    rendering, for the term (n + r*sqrt2)/den * monomial (n or r nonzero,
+    not necessarily in lowest terms over den): " + 3/2*", " - " for a unit,
+    " + (a+b*r2)*"."""
+    if r:
+        return " + %s*" % _scalar_str(n, r, den)
+    sign = " + " if n > 0 else " - "
+    g = gcd(n, den)
+    n, d = abs(n) // g, den // g
+    if d != 1:
+        return "%s%d/%d*" % (sign, n, d)
+    return sign if n == 1 else "%s%d*" % (sign, n)
+
+
+def _join_terms(chunks):
+    """The rendering of signed terms, each chunk led by " + " or " - ";
+    "0" for none.  The first term carries its sign with no spaces."""
+    if not chunks:
+        return "0"
+    out = "".join(chunks)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
 def _emit(texts, nums, roots, den):
     """The rendering of the terms (num + root*sqrt2)/den * monomial, for
     parallel iterables of monomial texts and int parts, in order (num or
-    root nonzero in each term); "0" for no terms.  A rational coefficient
-    renders as its sign and magnitude (none for a unit before a monomial),
-    a sqrt(2) one as `(a+b*r2)`; coefficients need not be in lowest terms
-    over den, and each distinct magnitude is formatted once."""
-    mags = {}  # |numerator| -> its magnitude text over den
+    root nonzero in each term); "0" for no terms.  Each distinct
+    coefficient is formatted once; the constant term, whose text is empty,
+    renders as its coefficient alone."""
+    coeffs = {}  # a rational coefficient's num -> its _coeff_text
     chunks = []
     for text, n, r in zip(texts, nums, roots):
-        if r:
-            sep = " + "
-            body = _scalar_str(n, r, den)
-            if text:
-                body += "*" + text
+        if text and not r:
+            coeff = coeffs.get(n)
+            if coeff is None:
+                coeff = coeffs[n] = _coeff_text(n, 0, den)
+            chunks += coeff, text
+        elif text:
+            chunks += _coeff_text(n, r, den), text
+        elif r:
+            chunks.append(" + " + _scalar_str(n, r, den))
         else:
-            sep = " + " if n > 0 else " - "
-            n = abs(n)
-            if text and n == den:
-                body = text
-            else:
-                body = mags.get(n)
-                if body is None:
-                    body = mags[n] = _ratio_str(n, den)
-                if text:
-                    body += "*" + text
-        chunks.append(sep)
-        chunks.append(body)
-    if not chunks:
-        return "0"
-    # the first term carries its sign with no spaces
-    chunks[0] = "-" if chunks[0] == " - " else ""
-    return "".join(chunks)
+            chunks.append((" + " if n > 0 else " - ") + _ratio_str(abs(n), den))
+    return _join_terms(chunks)
 
 
 def _render_product(w, a, b):
@@ -635,21 +654,41 @@ def _render_product(w, a, b):
     rendering order and, within each of a's terms, in b's; distinct pairs
     of terms give distinct monomials, so no two terms meet.  The term of
     the numerators x of a and y of b has the coefficient
-    (p + q*sqrt2)*x*y/(d * a._den * b._den)."""
+    (p + q*sqrt2)*x*y/(d * a._den * b._den).  One pass over the pairs
+    emits each signed, formatted term: its coefficient text, formatted
+    once per distinct x*y, and the two monomial texts."""
     p, q, d = w
+    den = d * a._den * b._den
     a_keys, heads = _sorted_texts(a._keys())
     b_keys, tails = _sorted_texts(b._keys())
-    ys = [b._num[m] for m in b_keys]
-    # a homogeneous polynomial with a constant term is that constant
-    join = "*" if heads[0] and tails[0] else ""
-    texts, nums, roots = [], [], []
+    if not heads[0] and not tails[0]:
+        # a homogeneous polynomial with a constant term is that constant
+        xy = a._num[0] * b._num[0]
+        return _scalar_str(p * xy, q * xy, den)
+    tails = list(zip(tails, map(b._num.__getitem__, b_keys)))
+    join = "*" if heads[0] and tails[0][0] else ""
+    coeffs = {}  # x*y -> the _coeff_text of its terms
+    chunks = []
     for m, head in zip(a_keys, heads):
-        texts += map((head + join).__add__, tails)
         x = a._num[m]
-        nums += map((p * x).__mul__, ys)
-        if q:
-            roots += map((q * x).__mul__, ys)
-    return _emit(texts, nums, roots if q else repeat(0), d * a._den * b._den)
+        head += join
+        for tail, y in tails:
+            coeff = coeffs.get(x * y)
+            if coeff is None:
+                coeff = coeffs[x * y] = _coeff_text(p * x * y, q * x * y, den)
+            chunks += coeff, head, tail
+    return _join_terms(chunks)
+
+
+@cache
+def _slot_piece(slot, e):
+    """The piece of a monomial that one occupied slot contributes, memoized
+    per (slot, exponent): its sort-key fields (family, index, -e), its
+    weighted degree and its text."""
+    family, j = v = _VARS[slot]
+    name = var_name(v)
+    return (family, j, -e), (e if family == Z else j * e), (
+        name if e == 1 else "%s^%d" % (name, e))
 
 
 @cache
@@ -661,9 +700,10 @@ def _mono_text(m):
     order, so terms sort by weighted degree descending, then lexicographically
     in variable order with the higher power of the earlier variable first;
     at equal degree no key is a proper prefix of another.  A monomial of one
-    family is read through _unpack, so it runs in index order, not slot
-    order; one of several joins the entries of its t-, s- and z-parts, in
-    that order, each cut out by its family's slot mask."""
+    family decodes its occupied slots, highest first, straight into their
+    memoized pieces (_slot_piece) and sorts them, so it runs in index
+    order, not slot order; one of several joins the entries of its t-, s-
+    and z-parts, in that order, each cut out by its family's slot mask."""
     t_mask, s_mask, z_mask = _FAMILY_MASKS
     parts = m & t_mask, m & s_mask, m & z_mask
     deg, fields, texts = 0, (), []
@@ -674,11 +714,18 @@ def _mono_text(m):
                 deg -= key[0]
                 fields += key[1:]
                 texts.append(text)
-    else:
-        for v, e in _unpack(m):
-            deg += e if v[0] == Z else v[1] * e
-            fields += (*v, -e)
-            texts.append(var_name(v) if e == 1 else "%s^%d" % (var_name(v), e))
+        return (-deg,) + fields, "*".join(texts)
+    pieces = []
+    while m:
+        shift = (m.bit_length() - 1) // _WIDTH * _WIDTH
+        e = m >> shift
+        m ^= e << shift
+        pieces.append(_slot_piece(shift // _WIDTH, e))
+    pieces.sort()
+    for piece_fields, weight, text in pieces:
+        deg += weight
+        fields += piece_fields
+        texts.append(text)
     return (-deg,) + fields, "*".join(texts)
 
 

@@ -61,7 +61,7 @@ from fractions import Fraction
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import (ONE, SQRT2, ZERO, Sqrt2Rational, _IntCombination,
+from .exactalg import (SQRT2, ZERO, Sqrt2Rational, _IntCombination,
                        _render_product, _scalar_str, _sqrt2_pow_parts,
                        _sum_of_products)
 from .partitions import (StrictPartition, _as_int, as_int_parts, bar_core,
@@ -106,8 +106,11 @@ class FockVector(_IntCombination):
 
     @staticmethod
     def basis(lam):
-        """The state of a strict partition: its even-padded parts as a word."""
-        return FockVector({lam.even_padded(): ONE})
+        """The state of a strict partition: its even-padded parts as a word,
+        whose bitset is built with no word check, since those parts are
+        strictly decreasing and non-negative by construction."""
+        bits = sum(map((1).__lshift__, lam.even_padded()))
+        return FockVector._make(1, {bits: 1}, {})
 
     def coefficient(self, word):
         try:
@@ -321,7 +324,7 @@ class BosonElement(_IntCombination):
 def _label(sector, nu, kappa, c, k):
     """The label of c * sqrt(2)^k * Q_nu * S_kappa in a sector, as a
     BosonElement._of_parts pair."""
-    key = (sector, tuple(p for p in nu if p), tuple(p for p in kappa if p))
+    key = (sector, tuple(filter(None, nu)), tuple(filter(None, kappa)))
     return key, _sqrt2_pow_parts(k, c)
 
 
@@ -331,7 +334,8 @@ def normal_word_image(nw):
     S-function of the psi indices re-based at the charge, in the sector
     (a mod 2, q+r)."""
     a, r, q = len(nw.phis), len(nw.psis), nw.charge
-    kappa = tuple(nw.psis[j] - q - (r - 1 - j) for j in range(r))
+    # psi_j less q + (r - 1 - j)
+    kappa = tuple(map(operator.sub, nw.psis, range(q + r - 1, q - 1, -1)))
     return _label((a % 2, q + r), nw.phis, kappa, nw.coeff, -a)
 
 
@@ -351,6 +355,7 @@ def phi_closed_form(lam, i, m, n):
     """The boson image of the basis state of lam by the closed formula for
     members of the n-fold color-i addition family over the staircase core
     (c_m for i = 1, c_{-m} for i = 0): one label."""
+    i, m, n = _as_int(i, "i"), _as_int(m, "m"), _as_int(n, "n")
     if i not in (0, 1):
         raise ValueError("color must be 0 or 1")
     if m < 0 or n < 0:

@@ -13,7 +13,7 @@ Conventions used throughout:
 
 import operator
 from collections import namedtuple
-from functools import total_ordering
+from functools import cache, total_ordering
 from math import comb
 
 
@@ -114,7 +114,7 @@ class StrictPartition:
         return all(self.parts[i] >= other.parts[i] for i in range(other.length))
 
     def __str__(self):
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
+        return ",".join(map(str, self.parts)) if self.parts else "-"
 
     def __iter__(self):
         return iter(self.parts)
@@ -172,8 +172,13 @@ def color(j):
 
 
 def bar_core(m):
-    """The m-th staircase core: (3m-2,...,4,1), empty, or (3|m|-1,...,5,2)."""
-    m = _as_int(m, "m")
+    """The m-th staircase core: (3m-2,...,4,1), empty, or (3|m|-1,...,5,2).
+    Every call checks m; the immutable core is built once per m."""
+    return _bar_core(_as_int(m, "m"))
+
+
+@cache
+def _bar_core(m):
     if m == 0:
         return StrictPartition(())
     if m > 0:

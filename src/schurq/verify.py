@@ -19,7 +19,8 @@ from itertools import chain
 
 from .exactalg import (S, SparsePoly, _sqrt2_pow_parts, _sum_of_products,
                        svar, tvar, zvar)
-from .partitions import bar_core, bar_quotient, delta0, delta1, enumerate_added
+from .partitions import (_as_int, bar_core, bar_quotient, delta0, delta1,
+                         enumerate_added)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
                       schur_sum, subst_2t2, subst_q_u, subst_u)
@@ -92,6 +93,7 @@ def _sorted_added(core, i, n):
 def check_main1(m, n):
     """Signed sum of quotient Schur functions over color-1 additions equals
     the doubled-variable rectangle Schur function."""
+    m, n = _as_int(m, "m"), _as_int(n, "n")
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     if n > m:
@@ -106,6 +108,7 @@ def check_main1(m, n):
 def check_main2(m, n):
     """Signed Q*S sum over color-0 additions equals the empty-Q subsum with
     odd t-variables shifted by the s-variables."""
+    m, n = _as_int(m, "m"), _as_int(n, "n")
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     t0 = time.perf_counter()
@@ -131,6 +134,7 @@ def check_trapezoid(m, n):
     s-polynomials Q_trap(s) = sum c S_kappa[q](s), the right side expanded
     by schur_sum in the family S; subst_q_u runs only to render the sides in
     u, the right one only on a FAIL."""
+    m, n = _as_int(m, "m"), _as_int(n, "n")
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
     if m - n + 1 < 0:
@@ -173,6 +177,7 @@ def _f_power_terms(core, i, m, n):
 def check_f_power(i, m, n):
     """Iterated lowering operator on a core state against its combinatorial
     expansion over added-node families."""
+    i, m, n = _as_int(i, "i"), _as_int(m, "m"), _as_int(n, "n")
     if i not in (0, 1):
         raise ValueError("operator index must be 0 or 1")
     if m < 0 or n < 0:
@@ -187,6 +192,7 @@ def check_f_power(i, m, n):
 def check_core_states(m):
     """Boson image of the two core states indexed by +-m against the stated
     sign and sqrt(2)-power, compared and rendered as labels."""
+    m = _as_int(m, "m")
     if m < 1:
         raise ValueError("needs m >= 1")
     t0 = time.perf_counter()
@@ -201,6 +207,7 @@ def check_core_states(m):
 def check_phi_consistency(i, m, n):
     """Fermionic straightening against the closed-form boson image, state by
     state over a whole added-node family."""
+    i, m, n = _as_int(i, "i"), _as_int(m, "m"), _as_int(n, "n")
     if i not in (0, 1):
         raise ValueError("color must be 0 or 1")
     if m < 0 or n < 0:

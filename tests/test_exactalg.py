@@ -5,13 +5,14 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurq.exactalg
-from schurq.exactalg import (ONE, SQRT2, ZERO, Z, SparsePoly, Sqrt2Rational,
+from schurq.exactalg import (ONE, S, SQRT2, T, ZERO, Z, SparsePoly, Sqrt2Rational,
                              _LIMIT, _linear_sum, _pack,
                              _render_product, _sqrt2_pow_parts,
                              _sum_of_products, _unpack, svar, tvar, var_name,
@@ -638,6 +639,43 @@ class TestAgainstReferenceKernel:
                 schurq.exactalg._mono_text(m & mask)
         assert [schurq.exactalg._mono_text(m) for m in packed] == want
 
+    def test_cold_monomial_text_from_slot_pieces(self):
+        # a cold monomial of one family decodes its slots into the pieces
+        # of _slot_piece; with both memos cleared, then with warm pieces
+        # under a cold _mono_text, then warm, against the reference read
+        # through _unpack.  _LATE_VARS got their slots out of index order
+        # within each family, so slot order is not the rendering order
+        _slot_late_vars()
+        t, s, z = ([v for v in _LATE_VARS if v[0] == f] for f in (T, S, Z))
+        monos = [{v: e for v, e in zip(vs, exps)}
+                 for vs in (t, s, z, t + s, s + z, t + z, t + s + z)
+                 for exps in ((1, 1, 1, 1, 1, 1), (2, 1, 3, 1, 12, 1),
+                              (1, 7, 1, 2, 1, 5))]
+        monos += [{v: e} for v in _LATE_VARS for e in (1, 2, 11)]
+        packed = [_pack(tuple(sorted(d.items()))) for d in monos]
+        want = [_mono_text_ref(m) for m in packed]
+        assert want[0] == ((-2403, T, 1201, -1, T, 1202, -1), "t1201*t1202")
+        for clear_pieces in (True, False):
+            schurq.exactalg._mono_text.cache_clear()
+            if clear_pieces:
+                schurq.exactalg._slot_piece.cache_clear()
+            assert [schurq.exactalg._mono_text(m) for m in packed] == want
+        assert [schurq.exactalg._mono_text(m) for m in packed] == want
+
+    def test_cold_monomial_text_at_real_sizes(self):
+        # every monomial of S_lam(t) and Q_nu(s) up to weight 12, cold with
+        # both memos cleared and then warm
+        from schurq.symfunc import schur, schur_q
+        from schurq.verify import _partitions_of, _strict_partitions_of
+        packed = {m for w in range(13) for poly in chain(
+            map(schur, _partitions_of(w)), map(schur_q, _strict_partitions_of(w)))
+            for m in poly._keys()}
+        want = {m: _mono_text_ref(m) for m in packed}
+        schurq.exactalg._mono_text.cache_clear()
+        schurq.exactalg._slot_piece.cache_clear()
+        assert {m: schurq.exactalg._mono_text(m) for m in packed} == want
+        assert {m: schurq.exactalg._mono_text(m) for m in packed} == want
+
     def test_one_memo_entry_per_monomial_and_part(self):
         # a monomial of several families adds itself and its parts, which
         # later renderings share; a monomial of one family adds itself only
@@ -834,6 +872,24 @@ class TestRenderProduct:
                 for a in lefts:
                     for b in rights:
                         assert _render_product((p, q, d), a, b) == str(w * a * b)
+
+    def test_against_built_product_up_to_weight_12(self):
+        # every S_kappa(t) and Q_nu(s) of weight up to 12, each pair of
+        # total weight up to 12, under a rational and a sqrt(2) weight,
+        # with both monomial memos cold and then warm
+        from schurq.symfunc import schur, schur_q
+        from schurq.verify import _partitions_of, _strict_partitions_of
+        pairs = [(schur(kappa), schur_q(nu)) for w in range(13)
+                 for kappa in _partitions_of(w)
+                 for v in range(13 - w) for nu in _strict_partitions_of(v)]
+        assert len(pairs) == 1491
+        for p, q, d in ((-5, 0, 6), (2, -3, 5)):
+            w = SparsePoly.constant(Sqrt2Rational(Fraction(p, d), Fraction(q, d)))
+            wants = [str(w * a * b) for a, b in pairs]
+            schurq.exactalg._mono_text.cache_clear()
+            schurq.exactalg._slot_piece.cache_clear()
+            assert [_render_product((p, q, d), a, b) for a, b in pairs] == wants
+            assert [_render_product((p, q, d), a, b) for a, b in pairs] == wants
 
     def test_constant_factors_join_with_no_star(self):
         from schurq.symfunc import schur, schur_q

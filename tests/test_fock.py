@@ -280,6 +280,25 @@ class TestFastPathsAgainstReferences:
             vec = f_power_normalized(i, 7, FockVector.basis(bar_core(m)))
             assert str(vec) == _fock_str_line_by_line(vec)
 
+    def test_basis_against_checked_word(self):
+        # the bitset built straight from the padded parts against the
+        # checked one-word vector, over two whole families (odd and even
+        # lengths) and the empty partition, with its terms, rendering and
+        # pickle round trip
+        members = [P("-")]
+        for core, i, n in ((bar_core(-5), 0, 5), (bar_core(4), 1, 4)):
+            members += sorted(enumerate_added(core, i, n))
+        assert len(members) == 1 + 96 + 1
+        assert {lam.length % 2 for lam in members} == {0, 1}
+        for lam in members:
+            got = FockVector.basis(lam)
+            want = FockVector({lam.even_padded(): ONE})
+            assert got == want
+            assert dict(got.terms) == {lam.even_padded(): 1}
+            assert str(got) == str(want)
+            again = pickle.loads(pickle.dumps(got))
+            assert type(again) is FockVector and again == want
+
 
 class TestBetaAction:
     def test_create_from_vacuum(self):

@@ -204,6 +204,28 @@ class TestPhiConsistency:
             check_phi_consistency(3, 1, 1)
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (check_main1, (2.0, 1), "m must be an int, not 2.0"),
+    (check_main1, (2, "1"), "n must be an int, not '1'"),
+    (check_main2, (2.0, 1), "m must be an int, not 2.0"),
+    (check_trapezoid, (2.0, 1), "m must be an int, not 2.0"),
+    (check_f_power, (0, 2.0, 2), "m must be an int, not 2.0"),
+    (check_f_power, (0.0, 2, 2), "i must be an int, not 0.0"),
+    (check_f_power, (1, 2, 2.5), "n must be an int, not 2.5"),
+    (check_core_states, (2.0,), "m must be an int, not 2.0"),
+    (check_phi_consistency, (0, 2.0, 1), "m must be an int, not 2.0"),
+    (check_phi_consistency, (True, 1, 1.0), "n must be an int, not 1.0"),
+    (phi_closed_form, (P("6,2,1"), 0, 2.0, 2), "m must be an int, not 2.0"),
+    (phi_closed_form, (P("6,2,1"), 0, 2, None), "n must be an int, not None"),
+])
+def test_a_non_int_parameter_is_named_as_passed(call, args, message):
+    # i, m and n are read as ints before any arithmetic, so the message
+    # names the value the caller passed, not one derived from it
+    with pytest.raises(TypeError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
 class TestSymfuncProps:
     def test_all_four_pass(self):
         results = check_symfunc_props()
@@ -609,6 +631,18 @@ class TestNegativeControls:
         right = phi_closed_form(P("6,2,1"), 0, 2, 2)
         assert "6,2,1 -> 0\n" in res.lhs_rendering
         assert "6,2,1 -> %s\n" % right in res.rhs_rendering
+
+    def test_basis_without_the_even_pad_fails_phi_consistency(self, monkeypatch, capsys):
+        # an odd-length member without its trailing 0 is another word, so
+        # its straightened image leaves the closed form
+        import schurq.fock
+        assert check_phi_consistency(0, 2, 2).passed
+        monkeypatch.setattr(schurq.fock.FockVector, "basis",
+                            staticmethod(lambda lam: FockVector({lam.parts: 1})))
+        res = self._assert_fails(capsys, lambda: check_phi_consistency(0, 2, 2),
+                                 ["phi-consistency", "--i", "0", "--m", "2", "--n", "2"])
+        assert "6,2,1 -> %s\n" % phi_closed_form(P("6,2,1"), 0, 2, 2) in res.rhs_rendering
+        assert "6,2,1 -> %s\n" % phi(FockVector({(6, 2, 1): 1})) in res.lhs_rendering
 
     def test_flipped_closed_form_sign_fails_phi_consistency(self, monkeypatch, capsys):
         # an odd change of the statistic f flips the closed-form sign of one
