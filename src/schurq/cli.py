@@ -5,12 +5,16 @@ Partitions are written as comma-separated parts (``11,9,8,4,3,2,1``) with
 form or ``c:M`` for the core state indexed by the integer M.  Exit codes:
 0 on success, 1 when a verification check fails, 2 on usage errors, 141
 (128 + SIGPIPE) when the reader of stdout closes it early.
+
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the process; ``build_parser`` returns a fresh one.
 """
 
 import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .partitions import StrictPartition, bar_core, bar_quotient, enumerate_added
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
@@ -257,9 +261,11 @@ def build_parser():
     return parser
 
 
+_shared_parser = cache(build_parser)  # built on the first call to main
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

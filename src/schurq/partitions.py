@@ -201,16 +201,22 @@ def enumerate_added(core, i, n):
     """All strict partitions containing `core` with n added nodes, every
     added node of color i.
 
-    Enumerated row by row over the reachable lengths of each core row, then
-    over the lengths of new rows at the bottom, keeping the rows strictly
-    decreasing.  Every row is a positive int, so each member is built with
-    no re-check (_trusted).
+    Walked row by row without recursion: the partial members that end in a
+    row of the same length with the same nodes left are kept together, and
+    each row extends every group over the reachable lengths of that core
+    row (then over the lengths of new rows at the bottom), keeping the rows
+    strictly decreasing.  Once no nodes remain, every later core row is
+    forced to keep its own length, so the rest of the core is appended in
+    one step.  Every row is a positive int, so each member is built with no
+    re-check (_trusted).
     """
     i, n = _as_int(i, "i"), _as_int(n, "n")
     if i not in (0, 1):
         raise ValueError("color must be 0 or 1")
     if n < 0:
         raise ValueError("node count must be non-negative")
+    if not n:
+        return {core}
     base = core.parts
     rows = len(base)
     reach = [_reachable(b, i, n) for b in base]
@@ -221,28 +227,31 @@ def enumerate_added(core, i, n):
     for b, lengths in zip(reversed(base), reversed(reach)):
         room.append(room[-1] + lengths[-1] - b)
     room.reverse()
-    found = []
-
-    def extend(row, prev, remaining, acc):
-        if row == rows:
-            if remaining == 0:
-                found.append(_trusted(acc))
-            for new_len in below:
-                if new_len >= prev or new_len > remaining:
+    found = set()
+    # (length of the last row, nodes left) -> the row tuples that end so;
+    # the first bound is above the longest reachable first row
+    frontier = {((base[0] if base else 0) + n + 1, n): [()]}
+    row = 0
+    while frontier:
+        if row < rows:
+            b, later, lengths, tail = base[row], room[row + 1], reach[row], base[row + 1:]
+        else:  # a new row below the core
+            b, later, lengths, tail = 0, n, below, ()
+        grown = {}
+        for (prev, remaining), accs in frontier.items():
+            for new_len in lengths:
+                left = remaining - new_len + b
+                if new_len >= prev or left < 0:
                     break
-                extend(row, new_len, remaining - new_len, acc + (new_len,))
-            return
-        b, later = base[row], room[row + 1]
-        for new_len in reach[row]:
-            left = remaining - (new_len - b)
-            if new_len >= prev or left < 0:
-                break
-            if left <= later:
-                extend(row + 1, new_len, left, acc + (new_len,))
-
-    # any bound above the longest reachable first row
-    extend(0, (base[0] if base else 0) + n + 1, n, ())
-    return set(found)
+                if not left:
+                    end = (new_len,) + tail
+                    found.update([_trusted(acc + end) for acc in accs])
+                elif left <= later:
+                    step = (new_len,)
+                    grown.setdefault((new_len, left), []).extend([acc + step for acc in accs])
+        frontier = grown
+        row += 1
+    return found
 
 
 def is_added_member(core, i, n, lam):

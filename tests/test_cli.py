@@ -3,19 +3,35 @@ exit codes."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import schurq
-from schurq.cli import main
+from schurq.cli import build_parser, main
+
+_SRC = os.path.dirname(os.path.dirname(schurq.__file__))
+
+
+def _cli_env(**extra):
+    """The environment of a `python -m schurq.cli` child that imports the
+    package under test."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _without_times(text):
+    """The text with every check time, which differs from run to run, as 0."""
+    text = re.sub(r"\(\d+ ms\)", "(0 ms)", text)
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
 
 
 class TestVerifyCommand:
@@ -195,6 +211,13 @@ class TestEnumerateCommand:
         assert code == 0
         assert out.strip() == ""
 
+    def test_deep_core(self, capsys):
+        # 1,200 core rows once exceeded the recursion limit of the enumerator
+        code, out, err = run_cli(capsys, "enumerate", "--core", "-1200",
+                                 "--color", "0", "--nodes", "0")
+        assert (code, err) == (0, "")
+        assert out == ",".join(str(3 * k - 1) for k in range(1200, 0, -1)) + "\n"
+
 
 class TestQuotientCommand:
     def test_text(self, capsys):
@@ -373,6 +396,56 @@ class TestParserBehavior:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    """main builds its parser once per process; each later call must behave
+    as the same command does in a fresh process."""
+
+    SEQUENCE = [
+        ["verify", "core-states", "--max-m", "2"],
+        ["verify", "all", "--json", "-"],
+        ["enumerate", "--core", "-3", "--color", "0", "--nodes", "3", "--json"],
+        ["fock", "apply-f", "--i", "2", "--n", "1", "--state", "-"],
+        ["verify", "core-states", "--m", "0"],
+        ["--help"],
+        ["verify", "core-states", "--max-m", "2"],
+    ]
+
+    @staticmethod
+    def _in_process(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, _without_times(captured.out), captured.err
+
+    @staticmethod
+    def _fresh_process(argv):
+        proc = subprocess.run([sys.executable, "-m", "schurq.cli", *argv],
+                              capture_output=True, text=True,
+                              env=_cli_env(COLUMNS="80"), timeout=120)
+        return proc.returncode, _without_times(proc.stdout), proc.stderr
+
+    def test_later_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at this width
+        got = [self._in_process(capsys, argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in got] == [0, 0, 0, 2, 2, 0, 0]
+        assert got[-1] == got[0]
+        for argv, result in zip(self.SEQUENCE, got):
+            assert result == self._fresh_process(argv), argv
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_report_file_equals_json_stdout(self, capsys, tmp_path):
+        argv = ["verify", "trapezoid", "--max-m", "2", "--max-n", "2", "--json"]
+        target = tmp_path / "report.json"
+        assert run_cli(capsys, *argv, str(target))[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "-")
+        assert code == 0 and out.endswith("]\n")
+        assert _without_times(target.read_text()) == _without_times(out[:-1])
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # the modules that importing schurq.cli adds, in a fresh interpreter that
     # reads no environment variable and no user site directory
@@ -382,11 +455,10 @@ def test_import_loads_no_dataclasses_or_inspect():
               "import schurq.cli\n"
               "print(schurq.cli.__file__)\n"
               "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    src = os.path.dirname(os.path.dirname(schurq.__file__))
-    out = subprocess.run([sys.executable, "-E", "-s", "-c", script, src],
+    out = subprocess.run([sys.executable, "-E", "-s", "-c", script, _SRC],
                          capture_output=True, text=True, check=True).stdout
     where, loaded = out.splitlines()
-    assert where == os.path.join(src, "schurq", "cli.py")
+    assert where == os.path.join(_SRC, "schurq", "cli.py")
     loaded = set(loaded.split())
     assert {"schurq.cli", "schurq.partitions", "schurq.verify"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
@@ -402,12 +474,9 @@ class TestClosedPipe:
         ["enumerate", "--core", "-10", "--color", "0", "--nodes", "10"],
         ["verify", "all", "--json", "-"]])
     def test_reader_closing_after_one_line(self, argv):
-        src = os.path.dirname(os.path.dirname(schurq.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen([sys.executable, "-m", "schurq.cli", *argv],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=env)
+                                env=_cli_env())
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schurq.partitions import (StrictPartition, bar_core, bar_quotient, color,
-                               delta0, delta1, enumerate_added,
-                               is_added_member, residue_split, stats)
+from schurq.partitions import (StrictPartition, _reachable, bar_core,
+                               bar_quotient, color, delta0, delta1,
+                               enumerate_added, is_added_member,
+                               residue_split, stats)
 
 P = StrictPartition.from_string
 
@@ -255,6 +256,42 @@ def _added_by_recursion(core, i, n):
     return set(found)
 
 
+def _added_by_reachable_recursion(core, i, n):
+    """The recursion over the reachable lengths of each row that the
+    row-by-row walk of enumerate_added replaced: one call per row, each
+    copying its row tuple, so a core of about a thousand rows exceeds the
+    recursion limit."""
+    base = core.parts
+    rows = len(base)
+    reach = [_reachable(b, i, n) for b in base]
+    below = _reachable(0, i, n)[1:]
+    room = [sum(below)]
+    for b, lengths in zip(reversed(base), reversed(reach)):
+        room.append(room[-1] + lengths[-1] - b)
+    room.reverse()
+    found = []
+
+    def extend(row, prev, remaining, acc):
+        if row == rows:
+            if remaining == 0:
+                found.append(StrictPartition(acc))
+            for new_len in below:
+                if new_len >= prev or new_len > remaining:
+                    break
+                extend(row, new_len, remaining - new_len, acc + (new_len,))
+            return
+        b, later = base[row], room[row + 1]
+        for new_len in reach[row]:
+            left = remaining - (new_len - b)
+            if new_len >= prev or left < 0:
+                break
+            if left <= later:
+                extend(row + 1, new_len, left, acc + (new_len,))
+
+    extend(0, (base[0] if base else 0) + n + 1, n, ())
+    return set(found)
+
+
 # every strict partition with at most 4 parts and size at most 9, most of
 # them not bar cores
 _SMALL_CORES = [StrictPartition(parts) for size in range(10)
@@ -280,6 +317,27 @@ class TestEnumerationAgainstReferences:
                 want = _added_by_recursion(core, i, n)
                 assert enumerate_added(core, i, n) == want
                 assert all(is_added_member(core, i, n, lam) for lam in want)
+
+    @pytest.mark.parametrize("m", range(-12, 13))
+    def test_bar_cores_against_the_reachable_recursion(self, m):
+        core = bar_core(m)
+        for i in (0, 1):
+            for n in range(9):
+                assert enumerate_added(core, i, n) == _added_by_reachable_recursion(core, i, n)
+
+    @pytest.mark.parametrize("m, i", [(-1200, 0), (1200, 1)])
+    def test_deep_cores(self, m, i):
+        # 1,200 core rows: the former recursion raised RecursionError here
+        core = bar_core(m)
+        counts = []
+        for n in (0, 1):
+            members = enumerate_added(core, i, n)
+            counts.append(len(members))
+            assert all(lam.size == core.size + n and is_added_member(core, i, n, lam)
+                       for lam in members)
+        assert counts == ([1, 1201] if m < 0 else [1, 1200])
+        # no node of the other color fits on a row of the core
+        assert all(enumerate_added(core, 1 - i, n) == set() for n in (1, 2))
 
     @pytest.mark.parametrize("m", range(-12, 13))
     def test_unchecked_members_match_checked_ones(self, m):
