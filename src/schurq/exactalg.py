@@ -549,17 +549,31 @@ class SparsePoly(_IntCombination):
         exponent here, each variable gets one table of the int pairs
         (p + q*sqrt2)**e * d**(top - e); each term multiplies its numerator
         by one entry per variable, and the sum is divided once by _den times
-        the product of the d**top.  Variables are read in (family, index)
-        order, so an unassigned one named is the first in that order."""
+        the product of the d**top.  When the polynomial has no sqrt(2) part
+        and every value read is rational, every q is 0: the tables hold the
+        ints p**e * d**(top - e) and a term costs one multiply per variable.
+        Variables are read in (family, index) order, so an unassigned one
+        named is the first in that order."""
         keys = self._keys()
-        tables = []
-        scale = self._den
+        values = []  # (offset, exponents over keys, (p, q, d)) of each variable
         for v in sorted(self.variables()):
             if v not in point:
                 raise ValueError("no value assigned to %s" % var_name(v))
             offset = _SLOTS[v]
-            top = max((m >> offset) & _MASK for m in keys)
-            p, q, d = _int_parts(point[v])
+            values.append((offset, [(m >> offset) & _MASK for m in keys],
+                           _int_parts(point[v])))
+        scale = self._den
+        if not self._root and not any(q for _, _, (_, q, _) in values):
+            terms = list(self._num.values())  # in the order of keys
+            for _, column, (p, _, d) in values:
+                top = max(column)
+                table = [p ** e * d ** (top - e) for e in range(top + 1)]
+                terms = [a * table[e] for a, e in zip(terms, column)]
+                scale *= d ** top
+            return Sqrt2Rational._make(scale, {0: sum(terms)}, {})
+        tables = []
+        for offset, column, (p, q, d) in values:
+            top = max(column)
             table = []
             a, b = 1, 0
             for e in range(top + 1):

@@ -27,7 +27,7 @@ from itertools import groupby
 
 from .exactalg import (SparsePoly, Sqrt2Rational, _linear_sum,
                        _sum_of_products, svar, tvar, zvar, S, T)
-from .partitions import as_int_parts
+from .partitions import _as_int, as_int_parts
 
 # The memos below live for the process: SparsePoly is immutable, so sharing
 # an entry is safe.  The public ones key on argument types as well, so 3.0
@@ -58,7 +58,10 @@ def poly_det(rows):
     """Exact determinant of a square matrix of SparsePoly entries.
 
     Laplace expansion along successive rows, memoized over the active
-    column set (fine at the sizes the verification grids produce).
+    column set (fine at the sizes the verification grids produce).  It
+    divides nothing: a quotient of SparsePolys need not be one, so the
+    fraction-free elimination of _int_det, whose ints divide exactly, does
+    not carry over.
     """
     d = len(rows)
     if any(len(r) != d for r in rows):
@@ -350,71 +353,92 @@ def subst_q_u(p):
 
 def power_sum_specialize(p, n_vars):
     """Substitute t_j -> (z_1^j + ... + z_N^j)/j, giving a symmetric
-    polynomial in the z variables."""
+    polynomial in the z variables.  N = n_vars is read as an int, and the
+    image of each t_j is built once per (j, N)."""
+    n_vars = _as_int(n_vars, "n_vars")
     if n_vars < 1:
         raise ValueError("need at least one z variable")
     mapping = {}
     for v in p.variables():
         if v[0] != T:
             raise ValueError("power-sum specialization is defined on t-variables only")
-        j = v[1]
-        mapping[v] = SparsePoly({((zvar(i), j),): Fraction(1, j)
-                                 for i in range(1, n_vars + 1)})
+        mapping[v] = _power_sum_image(v[1], n_vars)
     return p.substitute(mapping)
 
 
+@cache
+def _power_sum_image(j, n_vars):
+    """(z_1^j + ... + z_N^j)/j for N = n_vars, memoized."""
+    return SparsePoly({((zvar(i), j),): Fraction(1, j) for i in range(1, n_vars + 1)})
+
+
 def _int_det(rows):
-    """Determinant of a square int matrix: Laplace expansion along
-    successive rows, memoized over the active column set."""
-    d = len(rows)
-    memo = {}
-
-    def minor(row, colmask):
-        if row == d:
-            return 1
-        got = memo.get(colmask)
-        if got is None:
-            got = 0
-            sign = 1
-            for col in range(d):
-                bit = 1 << col
-                if colmask & bit:
-                    got += sign * rows[row][col] * minor(row + 1, colmask & ~bit)
-                    sign = -sign
-            memo[colmask] = got
-        return got
-
-    return minor(0, (1 << d) - 1)
+    """Determinant of a square int matrix by fraction-free (Bareiss)
+    elimination: step k replaces each entry below and right of the pivot
+    by (a_ij * a_kk - a_ik * a_kj) / (the previous pivot), a division that
+    is exact over the ints, so every entry stays an int minor and the last
+    one is the determinant.  A zero pivot swaps in a lower row with a
+    nonzero entry in its column; a column with none gives 0.  Unlike
+    poly_det, which divides nothing because a SparsePoly quotient need not
+    be one, this costs O(d^3) products."""
+    m = [list(row) for row in rows]
+    d = len(m)
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, d) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, d):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if d else 1
 
 
 def _coordinate(z):
-    """z as a Fraction.  A float is refused, as Sqrt2Rational refuses one:
-    its binary value is not the rational it prints as."""
+    """z as the int pair (a, b) of the rational a/b in lowest terms, b > 0.
+    A float is refused, as Sqrt2Rational refuses one: its binary value is
+    not the rational it prints as."""
     if isinstance(z, float):
         raise TypeError("z coordinates must be exact, not float %r" % z)
-    return Fraction(z)
+    if not isinstance(z, (int, Fraction)):
+        z = Fraction(z)
+    return z.numerator, z.denominator
 
 
 def bialternant_eval(lam, zs):
     """Ratio of alternants det(z_i^{lam_j + N - j}) / det(z_i^{N - j})
     at a rational point with pairwise distinct nonzero coordinates, for a
-    partition lam checked as schur checks it."""
+    partition lam checked as schur checks it.
+
+    Row i, for z_i = a_i/b_i, is scaled by b_i**top in both determinants,
+    top the highest exponent, so the numerator is the int determinant of
+    the entries a_i**e * b_i**(top - e).  The denominator is the
+    Vandermonde product prod_{i<j} (z_i - z_j) times the same scalings:
+    prod_{i<j} (a_i b_j - a_j b_i) times prod_i b_i**(top - N + 1)."""
     lam = _shape(lam)
     zs = [_coordinate(z) for z in zs]
     n = len(zs)
     if len(set(zs)) != n:
         raise ValueError("z coordinates must be pairwise distinct")
-    if any(z == 0 for z in zs):
+    if any(a == 0 for a, _ in zs):
         raise ValueError("z coordinates must be nonzero")
     if len(lam) > n:
         return Sqrt2Rational(0)
     exps = [(lam[j] if j < len(lam) else 0) + n - 1 - j for j in range(n)]
-    # row i, for z_i = a/b, times b**top: int entries a**e * b**(top - e),
-    # and the same factor in both determinants cancels in the ratio
     top = exps[0] if n else 0
-
-    def alternant(exponents):
-        return _int_det([[z.numerator ** e * z.denominator ** (top - e)
-                          for e in exponents] for z in zs])
-
-    return Sqrt2Rational(Fraction(alternant(exps), alternant(range(n - 1, -1, -1))))
+    num = _int_det([[a ** e * b ** (top - e) for e in exps] for a, b in zs])
+    den = 1
+    for i, (a, b) in enumerate(zs):
+        den *= b ** (top - n + 1)
+        for c, d in zs[i + 1:]:
+            den *= a * d - c * b
+    if den < 0:
+        num, den = -num, -den
+    return Sqrt2Rational._make(den, {0: num}, {})

@@ -7,7 +7,8 @@ from schurq import symfunc
 # the process-lifetime memos of symfunc: functools caches on their functions,
 # and the dicts of Schur functions that schur and schur_sum share, one per
 # variable family
-_MEMOS = (symfunc.h_poly, symfunc.q_poly, symfunc.qq_pair, symfunc._schur_q)
+_MEMOS = (symfunc.h_poly, symfunc.q_poly, symfunc.qq_pair, symfunc._schur_q,
+          symfunc._power_sum_image)
 
 
 def _clear():

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output shapes, JSON variants and
 exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -264,6 +265,55 @@ class TestPolynomialCommands:
         code, out, _ = run_cli(capsys, "schur", "2,1", "--spec-z", "2")
         assert code == 0
         assert out.strip() == "z1^2*z2 + z1*z2^2"
+
+    # sha256 of the stdout of `schur LAM --spec-z N` and of the same with
+    # --json, for the shapes and variable counts whose output is neither 0
+    # (more rows than variables) nor 1 (the empty shape)
+    SPEC_Z_PINS = {
+        ("1", 1): ("ae6c381493f88da4351218c39be5287541c9f9d4312a941e431eb4371bc515b7",
+                   "7e53ce556f03a6dee0219dc60dd780e0769a2dbb3e98dd53a90a548ec0979752"),
+        ("1", 2): ("090b2f16faacf8d383d5d240b2374fdfd23f4ae43462cdd92adde3729ec77f05",
+                   "06ec8b73b07879c5f0416ebcc3b7f3fd32f8f24f8b6bc6e4b7b992a613918f11"),
+        ("1", 3): ("08e36d2a48284a5ed63fd6f15441c3c0b7cf7871fa38ce43f7bcb4bf225c4b75",
+                   "a8deff04d43a990f41b5b0cf3e439cfe926744f74ea0e0867bee07f5564e94b6"),
+        ("1", 4): ("42229ef2deff0bc1516a697b9ad9ed6fb12196441d3bd9a72aa95b8939ef7c53",
+                   "c84d203231ad68112bec467c5ef0dd2ac22174e0f8a71558382394c55322bf57"),
+        ("2,1", 2): ("c91c3790930102c989065c7bb03248826382125c05944756d374d63f1cc40b2b",
+                     "2f54edb654bbca1cef31879e5ded74eff52c9b784145832d7391855920821386"),
+        ("2,1", 3): ("3513887ad29e0fb0abf86a0cb75f9427a2621d798ccc4961ee5ba8860b4459a9",
+                     "c76e116d5249d831375fd79924784ba617999dde48e98e25ad048f9477ede775"),
+        ("2,1", 4): ("00ce9da34ce2e357b8a1ff8e54051401f8bbd25b4f60e4a8a2660ad12f5caa82",
+                     "6511d0efd77b50cbec06350b1d2e00b1579c7d9cf5634e916ee73493e3049965"),
+        ("3,1,1", 3): ("d0f8134d013b82b2d4031c398b0af4d194ebcce47e337eabc20bb385a8c5db67",
+                       "60a962690a6e2ee1b79850b90a3fa45bd1cd2f802bb329e4adc22c1c7ff9c830"),
+        ("3,1,1", 4): ("3c405b8c8677c7f9a5d98342237fca2d5cce218cc27c0820b76371217ccf5195",
+                       "4fa177bf69e06fac26b4b15f30e55a520d6b263295174903ab2df017fd6ef7eb"),
+        ("4,2", 2): ("ba065df788f0587a611bb1dcadd2e1677e6625b2b5fcb2f37bd4f36d5d0c3c6e",
+                     "fb72789f20664a73f7ff48b7432ce1af65e310ad3a45ce9f0545c66ac746060c"),
+        ("4,2", 3): ("17b9fe3ee33138428cc12cf0b4b4bd386e252a7e41db10ec3702b6b97ae3aa71",
+                     "ede28ac3eeb60f80d797fa93b656d4abc316dba7e99f5b977e7ca9513b45494f"),
+        ("4,2", 4): ("26d60b8d42925c9e25ed952c69c124a81143fdd48655614e9f2b175686de78ad",
+                     "f6dbc10233f58bc11296dfb74f183f91e0ca9cc989f795ec24a8c08276909237"),
+        ("2,2,2,1", 4): ("9a9ae5dc09be0cd7c1b21b93826947705a459b283394d7ec0364bf1a5baf01ca",
+                         "c768d80de170238e12d4f67fbb442723f4bd3caeae8d967b6d83b0bfe811a9fa"),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lam", ["-", "1", "2,1", "3,1,1", "4,2", "2,2,2,1"])
+    def test_schur_spec_z_pins(self, capsys, lam, n):
+        outs = []
+        for extra in ([], ["--json"]):
+            code, out, err = run_cli(capsys, "schur", lam, "--spec-z", str(n), *extra)
+            assert code == 0 and err == ""
+            outs.append(out)
+        rows = 0 if lam == "-" else len(lam.split(","))
+        if lam == "-":
+            assert outs == ["1\n", '{"text": "1"}\n']
+        elif rows > n:
+            assert outs == ["0\n", '{"text": "0"}\n']
+        else:
+            assert tuple(hashlib.sha256(out.encode()).hexdigest()
+                         for out in outs) == self.SPEC_Z_PINS[lam, n]
 
     def test_schur_json(self, capsys):
         code, out, _ = run_cli(capsys, "schur", "2,1", "--json")

@@ -744,6 +744,38 @@ class TestAgainstReferenceKernel:
         assert isinstance(got, Sqrt2Rational)
         assert got == _ref_evaluate(p, point)
 
+    @settings(max_examples=80)
+    @given(st.dictionaries(monomials, st.one_of(st.integers(-6, 6), fractions), max_size=6),
+           st.fixed_dictionaries({v: st.one_of(st.integers(-6, 6), fractions,
+                                               st.builds(Sqrt2Rational, fractions))
+                                  for v in _VARS}))
+    def test_rational_evaluate_matches_reference(self, a, point):
+        # no sqrt(2) part and rational values, as ints, Fractions and
+        # Sqrt2Rationals with b = 0: the int-only path
+        p = SparsePoly(a)
+        assert not p._root
+        got = p.evaluate(point)
+        assert isinstance(got, Sqrt2Rational) and not got.b
+        assert got == _ref_evaluate(p, point)
+
+    @settings(max_examples=60)
+    @given(st.dictionaries(monomials, st.one_of(st.integers(-6, 6), fractions),
+                           min_size=1, max_size=5),
+           st.fixed_dictionaries({v: fractions for v in _VARS}),
+           st.sampled_from(_VARS), fractions.filter(bool))
+    def test_one_sqrt2_ingredient_leaves_the_rational_path(self, a, point, v, b):
+        # a sqrt(2) part in the polynomial, or one sqrt(2) value at a point
+        # that is otherwise rational, takes the sqrt(2) path and still gives
+        # the reference value
+        p = SparsePoly(a)
+        with_root = p + SparsePoly.constant(Sqrt2Rational(0, b)) * SparsePoly.variable(v)
+        got = with_root.evaluate(point)
+        assert isinstance(got, Sqrt2Rational) and got == _ref_evaluate(with_root, point)
+        moved = dict(point)
+        moved[v] = Sqrt2Rational(point[v], b)
+        got = p.evaluate(moved)
+        assert isinstance(got, Sqrt2Rational) and got == _ref_evaluate(p, moved)
+
     def test_evaluate_edge_cases(self):
         point = {tvar(1): Fraction(-2, 3), svar(3): Sqrt2Rational(1, -1)}
         for p in (SparsePoly.zero(), SparsePoly.constant(Sqrt2Rational(Fraction(1, 2), 3)),

@@ -7,6 +7,7 @@ recurrences.
 """
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurq import symfunc
 from schurq.exactalg import (SQRT2, S, T, Z, SparsePoly, Sqrt2Rational,
                              _linear_sum, _unpack, svar, tvar, zvar)
 from schurq.partitions import bar_core, bar_quotient, delta0, enumerate_added
@@ -386,6 +388,19 @@ class TestSpecialization:
     def test_too_long_partition_vanishes(self):
         assert power_sum_specialize(schur((1, 1, 1)), 2).is_zero()
 
+    @pytest.mark.parametrize("n_vars", [2.0, 2.5, "2"])
+    def test_rejects_a_non_int_variable_count(self, n_vars):
+        # named as every check names i, m and n, not as a float range or a
+        # str comparison
+        with pytest.raises(TypeError, match=r"n_vars must be an int, not %s$"
+                           % re.escape(repr(n_vars))):
+            power_sum_specialize(schur((1,)), n_vars)
+
+    @pytest.mark.parametrize("n_vars", [0, -1])
+    def test_rejects_no_variables(self, n_vars):
+        with pytest.raises(ValueError, match="need at least one z variable"):
+            power_sum_specialize(schur((1,)), n_vars)
+
 
 class TestBialternant:
     def test_hand_value(self):
@@ -433,11 +448,18 @@ class TestBialternant:
         specialized = power_sum_specialize(schur(lam), 3)
         assert specialized.evaluate(point) == bialternant_eval(lam, zs)
 
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     @given(st.lists(st.integers(min_value=0, max_value=5), max_size=4).map(
                lambda xs: tuple(sorted(xs, reverse=True))),
-           st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7)
-                    .filter(bool), max_size=4, unique=True))
+           st.one_of(
+               st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=7)
+                        .filter(bool), max_size=4, unique=True),
+               # numerators over one shared denominator, most of them
+               # negative; some of the fractions reduce and some do not
+               st.builds(lambda d, nums: [Fraction(a, d) for a in nums],
+                         st.integers(min_value=2, max_value=9),
+                         st.lists(st.integers(min_value=-20, max_value=6).filter(bool),
+                                  max_size=4, unique=True))))
     def test_matches_fraction_determinants(self, lam, zs):
         # the int determinants of the row-scaled alternants against the
         # Leibniz formula on the Fraction entries
@@ -560,6 +582,91 @@ def _t(j):
 
 def _s(j):
     return SparsePoly.variable(svar(j))
+
+
+def _int_det_laplace(rows):
+    """Reference: Laplace expansion along successive rows, memoized over
+    the active column set."""
+    d = len(rows)
+    memo = {}
+
+    def minor(row, colmask):
+        if row == d:
+            return 1
+        got = memo.get(colmask)
+        if got is None:
+            got = 0
+            sign = 1
+            for col in range(d):
+                bit = 1 << col
+                if colmask & bit:
+                    got += sign * rows[row][col] * minor(row + 1, colmask & ~bit)
+                    sign = -sign
+            memo[colmask] = got
+        return got
+
+    return minor(0, (1 << d) - 1)
+
+
+def _power_sum_specialize_ref(p, n_vars):
+    """Reference: t_j -> (z_1^j + ... + z_N^j)/j through a mapping whose
+    images are built afresh on every call."""
+    return p.substitute({v: SparsePoly({((zvar(i), v[1]),): Fraction(1, v[1])
+                                        for i in range(1, n_vars + 1)})
+                         for v in p.variables()})
+
+
+class TestIntDetAgainstLaplace:
+    @staticmethod
+    def _matrices(rng, d):
+        """Seeded int matrices of size d: dense ones, sparse ones whose
+        zero pivots need a row swap, and singular ones."""
+        dense = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+        sparse = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(d)]
+                  for _ in range(d)]
+        yield dense
+        yield sparse
+        if d:
+            # a zero first pivot with a nonzero entry lower in its column
+            swapped = [row[:] for row in dense]
+            swapped[0][0] = 0
+            swapped[-1][0] = swapped[-1][0] or 5
+            yield swapped
+            # singular: a zero column
+            yield [[0] + row[1:] for row in dense]
+        if d > 1:
+            # singular: a row repeated as a multiple of another
+            repeated = [row[:] for row in dense]
+            repeated[-1] = [-3 * x for x in repeated[0]]
+            yield repeated
+
+    def test_seeded_matrices(self):
+        rng = random.Random(2026)
+        seen = Counter()
+        for d in range(8):
+            for _ in range(12):
+                for rows in self._matrices(rng, d):
+                    want = _int_det_laplace(rows)
+                    copy = [row[:] for row in rows]
+                    assert symfunc._int_det(rows) == want, rows
+                    assert rows == copy  # the argument is not touched
+                    seen["zero" if not want else "nonzero"] += 1
+                    if d and not rows[0][0]:
+                        seen["zero pivot"] += 1
+        assert min(seen.values()) > 50, seen
+
+
+class TestPowerSumMemo:
+    def test_against_fresh_images_cold_and_warm(self):
+        shapes = [lam for w in range(9) for lam in _partitions_of(w)]
+        symfunc._power_sum_image.cache_clear()
+        for _ in ("cold", "warm"):
+            for n_vars in range(1, 5):
+                for lam in shapes:
+                    p = schur(lam)
+                    assert power_sum_specialize(p, n_vars) == \
+                        _power_sum_specialize_ref(p, n_vars), (lam, n_vars)
+        assert symfunc._power_sum_image.cache_info().currsize == 8 * 4
 
 
 def _power_sum_map(n_vars, max_index):

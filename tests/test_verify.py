@@ -803,3 +803,26 @@ class TestNegativeControls:
         res = self._assert_fails(capsys, check_symfunc_bialternant,
                                  ["symfunc-props"])
         assert res.name == "symfunc-props:bialternant"
+
+    def test_perturbed_rational_evaluate_fails_bialternant(self, monkeypatch, capsys):
+        # the check reads every value on the rational path of evaluate (no
+        # sqrt(2) part, rational coordinates); one shape's value read there
+        # one off must show
+        from schurq.symfunc import power_sum_specialize
+        original = SparsePoly.evaluate
+        target = power_sum_specialize(schur((2, 1)), 3)
+        paths = []
+
+        def evaluate(self, point):
+            value = original(self, point)
+            rational = not self._root and not any(
+                Sqrt2Rational._promote(z).b for z in point.values())
+            paths.append(rational)
+            return value + 1 if rational and self == target else value
+
+        assert check_symfunc_bialternant().passed
+        monkeypatch.setattr(SparsePoly, "evaluate", evaluate)
+        res = self._assert_fails(capsys, check_symfunc_bialternant,
+                                 ["symfunc-props"])
+        assert res.name == "symfunc-props:bialternant"
+        assert paths and all(paths)
