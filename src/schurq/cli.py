@@ -16,22 +16,14 @@ import os
 import sys
 from functools import cache
 
-from .partitions import StrictPartition, bar_core, bar_quotient, enumerate_added
+from .partitions import (StrictPartition, bar_core, bar_quotient, enumerate_added,
+                         format_parts, parse_parts)
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
                       subst_odd, subst_q_u, subst_u)
 from .fock import FockVector, f_power_normalized, phi
 from .verify import FAMILIES, FAMILY_TABLE, SuiteConfig, run_suite
 
 _SUBST = {"2t2": subst_2t2, "u": subst_u, "odd": subst_odd}
-
-
-def _parse_parts(text):
-    if text in ("-", ""):
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError("cannot parse partition %r" % text)
 
 
 def _parse_state(text):
@@ -42,10 +34,6 @@ def _parse_state(text):
             raise ValueError("cannot parse core state %r" % text) from None
         return FockVector.basis(bar_core(m))
     return FockVector.basis(StrictPartition.from_string(text))
-
-
-def _render_parts(parts):
-    return ",".join(str(x) for x in parts) if parts else "-"
 
 
 def _fock_json(vec):
@@ -144,8 +132,8 @@ def _cmd_quotient(args):
     if args.json:
         print(json.dumps({"q0": list(quot.q0), "q1": list(quot.q1)}))
     else:
-        print("q0: %s" % _render_parts(quot.q0))
-        print("q1: %s" % _render_parts(quot.q1))
+        print("q0: %s" % format_parts(quot.q0))
+        print("q1: %s" % format_parts(quot.q1))
     return 0
 
 
@@ -158,7 +146,7 @@ def _poly_out(p, args):
 
 
 def _cmd_schur(args):
-    p = schur(_parse_parts(args.partition))
+    p = schur(parse_parts(args.partition))
     if args.subst:
         p = _SUBST[args.subst](p)
     if args.spec_z is not None:
@@ -167,7 +155,7 @@ def _cmd_schur(args):
 
 
 def _cmd_qfun(args):
-    p = schur_q(_parse_parts(args.partition))
+    p = schur_q(parse_parts(args.partition))
     if args.subst:
         p = subst_q_u(p)
     return _poly_out(p, args)

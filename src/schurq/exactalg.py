@@ -206,9 +206,8 @@ class Sqrt2Rational(_IntCombination):
     @staticmethod
     def sqrt2_pow(k):
         """sqrt(2)**k for any integer k (negative allowed)."""
-        if k % 2 == 0:
-            return Sqrt2Rational(Fraction(2) ** (k // 2), 0)
-        return Sqrt2Rational(0, Fraction(2) ** ((k - 1) // 2))
+        p, q, d = _sqrt2_pow_parts(k)
+        return Sqrt2Rational._make(d, {0: p}, {0: q})
 
     @classmethod
     def _promote(cls, x):
@@ -387,15 +386,11 @@ def _check_guard(*parts):
 
 
 def _unpack(packed):
-    """The sorted tuple monomial of a packed int, read over its occupied
-    slots only, lowest set bit first."""
-    mono = []
-    while packed:
-        slot = ((packed & -packed).bit_length() - 1) // _WIDTH
-        e = (packed >> slot * _WIDTH) & _MASK
-        packed ^= e << slot * _WIDTH
-        mono.append((_VARS[slot], e))
-    return tuple(sorted(mono))
+    """The sorted tuple monomial of a packed int, read off its sort key,
+    whose fields after -deg are (family, index, -e) per variable in
+    variable order."""
+    key = _mono_text(packed)[0]
+    return tuple(((key[i], key[i + 1]), -key[i + 2]) for i in range(1, len(key), 3))
 
 
 class SparsePoly(_IntCombination):
@@ -545,51 +540,33 @@ class SparsePoly(_IntCombination):
     def evaluate(self, point):
         """Exact evaluation at a full assignment variable -> scalar, on ints.
 
-        With the value of a variable (p + q*sqrt2)/d and top its highest
-        exponent here, each variable gets one table of the int pairs
-        (p + q*sqrt2)**e * d**(top - e); each term multiplies its numerator
-        by one entry per variable, and the sum is divided once by _den times
-        the product of the d**top.  When the polynomial has no sqrt(2) part
-        and every value read is rational, every q is 0: the tables hold the
-        ints p**e * d**(top - e) and a term costs one multiply per variable.
         Variables are read in (family, index) order, so an unassigned one
-        named is the first in that order."""
-        keys = self._keys()
-        values = []  # (offset, exponents over keys, (p, q, d)) of each variable
+        named is the first in that order.  A sqrt(2) part, in the
+        polynomial or in a value read, is left to substitute, which leaves
+        a constant.  Otherwise, with the value of a variable p/d and top
+        its highest exponent here, each variable gets one table of the ints
+        p**e * d**(top - e); each term multiplies its numerator by one entry
+        per variable, and the sum is divided once by _den times the product
+        of the d**top."""
+        values = []  # (variable, (p, q, d)) of each variable read
         for v in sorted(self.variables()):
             if v not in point:
                 raise ValueError("no value assigned to %s" % var_name(v))
-            offset = _SLOTS[v]
-            values.append((offset, [(m >> offset) & _MASK for m in keys],
-                           _int_parts(point[v])))
+            values.append((v, _int_parts(point[v])))
+        if self._root or any(q for _, (_, q, _) in values):
+            c = self.substitute({v: point[v] for v, _ in values})
+            return Sqrt2Rational._make(c._den, c._num, c._root)
+        keys = self._keys()
+        terms = list(self._num.values())  # in the order of keys
         scale = self._den
-        if not self._root and not any(q for _, _, (_, q, _) in values):
-            terms = list(self._num.values())  # in the order of keys
-            for _, column, (p, _, d) in values:
-                top = max(column)
-                table = [p ** e * d ** (top - e) for e in range(top + 1)]
-                terms = [a * table[e] for a, e in zip(terms, column)]
-                scale *= d ** top
-            return Sqrt2Rational._make(scale, {0: sum(terms)}, {})
-        tables = []
-        for offset, column, (p, q, d) in values:
+        for v, (p, _, d) in values:
+            offset = _SLOTS[v]
+            column = [(m >> offset) & _MASK for m in keys]
             top = max(column)
-            table = []
-            a, b = 1, 0
-            for e in range(top + 1):
-                table.append((a * d ** (top - e), b * d ** (top - e)))
-                a, b = a * p + 2 * b * q, a * q + b * p
-            tables.append((offset, table))
+            table = [p ** e * d ** (top - e) for e in range(top + 1)]
+            terms = [a * table[e] for a, e in zip(terms, column)]
             scale *= d ** top
-        num = root = 0
-        for m in keys:
-            a, b = self._num.get(m, 0), self._root.get(m, 0)
-            for offset, table in tables:
-                x, y = table[(m >> offset) & _MASK]
-                a, b = a * x + 2 * b * y, a * y + b * x
-            num += a
-            root += b
-        return Sqrt2Rational._make(scale, {0: num}, {0: root})
+        return Sqrt2Rational._make(scale, {0: sum(terms)}, {})
 
     # -- rendering --
 
@@ -618,11 +595,8 @@ def _coeff_text(n, r, den):
     if r:
         return " + %s*" % _scalar_str(n, r, den)
     sign = " + " if n > 0 else " - "
-    g = gcd(n, den)
-    n, d = abs(n) // g, den // g
-    if d != 1:
-        return "%s%d/%d*" % (sign, n, d)
-    return sign if n == 1 else "%s%d*" % (sign, n)
+    ratio = _ratio_str(abs(n), den)
+    return sign if ratio == "1" else "%s%s*" % (sign, ratio)
 
 
 def _join_terms(chunks):

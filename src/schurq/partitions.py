@@ -40,6 +40,22 @@ def _as_int(value, name):
         raise TypeError("%s must be an int, not %r" % (name, value)) from None
 
 
+def parse_parts(text):
+    """The int parts of comma-separated text such as "5,4,2", () for "" or
+    "-".  Text that is not that is a ValueError that names it."""
+    if text in ("", "-"):
+        return ()
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("cannot parse partition %r" % text) from None
+
+
+def format_parts(parts):
+    """The parts as parse_parts reads them: comma-separated, "-" for none."""
+    return ",".join(map(str, parts)) if parts else "-"
+
+
 @total_ordering
 class StrictPartition:
     """Strictly decreasing positive parts, canonical zero-free form.
@@ -85,14 +101,7 @@ class StrictPartition:
 
     @staticmethod
     def from_string(text):
-        text = text.strip()
-        if text in ("", "-"):
-            return StrictPartition(())
-        try:
-            parts = tuple(int(x) for x in text.split(","))
-        except ValueError:
-            raise ValueError("cannot parse partition %r" % text) from None
-        return StrictPartition(parts)
+        return StrictPartition(parse_parts(text.strip()))
 
     @property
     def size(self):
@@ -114,7 +123,7 @@ class StrictPartition:
         return all(self.parts[i] >= other.parts[i] for i in range(other.length))
 
     def __str__(self):
-        return ",".join(map(str, self.parts)) if self.parts else "-"
+        return format_parts(self.parts)
 
     def __iter__(self):
         return iter(self.parts)

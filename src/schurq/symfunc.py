@@ -2,22 +2,23 @@
 relatives q_n(s), Schur functions S_lam and Q-functions Q_lam, and the
 substitutions the verification identities need.
 
-h_n and q_n come from the Newton-style recurrences
+h_n and q_n come from one Newton-style recurrence, _newton,
 
     n h_n = sum_{k=1..n} k t_k h_{n-k}
     n q_n = sum_{k odd <= n} k s_k q_{n-k}
 
-which produce the coefficients of exp(sum t_k z^k) and exp(sum s_k z^k)
+which produces the coefficients of exp(sum t_k z^k) and exp(sum s_k z^k)
 exactly, with no series truncation.  schur and schur_q expand a
 Jacobi-Trudi determinant and a Pfaffian along the first row into cached
-smaller shapes; poly_det and pfaffian are the general expansions they are
-tested against.  schur_sum expands a signed sum of Schur functions along
-the first row as a whole, with one h_j product per first-row index j
-instead of one per shape; schur is its one-shape case.  The vertical strips
-of each tail come from one memoized table per tail, built for every strip
-size at once.  Given the variable family S instead of T, schur_sum expands
-the same determinants over q_j(s), giving S_lam[q](s); each family keeps
-its own memo of built shapes.
+smaller shapes; poly_det is the general determinant schur is tested
+against, and pfaffian the general Pfaffian, which shares its first-row
+expansion, _pf_row, with schur_q.  schur_sum expands a signed sum of Schur
+functions along the first row as a whole, with one h_j product per
+first-row index j instead of one per shape; schur is its one-shape case.
+The vertical strips of each tail come from one memoized table per tail,
+built for every strip size at once.  Given the variable family S instead
+of T, schur_sum expands the same determinants over q_j(s), giving
+S_lam[q](s); each family keeps its own memo of built shapes.
 """
 
 import operator
@@ -37,21 +38,26 @@ from .partitions import _as_int, as_int_parts
 @lru_cache(maxsize=None, typed=True)
 def h_poly(n):
     """Weight-n complete generator in the t variables (0 for n < 0)."""
-    n = operator.index(n)
-    if n <= 0:
-        return SparsePoly.constant(1) if n == 0 else SparsePoly.zero()
-    return _sum_of_products(((k, SparsePoly.variable(tvar(k)), h_poly(n - k))
-                             for k in range(1, n + 1)), n)
+    return _newton(n, T, "h_poly")
 
 
 @lru_cache(maxsize=None, typed=True)
 def q_poly(n):
     """Weight-n generator in the odd s variables (0 for n < 0)."""
+    return _newton(n, S, "q_poly")
+
+
+def _newton(n, family, name):
+    """The weight-n generator of the family by the Newton recurrence
+    n g_n = sum_k k x_k g_{n-k}, over every k for T and the odd k for S.
+    The smaller g come from the module global `name`, read at call time,
+    so a wrapper put there sees the recursion."""
     n = operator.index(n)
     if n <= 0:
         return SparsePoly.constant(1) if n == 0 else SparsePoly.zero()
-    return _sum_of_products(((k, SparsePoly.variable(svar(k)), q_poly(n - k))
-                             for k in range(1, n + 1, 2)), n)
+    generator = globals()[name]
+    return _sum_of_products(((k, SparsePoly.variable((family, k)), generator(n - k))
+                             for k in range(1, n + 1, 2 if family == S else 1)), n)
 
 
 def poly_det(rows):
@@ -255,30 +261,29 @@ def pfaffian(rows):
         for j in range(i, d):
             if not (rows[i][j] + rows[j][i]).is_zero():
                 raise ValueError("matrix is not skew-symmetric")
-    return _pf(rows, (1 << d) - 1, {})
+
+    @cache  # one memo per call, over the indices left
+    def sub(idx):
+        return _pf_row(lambda i, j: rows[i][j], idx, sub)
+
+    return sub(tuple(range(d)))
 
 
-def _pf(rows, mask, memo):
-    """Pfaffian of the rows and columns in `mask`, memoized over the mask."""
-    if not mask:
+def _pf_row(entry, idx, sub):
+    """The Pfaffian over the index tuple idx expanded along its first row,
+
+        Pf = sum_{j >= 1} (-1)^(j+1) entry(idx_0, idx_j) Pf(idx - {idx_0, idx_j}),
+
+    each smaller Pfaffian being sub(the tuple of the indices left); a zero
+    entry asks for none.  1 for no indices."""
+    if not idx:
         return SparsePoly.constant(1)
-    got = memo.get(mask)
-    if got is not None:
-        return got
-    first = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << first)
     terms = []
-    sign = 1
-    for j in range(first + 1, len(rows)):
-        bit = 1 << j
-        if not rest & bit:
-            continue
-        entry = rows[first][j]
-        if not entry.is_zero():
-            terms.append((sign, entry, _pf(rows, rest & ~bit, memo)))
-        sign = -sign
-    memo[mask] = got = _sum_of_products(terms)
-    return got
+    for j in range(1, len(idx)):
+        e = entry(idx[0], idx[j])
+        if not e.is_zero():
+            terms.append(((-1) ** (j + 1), e, sub(idx[1:j] + idx[j + 1:])))
+    return _sum_of_products(terms)
 
 
 def schur_q(lam):
@@ -304,14 +309,10 @@ def schur_q(lam):
 
 @cache
 def _schur_q(parts):
-    """Q_lam for an even-padded strict tuple, memoized; the parts left after
-    removing two are again one, so only schur_q checks its argument."""
-    if not parts:
-        return SparsePoly.constant(1)
-    return _sum_of_products(
-        ((-1) ** (j + 1), qq_pair(parts[0], parts[j]),
-         _schur_q(parts[1:j] + parts[j + 1:]))
-        for j in range(1, len(parts)))
+    """Q_lam for an even-padded strict tuple, memoized: the Pfaffian of the
+    Q_{lam_i, lam_j} by _pf_row, whose sub-Pfaffians are again Q-functions
+    of even-padded strict tuples, so only schur_q checks its argument."""
+    return _pf_row(qq_pair, parts, _schur_q)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +330,7 @@ def subst_2t2(p):
 
 def subst_u(p):
     """Mixed-variable substitution: odd t_j -> t_j - s_j, the rest fixed."""
-    mapping = {}
-    for v in p.variables():
-        if v[0] == T and v[1] % 2 == 1:
-            mapping[v] = SparsePoly.variable(v) - SparsePoly.variable(svar(v[1]))
-    return p.substitute(mapping)
+    return _u_shift(p, T)
 
 
 def subst_odd(p):
@@ -344,11 +341,14 @@ def subst_odd(p):
 def subst_q_u(p):
     """Substitution s_j -> t_j - s_j on an s-polynomial (the u-coordinate
     reading of a Q-function)."""
-    mapping = {}
-    for v in p.variables():
-        if v[0] == S:
-            mapping[v] = SparsePoly.variable(tvar(v[1])) - SparsePoly.variable(v)
-    return p.substitute(mapping)
+    return _u_shift(p, S)
+
+
+def _u_shift(p, family):
+    """p with x_j -> t_j - s_j for its variables x_j of the family with an
+    odd index j (every s_j has one); the rest fixed."""
+    return p.substitute({v: SparsePoly.variable(tvar(v[1])) - SparsePoly.variable(svar(v[1]))
+                         for v in p.variables() if v[0] == family and v[1] % 2})
 
 
 def power_sum_specialize(p, n_vars):
@@ -404,10 +404,15 @@ def _int_det(rows):
 def _coordinate(z):
     """z as the int pair (a, b) of the rational a/b in lowest terms, b > 0.
     A float is refused, as Sqrt2Rational refuses one: its binary value is
-    not the rational it prints as."""
+    not the rational it prints as.  A Sqrt2Rational is taken when it is
+    rational; one with a sqrt(2) part is a ValueError that names it."""
     if isinstance(z, float):
         raise TypeError("z coordinates must be exact, not float %r" % z)
-    if not isinstance(z, (int, Fraction)):
+    if isinstance(z, Sqrt2Rational):
+        if z.b:
+            raise ValueError("z coordinates in zs must be rational, not %s" % z)
+        z = z.a
+    elif not isinstance(z, (int, Fraction)):
         z = Fraction(z)
     return z.numerator, z.denominator
 

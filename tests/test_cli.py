@@ -345,6 +345,28 @@ class TestPolynomialCommands:
         assert out.strip() == "1"
 
 
+class TestPartitionTextPins:
+    """Exit code, stdout and stderr of the commands that read or write
+    partition text through partitions.parse_parts and format_parts.  The
+    quotient command strips its argument, as StrictPartition.from_string
+    does; schur and qfun do not, so " - " is no partition to them."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (("schur", "-"), (0, "1\n", "")),
+        (("qfun", "3,1", "--subst", "u"), (0, (
+            "1/12*t1^4 - 1/3*t1^3*s1 + 1/2*t1^2*s1^2 - t1*t3 - 1/3*t1*s1^3"
+            " + t1*s3 + t3*s1 + 1/12*s1^4 - s1*s3\n"), "")),
+        (("quotient", " 5,4,2 "), (0, "q0: -\nq1: 3\n", "")),
+        (("enumerate", "--core", "2", "--color", "1", "--nodes", "1"),
+         (0, "5,1\n4,2\n", "")),
+        (("schur", "2,x"), (2, "", "error: cannot parse partition '2,x'\n")),
+        (("schur", " - "), (2, "", "error: cannot parse partition ' - '\n")),
+    ], ids=["schur-empty", "qfun-subst-u", "quotient-stripped", "enumerate",
+            "schur-unparsable", "schur-unstripped"])
+    def test_pins(self, capsys, argv, want):
+        assert run_cli(capsys, *argv) == want
+
+
 class TestFockCommands:
     def test_apply_f_core_state(self, capsys):
         code, out, _ = run_cli(capsys, "fock", "apply-f", "--i", "1",

@@ -570,6 +570,49 @@ def _mono_text_ref(m):
     return tuple(key), "*".join(parts)
 
 
+def _unpack_ref(packed):
+    """Reference: the sorted tuple monomial of a packed int, read by walking
+    its occupied slots, lowest set bit first."""
+    width, mask, slot_vars = (schurq.exactalg._WIDTH, schurq.exactalg._MASK,
+                              schurq.exactalg._VARS)
+    mono = []
+    while packed:
+        slot = ((packed & -packed).bit_length() - 1) // width
+        e = (packed >> slot * width) & mask
+        packed ^= e << slot * width
+        mono.append((slot_vars[slot], e))
+    return tuple(sorted(mono))
+
+
+def _evaluate_pairs_ref(poly, point):
+    """Reference: evaluation in int pairs.  With the value of a variable
+    (p + q*sqrt2)/d and top its highest exponent, the variable gets one
+    table of the int pairs (p + q*sqrt2)**e * d**(top - e); each term
+    multiplies its numerator pair by one entry per variable, and the sum is
+    divided once by _den times the product of the d**top."""
+    keys = poly._keys()
+    scale, tables = poly._den, []
+    for v in sorted(poly.variables()):
+        offset = schurq.exactalg._SLOTS[v]
+        p, q, d = schurq.exactalg._int_parts(point[v])
+        top = max((m >> offset) & schurq.exactalg._MASK for m in keys)
+        table, a, b = [], 1, 0
+        for e in range(top + 1):
+            table.append((a * d ** (top - e), b * d ** (top - e)))
+            a, b = a * p + 2 * b * q, a * q + b * p
+        tables.append((offset, table))
+        scale *= d ** top
+    num = root = 0
+    for m in keys:
+        a, b = poly._num.get(m, 0), poly._root.get(m, 0)
+        for offset, table in tables:
+            x, y = table[(m >> offset) & schurq.exactalg._MASK]
+            a, b = a * x + 2 * b * y, a * y + b * x
+        num += a
+        root += b
+    return Sqrt2Rational._make(scale, {0: num}, {0: root})
+
+
 def _ref_evaluate(p, point):
     """Term-by-term evaluation in Sqrt2Rational arithmetic."""
     total = ZERO
@@ -775,6 +818,38 @@ class TestAgainstReferenceKernel:
         moved[v] = Sqrt2Rational(point[v], b)
         got = p.evaluate(moved)
         assert isinstance(got, Sqrt2Rational) and got == _ref_evaluate(p, moved)
+
+    @settings(max_examples=80)
+    @given(term_dicts, st.fixed_dictionaries(
+        {v: st.builds(Sqrt2Rational, fractions, fractions.filter(bool)) for v in _VARS}))
+    def test_sqrt2_evaluate_matches_the_pair_tables(self, a, point):
+        # every value has a sqrt(2) part, so evaluate substitutes; the
+        # former int-pair tables are the reference
+        p = SparsePoly(a)
+        got = p.evaluate(point)
+        assert isinstance(got, Sqrt2Rational)
+        assert got == _evaluate_pairs_ref(p, point)
+
+    @settings(max_examples=80)
+    @given(st.lists(st.one_of(
+        st.sampled_from((T, S, Z)).flatmap(lambda f: st.dictionaries(
+            st.sampled_from([v for v in _VARS + _LATE_VARS if v[0] == f]),
+            st.integers(1, _LIMIT - 1), min_size=1, max_size=4)),
+        st.dictionaries(st.sampled_from(_VARS + _LATE_VARS),
+                        st.integers(1, _LIMIT - 1), max_size=6)), min_size=1, max_size=6))
+    def test_unpack_matches_the_slot_walk(self, monos):
+        # packed monomials of one family and of several, and the bitwise-OR
+        # unions of them that variables() reads, cold and warm; _LATE_VARS
+        # got their slots out of index order
+        _slot_late_vars()
+        packed = [_pack(tuple(sorted(d.items()))) for d in monos]
+        unions = [0]
+        for m in packed:
+            unions.append(unions[-1] | m)
+        want = [_unpack_ref(m) for m in packed + unions]
+        schurq.exactalg._mono_text.cache_clear()
+        assert [_unpack(m) for m in packed + unions] == want
+        assert [_unpack(m) for m in packed + unions] == want
 
     def test_evaluate_edge_cases(self):
         point = {tvar(1): Fraction(-2, 3), svar(3): Sqrt2Rational(1, -1)}

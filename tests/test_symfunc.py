@@ -107,6 +107,26 @@ class TestGenerators:
     def test_memo_returns_the_same_object(self):
         assert h_poly(9) is h_poly(9)
 
+    @pytest.mark.parametrize("name, n, calls", [("h_poly", 6, 22), ("q_poly", 7, 17)])
+    def test_cold_recursion_goes_through_the_module_global(
+            self, name, n, calls, cold_symfunc, monkeypatch):
+        # the shared Newton body reads the smaller generators through the
+        # module global at call time, so a wrapper there (the tracer's
+        # symfunc.generators boundary) sees the first call and then one
+        # call per k for each weight m = 1..n built: m of them for h_m,
+        # 1 + 21 for h_6, and the (m + 1) // 2 odd k for q_m, 1 + 16 for q_7
+        original = getattr(symfunc, name)
+        seen = []
+
+        def counting(m):
+            seen.append(m)
+            return original(m)
+
+        monkeypatch.setattr(symfunc, name, counting)
+        assert counting(n) == original(n)
+        assert len(seen) == calls
+        assert set(seen) == set(range(n + 1))
+
     def test_homogeneity(self):
         for n in range(1, 9):
             assert h_poly(n).is_homogeneous()
@@ -418,6 +438,28 @@ class TestBialternant:
         with pytest.raises(ValueError):
             bialternant_eval((2, 1), [Fraction(0), Fraction(1)])
 
+    def test_takes_a_rational_sqrt2rational_coordinate(self):
+        # as SparsePoly.evaluate takes it at the same point
+        zs = [Sqrt2Rational(1), Sqrt2Rational(Fraction(-1, 3)), 2]
+        point = {zvar(i + 1): z for i, z in enumerate(zs)}
+        got = bialternant_eval((2, 1), zs)
+        assert got == power_sum_specialize(schur((2, 1)), 3).evaluate(point)
+        assert bialternant_eval((1,), [Sqrt2Rational(1), 2]) == Sqrt2Rational(3)
+
+    def test_rejects_an_irrational_coordinate(self):
+        with pytest.raises(ValueError, match=r"^z coordinates in zs must be rational, "
+                                             r"not \(1\+1\*r2\)$"):
+            bialternant_eval((1,), [2, Sqrt2Rational(1, 1)])
+
+    @pytest.mark.parametrize("z", [0.5, 2.0])
+    def test_refuses_a_float_coordinate(self, z):
+        with pytest.raises(TypeError, match="not float %s$" % re.escape(repr(z))):
+            bialternant_eval((1,), [z, 3])
+
+    def test_takes_a_string_coordinate(self):
+        assert bialternant_eval((2,), ["1/2", "-3"]) == bialternant_eval(
+            (2,), [Fraction(1, 2), -3])
+
     def test_rejects_a_float_coordinate(self):
         # 0.1 is not the rational it prints as; exact coordinates still work
         with pytest.raises(TypeError, match=r"not float 0\.1"):
@@ -541,8 +583,11 @@ def _pair_ref(m, n):
 
 
 def _schur_q_ref(lam):
+    # expanded by this module's _pf_unmemoized: pfaffian shares its
+    # first-row expansion with schur_q
     parts = lam + (0,) if len(lam) % 2 else lam
-    return pfaffian([[_pair_ref(a, b) for b in parts] for a in parts])
+    rows = [[_pair_ref(a, b) for b in parts] for a in parts]
+    return _pf_unmemoized(rows, tuple(range(len(parts))))
 
 
 def _naive_substitute(p, mapping):
