@@ -16,12 +16,12 @@ import os
 import sys
 from functools import cache
 
-from .partitions import (StrictPartition, bar_core, bar_quotient, enumerate_added,
-                         format_parts, parse_parts)
+from .partitions import (StrictPartition, bar_core, bar_quotient, format_parts,
+                         parse_parts)
 from .symfunc import (power_sum_specialize, schur, schur_q, subst_2t2,
                       subst_odd, subst_q_u, subst_u)
 from .fock import FockVector, f_power_normalized, phi
-from .verify import FAMILIES, FAMILY_TABLE, SuiteConfig, run_suite
+from .verify import FAMILIES, FAMILY_TABLE, SuiteConfig, _members, run_suite
 
 _SUBST = {"2t2": subst_2t2, "u": subst_u, "odd": subst_odd}
 
@@ -114,35 +114,31 @@ def _cmd_verify(args):
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_enumerate(args):
-    core = bar_core(args.core)
-    members = sorted(enumerate_added(core, args.color, args.nodes),
-                     key=lambda p: p.parts, reverse=True)
+def _show(args, text, payload):
+    """Print payload() as JSON under --json, else text() unless it is
+    empty; only the form printed is built."""
     if args.json:
-        print(json.dumps([list(p.parts) for p in members]))
+        print(json.dumps(payload()))
     else:
-        for p in members:
-            print(p)
+        out = text()
+        if out:
+            print(out)
     return 0
+
+
+def _cmd_enumerate(args):
+    # --core is the signed index of the core, which is m for color 1, -m for 0
+    members = _members(args.color, args.core if args.color else -args.core,
+                       args.nodes)
+    return _show(args, lambda: "\n".join(map(str, members)),
+                 lambda: [list(p.parts) for p in members])
 
 
 def _cmd_quotient(args):
-    lam = StrictPartition.from_string(args.partition)
-    quot = bar_quotient(lam, k=args.k)
-    if args.json:
-        print(json.dumps({"q0": list(quot.q0), "q1": list(quot.q1)}))
-    else:
-        print("q0: %s" % format_parts(quot.q0))
-        print("q1: %s" % format_parts(quot.q1))
-    return 0
-
-
-def _poly_out(p, args):
-    if args.json:
-        print(json.dumps({"text": str(p)}))
-    else:
-        print(p)
-    return 0
+    quot = bar_quotient(StrictPartition.from_string(args.partition), k=args.k)
+    return _show(args, lambda: "q0: %s\nq1: %s" % (format_parts(quot.q0),
+                                                   format_parts(quot.q1)),
+                 lambda: {"q0": list(quot.q0), "q1": list(quot.q1)})
 
 
 def _cmd_schur(args):
@@ -151,32 +147,24 @@ def _cmd_schur(args):
         p = _SUBST[args.subst](p)
     if args.spec_z is not None:
         p = power_sum_specialize(p, args.spec_z)
-    return _poly_out(p, args)
+    return _show(args, lambda: str(p), lambda: {"text": str(p)})
 
 
 def _cmd_qfun(args):
     p = schur_q(parse_parts(args.partition))
     if args.subst:
         p = subst_q_u(p)
-    return _poly_out(p, args)
+    return _show(args, lambda: str(p), lambda: {"text": str(p)})
 
 
 def _cmd_fock_apply_f(args):
     vec = f_power_normalized(args.i, args.n, _parse_state(args.state))
-    if args.json:
-        print(json.dumps(_fock_json(vec)))
-    else:
-        print(vec)
-    return 0
+    return _show(args, lambda: str(vec), lambda: _fock_json(vec))
 
 
 def _cmd_fock_phi(args):
     image = phi(_parse_state(args.state))
-    if args.json:
-        print(json.dumps(_boson_json(image)))
-    else:
-        print(image)
-    return 0
+    return _show(args, lambda: str(image), lambda: _boson_json(image))
 
 
 def build_parser():

@@ -42,11 +42,13 @@ def _as_int(value, name):
 
 def parse_parts(text):
     """The int parts of comma-separated text such as "5,4,2", () for "" or
-    "-".  Text that is not that is a ValueError that names it."""
-    if text in ("", "-"):
+    "-", blanks around it ignored.  Text that is not that is a ValueError
+    that names it as given."""
+    stripped = text.strip()
+    if stripped in ("", "-"):
         return ()
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in stripped.split(","))
     except ValueError:
         raise ValueError("cannot parse partition %r" % text) from None
 
@@ -101,7 +103,7 @@ class StrictPartition:
 
     @staticmethod
     def from_string(text):
-        return StrictPartition(parse_parts(text.strip()))
+        return StrictPartition(parse_parts(text))
 
     @property
     def size(self):

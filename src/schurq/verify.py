@@ -6,16 +6,19 @@ on the other -- and compares them term by term.  No numeric tolerance is
 involved anywhere; a check passes only on literal equality.
 
 `FAMILY_TABLE` states each verify family once: the point parameters a single
-check takes, the points `run_suite` visits for bounds (max_m, max_n), and how
-to run one point.  `FAMILIES`, `run_suite` and the CLI's verify dispatch,
-including its parameter errors, all derive from it.
+check takes, its rule (which points it admits, and the problem with any
+other), and how to run one point.  A check reads its point through `_point`,
+which raises the rule's text; `run_suite` visits the points of
+{0,1} x 0..max_m x 0..max_n, projected on the family's parameters, that the
+rule admits.  `FAMILIES`, `run_suite` and the CLI's verify dispatch,
+including its parameter errors, all derive from the table.
 """
 
 import random
 import time
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 from .exactalg import (S, SparsePoly, _sqrt2_pow_parts, _sum_of_products,
                        svar, tvar, zvar)
@@ -86,21 +89,38 @@ def _result(name, params, lhs, rhs, t0, passed=None):
                        int(round((time.perf_counter() - t0) * 1000)))
 
 
-def _sorted_added(core, i, n):
-    return sorted(enumerate_added(core, i, n), key=lambda p: p.parts, reverse=True)
+def _point(name, *point):
+    """The point of family `name` as ints, read through _as_int in its
+    parameters' (i, m, n) order; a point that its rule does not admit is a
+    ValueError with the rule's text."""
+    family = FAMILY_TABLE[name]
+    point = tuple(map(_as_int, point, family.params))
+    problem = family.rule(*point)
+    if problem is not None:
+        raise ValueError(problem)
+    return point
+
+
+def _core(i, m):
+    """The staircase core of color i indexed by m: bar_core(m) for i = 1,
+    bar_core(-m) for i = 0."""
+    return bar_core(m if i else -m)
+
+
+def _members(i, m, n):
+    """The n-fold color-i addition family over _core(i, m), highest member
+    first: the order of the checks' renderings and of `schurq enumerate`."""
+    return sorted(enumerate_added(_core(i, m), i, n), key=lambda p: p.parts,
+                  reverse=True)
 
 
 def check_main1(m, n):
     """Signed sum of quotient Schur functions over color-1 additions equals
     the doubled-variable rectangle Schur function."""
-    m, n = _as_int(m, "m"), _as_int(n, "n")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
-    if n > m:
-        raise ValueError("needs n <= m")
+    m, n = _point("main1", m, n)
     t0 = time.perf_counter()
     lhs = schur_sum((delta1(mu, n), bar_quotient(mu).q1)
-                    for mu in _sorted_added(bar_core(m), 1, n))
+                    for mu in _members(1, m, n))
     rhs = subst_2t2(schur((n,) * (m - n)))
     return _result("main1", {"m": m, "n": n}, lhs, rhs, t0)
 
@@ -108,13 +128,11 @@ def check_main1(m, n):
 def check_main2(m, n):
     """Signed Q*S sum over color-0 additions equals the empty-Q subsum with
     odd t-variables shifted by the s-variables."""
-    m, n = _as_int(m, "m"), _as_int(n, "n")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
+    m, n = _point("main2", m, n)
     t0 = time.perf_counter()
     # the members by q0: L_nu is the signed sum of S_q1 over those with q0 = nu
     groups = {}
-    for mu in _sorted_added(bar_core(-m), 0, n):
+    for mu in _members(0, m, n):
         quot = bar_quotient(mu)
         groups.setdefault(quot.q0, []).append((delta0(mu, m), quot.q1))
     sums = {nu: schur_sum(pairs) for nu, pairs in groups.items()}
@@ -134,17 +152,13 @@ def check_trapezoid(m, n):
     s-polynomials Q_trap(s) = sum c S_kappa[q](s), the right side expanded
     by schur_sum in the family S; subst_q_u runs only to render the sides in
     u, the right one only on a FAIL."""
-    m, n = _as_int(m, "m"), _as_int(n, "n")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
-    if m - n + 1 < 0:
-        raise ValueError("needs m - n + 1 >= 0")
+    m, n = _point("trapezoid", m, n)
     t0 = time.perf_counter()
     trapezoid = tuple(p for p in range(m, m - n, -1) if p > 0)
     q_trap = schur_q(trapezoid)
     sign = -1 if ((m + 1) * (m + 2 * n) // 2) % 2 else 1
     pairs = []
-    for mu in _sorted_added(bar_core(-m), 0, n):
+    for mu in _members(0, m, n):
         quot = bar_quotient(mu)
         if not quot.q0:
             pairs.append((sign * delta0(mu, m), quot.q1))
@@ -177,13 +191,9 @@ def _f_power_terms(core, i, m, n):
 def check_f_power(i, m, n):
     """Iterated lowering operator on a core state against its combinatorial
     expansion over added-node families."""
-    i, m, n = _as_int(i, "i"), _as_int(m, "m"), _as_int(n, "n")
-    if i not in (0, 1):
-        raise ValueError("operator index must be 0 or 1")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
+    i, m, n = _point("f-power", i, m, n)
     t0 = time.perf_counter()
-    core = bar_core(m if i == 1 else -m)
+    core = _core(i, m)
     lhs = f_power_normalized(i, n, FockVector.basis(core))
     rhs = FockVector._of_parts(_f_power_terms(core, i, m, n))
     return _result("f-power", {"i": i, "m": m, "n": n}, lhs, rhs, t0)
@@ -192,9 +202,7 @@ def check_f_power(i, m, n):
 def check_core_states(m):
     """Boson image of the two core states indexed by +-m against the stated
     sign and sqrt(2)-power, compared and rendered as labels."""
-    m = _as_int(m, "m")
-    if m < 1:
-        raise ValueError("needs m >= 1")
+    (m,) = _point("core-states", m)
     t0 = time.perf_counter()
     lhs_pos, lhs_neg = phi(FockVector.basis(bar_core(m))), phi(FockVector.basis(bar_core(-m)))
     rhs_pos, rhs_neg = core_state_image(m), core_state_image(-m)
@@ -207,16 +215,11 @@ def check_core_states(m):
 def check_phi_consistency(i, m, n):
     """Fermionic straightening against the closed-form boson image, state by
     state over a whole added-node family."""
-    i, m, n = _as_int(i, "i"), _as_int(m, "m"), _as_int(n, "n")
-    if i not in (0, 1):
-        raise ValueError("color must be 0 or 1")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
+    i, m, n = _point("phi-consistency", i, m, n)
     t0 = time.perf_counter()
-    core = bar_core(m if i == 1 else -m)
     lhs_lines, rhs_lines = [], []
     passed = True
-    for lam in _sorted_added(core, i, n):
+    for lam in _members(i, m, n):
         # the verdict compares labels, which render with no polynomial
         # built; only a failing state renders its right side on its own
         left = phi(FockVector.basis(lam))
@@ -261,8 +264,11 @@ _BIALTERNANT_LENGTH = 3
 _BIALTERNANT_POINTS = 5
 
 
-def _violations(name, params, bad, cases, t0, unit="cases"):
-    """The CheckResult of a property check: bad violations in its cases."""
+def _violations(name, params, violated, t0, unit="cases"):
+    """The CheckResult of a property check, given one boolean per case, true
+    where the case violates the property."""
+    violated = list(violated)
+    bad, cases = sum(violated), len(violated)
     return _result(name, params, "%d violations in %d %s" % (bad, cases, unit),
                    "0 violations in %d %s" % (cases, unit), t0, bad == 0)
 
@@ -270,31 +276,22 @@ def _violations(name, params, bad, cases, t0, unit="cases"):
 def check_symfunc_homogeneity():
     """Every S and Q polynomial is homogeneous of its index weight."""
     t0 = time.perf_counter()
-    bad = 0
-    cases = 0
-    for w in range(_HOMOGENEITY_MAX_WEIGHT + 1):
-        for p in chain(map(schur, _partitions_of(w)),
-                       map(schur_q, _strict_partitions_of(w))):
-            cases += 1
-            if p.is_zero() or not p.is_homogeneous() or p.weighted_degree() != w:
-                bad += 1
+    violated = (p.is_zero() or not p.is_homogeneous() or p.weighted_degree() != w
+                for w in range(_HOMOGENEITY_MAX_WEIGHT + 1)
+                for p in chain(map(schur, _partitions_of(w)),
+                               map(schur_q, _strict_partitions_of(w))))
     return _violations("symfunc-props:homogeneity",
-                       {"max_weight": _HOMOGENEITY_MAX_WEIGHT}, bad, cases, t0)
+                       {"max_weight": _HOMOGENEITY_MAX_WEIGHT}, violated, t0)
 
 
 def check_symfunc_antisymmetry():
     """The pair function changes sign under index swap and vanishes on the
     diagonal."""
     t0 = time.perf_counter()
-    bad = 0
-    cases = 0
-    for m in range(_ANTISYMMETRY_MAX_INDEX + 1):
-        for n in range(m + 1):
-            cases += 1
-            if not (qq_pair(m, n) + qq_pair(n, m)).is_zero():
-                bad += 1
+    violated = (not (qq_pair(m, n) + qq_pair(n, m)).is_zero()
+                for m in range(_ANTISYMMETRY_MAX_INDEX + 1) for n in range(m + 1))
     return _violations("symfunc-props:antisymmetry",
-                       {"max_index": _ANTISYMMETRY_MAX_INDEX}, bad, cases, t0)
+                       {"max_index": _ANTISYMMETRY_MAX_INDEX}, violated, t0)
 
 
 def check_symfunc_pfaffian_det():
@@ -304,7 +301,7 @@ def check_symfunc_pfaffian_det():
     gens = [SparsePoly.constant(1), SparsePoly.variable(tvar(1)),
             SparsePoly.variable(tvar(2)), SparsePoly.variable(svar(1)),
             SparsePoly.variable(svar(3))]
-    bad = 0
+    violated = []
     for trial in range(_PFAFFIAN_TRIALS):
         d = rng.choice((2, 4, 6))
         rows = [[SparsePoly.zero()] * d for _ in range(d)]
@@ -313,11 +310,10 @@ def check_symfunc_pfaffian_det():
                 entry = SparsePoly.constant(rng.randint(-3, 3)) * rng.choice(gens)
                 rows[i][j] = entry
                 rows[j][i] = -entry
-        if not (pfaffian(rows) ** 2 - poly_det(rows)).is_zero():
-            bad += 1
+        violated.append(not (pfaffian(rows) ** 2 - poly_det(rows)).is_zero())
     return _violations("symfunc-props:pfaffian-det",
-                       {"trials": _PFAFFIAN_TRIALS, "seed": _SEED},
-                       bad, _PFAFFIAN_TRIALS, t0, "trials")
+                       {"trials": _PFAFFIAN_TRIALS, "seed": _SEED}, violated, t0,
+                       "trials")
 
 
 def check_symfunc_bialternant():
@@ -332,22 +328,19 @@ def check_symfunc_bialternant():
         if 0 not in zs and len(set(zs)) == _BIALTERNANT_LENGTH:
             zpoints.append(zs)
     points = [{zvar(k + 1): z for k, z in enumerate(zs)} for zs in zpoints]
-    bad = 0
-    cases = 0
+    violated = []
     for w in range(_BIALTERNANT_MAX_WEIGHT + 1):
         for lam in _partitions_of(w):
             if len(lam) > _BIALTERNANT_LENGTH:
                 continue
             specialized = power_sum_specialize(schur(lam), _BIALTERNANT_LENGTH)
-            for zs, point in zip(zpoints, points):
-                cases += 1
-                if specialized.evaluate(point) != bialternant_eval(lam, zs):
-                    bad += 1
+            violated.extend(specialized.evaluate(point) != bialternant_eval(lam, zs)
+                            for zs, point in zip(zpoints, points))
     return _violations("symfunc-props:bialternant",
                        {"max_weight": _BIALTERNANT_MAX_WEIGHT,
                         "max_length": _BIALTERNANT_LENGTH,
                         "points": _BIALTERNANT_POINTS, "seed": _SEED},
-                       bad, cases, t0)
+                       violated, t0)
 
 
 def check_symfunc_props():
@@ -359,34 +352,36 @@ def check_symfunc_props():
 # suite runner
 # ---------------------------------------------------------------------------
 
-def _mn(max_m, max_n):
-    return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
+_NEGATIVE = "m and n must be non-negative"
 
-
-def _imn(max_m, max_n):
-    return [(i,) + point for i in (0, 1) for point in _mn(max_m, max_n)]
-
-
-# a family's point parameters (a subset of "imn", in that order), its grid:
-# (max_m, max_n) -> its points in suite order, and its run: point -> results
-Family = namedtuple("Family", "params grid run")
+# a family's point parameters (a subset of "imn", in that order), its rule:
+# point -> the problem with it, or None where the family admits it, and its
+# run: point -> results
+Family = namedtuple("Family", "params rule run")
 
 # Each run names its check_* when it is called, so the lookup goes through
 # this module's globals: a check replaced there (a timer, a test's perturbed
 # check) sees every call that a suite or a single point makes.
 FAMILY_TABLE = {
-    "main1": Family("mn", lambda *bounds: [(m, n) for m, n in _mn(*bounds) if n <= m],
+    "main1": Family("mn", lambda m, n: _NEGATIVE if m < 0 or n < 0 else
+                    "needs n <= m" if n > m else None,
                     lambda m, n: [check_main1(m, n)]),
-    "main2": Family("mn", _mn, lambda m, n: [check_main2(m, n)]),
-    "trapezoid": Family("mn", lambda *bounds: [(m, n) for m, n in _mn(*bounds)
-                                               if m - n + 1 >= 0],
+    "main2": Family("mn", lambda m, n: _NEGATIVE if m < 0 or n < 0 else None,
+                    lambda m, n: [check_main2(m, n)]),
+    "trapezoid": Family("mn", lambda m, n: _NEGATIVE if m < 0 or n < 0 else
+                        "needs m - n + 1 >= 0" if m - n + 1 < 0 else None,
                         lambda m, n: [check_trapezoid(m, n)]),
-    "f-power": Family("imn", _imn, lambda i, m, n: [check_f_power(i, m, n)]),
-    "core-states": Family("m", lambda max_m, _: [(m,) for m in range(1, max_m + 1)],
+    "f-power": Family("imn", lambda i, m, n: "operator index must be 0 or 1"
+                      if i not in (0, 1) else
+                      _NEGATIVE if m < 0 or n < 0 else None,
+                      lambda i, m, n: [check_f_power(i, m, n)]),
+    "core-states": Family("m", lambda m: "needs m >= 1" if m < 1 else None,
                           lambda m: [check_core_states(m)]),
-    "phi-consistency": Family("imn", _imn,
+    "phi-consistency": Family("imn", lambda i, m, n: "color must be 0 or 1"
+                              if i not in (0, 1) else
+                              _NEGATIVE if m < 0 or n < 0 else None,
                               lambda i, m, n: [check_phi_consistency(i, m, n)]),
-    "symfunc-props": Family("", lambda *bounds: [()], lambda: check_symfunc_props()),
+    "symfunc-props": Family("", lambda: None, lambda: check_symfunc_props()),
 }
 FAMILIES = tuple(FAMILY_TABLE)
 
@@ -410,9 +405,11 @@ class SuiteConfig(_Record):
 
 def run_suite(cfg):
     """Run the selected families over the configured grid, in a fixed order."""
+    ranges = {"i": range(2), "m": range(cfg.max_m + 1), "n": range(cfg.max_n + 1)}
     results = []
     for name in cfg.families:
         family = FAMILY_TABLE[name]
-        for point in family.grid(cfg.max_m, cfg.max_n):
-            results.extend(family.run(*point))
+        for point in product(*(ranges[k] for k in family.params)):
+            if family.rule(*point) is None:
+                results.extend(family.run(*point))
     return results

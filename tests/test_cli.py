@@ -347,9 +347,9 @@ class TestPolynomialCommands:
 
 class TestPartitionTextPins:
     """Exit code, stdout and stderr of the commands that read or write
-    partition text through partitions.parse_parts and format_parts.  The
-    quotient command strips its argument, as StrictPartition.from_string
-    does; schur and qfun do not, so " - " is no partition to them."""
+    partition text through partitions.parse_parts and format_parts.
+    parse_parts ignores the blanks around its text, for every command, so
+    " - " is the empty partition to schur as it is to quotient."""
 
     @pytest.mark.parametrize("argv, want", [
         (("schur", "-"), (0, "1\n", "")),
@@ -360,11 +360,33 @@ class TestPartitionTextPins:
         (("enumerate", "--core", "2", "--color", "1", "--nodes", "1"),
          (0, "5,1\n4,2\n", "")),
         (("schur", "2,x"), (2, "", "error: cannot parse partition '2,x'\n")),
-        (("schur", " - "), (2, "", "error: cannot parse partition ' - '\n")),
+        (("schur", " - "), (0, "1\n", "")),
     ], ids=["schur-empty", "qfun-subst-u", "quotient-stripped", "enumerate",
             "schur-unparsable", "schur-unstripped"])
     def test_pins(self, capsys, argv, want):
         assert run_cli(capsys, *argv) == want
+
+
+class TestBadPointPins:
+    """Each verify family's bad points through the CLI: exit 2, nothing on
+    stdout and the family rule's text on stderr."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (("main1", "--m", "-1", "--n", "0"), "m and n must be non-negative"),
+        (("main1", "--m", "2", "--n", "3"), "needs n <= m"),
+        (("main2", "--m", "0", "--n", "-1"), "m and n must be non-negative"),
+        (("trapezoid", "--m", "-1", "--n", "0"), "m and n must be non-negative"),
+        (("trapezoid", "--m", "0", "--n", "2"), "needs m - n + 1 >= 0"),
+        (("f-power", "--i", "0", "--m", "-1", "--n", "0"),
+         "m and n must be non-negative"),
+        (("core-states", "--m", "0"), "needs m >= 1"),
+        (("phi-consistency", "--i", "1", "--m", "2", "--n", "-1"),
+         "m and n must be non-negative"),
+    ], ids=["main1-negative", "main1-n-above-m", "main2-negative",
+            "trapezoid-negative", "trapezoid-short", "f-power-negative",
+            "core-states-zero", "phi-consistency-negative"])
+    def test_pins(self, capsys, argv, err):
+        assert run_cli(capsys, "verify", *argv) == (2, "", "error: %s\n" % err)
 
 
 class TestFockCommands:

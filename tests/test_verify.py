@@ -11,9 +11,9 @@ from schurq.fock import FockVector, phi, phi_closed_form
 from schurq.partitions import (StrictPartition, bar_core, bar_quotient, delta0,
                                delta1, enumerate_added, residue_split)
 from schurq.symfunc import schur, schur_q, schur_sum, subst_odd, subst_q_u, subst_u
-from schurq.verify import (CheckResult, SuiteConfig, _f_power_terms,
-                           check_core_states, check_f_power, check_main1,
-                           check_main2, check_phi_consistency,
+from schurq.verify import (FAMILY_TABLE, CheckResult, SuiteConfig,
+                           _f_power_terms, check_core_states, check_f_power,
+                           check_main1, check_main2, check_phi_consistency,
                            check_symfunc_antisymmetry,
                            check_symfunc_bialternant,
                            check_symfunc_homogeneity,
@@ -342,12 +342,63 @@ def _nested_loop_suite(cfg):
     return results
 
 
+def _mn(max_m, max_n):
+    return [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)]
+
+
+def _imn(max_m, max_n):
+    return [(i,) + point for i in (0, 1) for point in _mn(max_m, max_n)]
+
+
+# each family's grid as FAMILY_TABLE stated it before the point rules:
+# (max_m, max_n) -> its points in suite order
+_GRIDS = {
+    "main1": lambda *bounds: [(m, n) for m, n in _mn(*bounds) if n <= m],
+    "main2": _mn,
+    "trapezoid": lambda *bounds: [(m, n) for m, n in _mn(*bounds) if m - n + 1 >= 0],
+    "f-power": _imn,
+    "core-states": lambda max_m, _: [(m,) for m in range(1, max_m + 1)],
+    "phi-consistency": _imn,
+    "symfunc-props": lambda *bounds: [()],
+}
+
+
 class TestFamilyTable:
     @pytest.mark.parametrize("max_m, max_n", [(0, 0), (3, 1), (2, 4), (4, 4)])
     def test_suite_order_matches_nested_loops(self, max_m, max_n):
         cfg = SuiteConfig(max_m=max_m, max_n=max_n)
         got = [(r.name, r.params) for r in run_suite(cfg)]
         assert got == [(r.name, r.params) for r in _nested_loop_suite(cfg)]
+
+    def test_rule_points_match_the_former_grids(self, monkeypatch):
+        # each run returns its point instead of checking it, so run_suite
+        # lists the points that the family's rule admits
+        assert set(_GRIDS) == set(FAMILY_TABLE)
+        for name, family in FAMILY_TABLE.items():
+            monkeypatch.setitem(FAMILY_TABLE, name,
+                                family._replace(run=lambda *point: [point]))
+        for name, grid in _GRIDS.items():
+            for max_m in range(8):
+                for max_n in range(8):
+                    cfg = SuiteConfig(max_m=max_m, max_n=max_n, families=(name,))
+                    assert run_suite(cfg) == grid(max_m, max_n), (name, max_m, max_n)
+
+    @pytest.mark.parametrize("call, args, message", [
+        (check_main1, (-1, 5), "m and n must be non-negative"),
+        (check_main1, (2, 3), "needs n <= m"),
+        (check_main2, (0, -1), "m and n must be non-negative"),
+        (check_trapezoid, (-1, 0), "m and n must be non-negative"),
+        (check_trapezoid, (0, 2), "needs m - n + 1 >= 0"),
+        (check_f_power, (2, -1, 0), "operator index must be 0 or 1"),
+        (check_f_power, (0, -1, 0), "m and n must be non-negative"),
+        (check_core_states, (0,), "needs m >= 1"),
+        (check_phi_consistency, (2, 0, 0), "color must be 0 or 1"),
+        (check_phi_consistency, (1, 0, -1), "m and n must be non-negative"),
+    ])
+    def test_a_bad_point_names_its_first_problem(self, call, args, message):
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert str(info.value) == message
 
 
 class TestFastPathsAgainstSlowPaths:
