@@ -131,7 +131,7 @@ def _cmd_enumerate(args):
     members = _members(args.color, args.core if args.color else -args.core,
                        args.nodes)
     return _show(args, lambda: "\n".join(map(str, members)),
-                 lambda: [list(p.parts) for p in members])
+                 lambda: [list(p) for p in members])
 
 
 def _cmd_quotient(args):

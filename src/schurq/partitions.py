@@ -3,8 +3,10 @@ colored node addition, 3-bar quotients, and the sign statistics.
 
 Conventions used throughout:
 
-* a strict partition is stored zero-free; the "even-padded" view appends a
-  single 0 when the number of parts is odd, giving an even-length list;
+* a strict partition is the tuple of its parts (StrictPartition, a tuple
+  checked when it is built), stored zero-free; the "even-padded" view
+  appends a single 0 when the number of parts is odd, giving an
+  even-length list;
 * a node in column j has color 0 when j = 0,1 (mod 3) and color 1 when
   j = 2 (mod 3) -- the color depends on the column only;
 * the residue split and all statistics are taken on the even-padded view,
@@ -13,7 +15,7 @@ Conventions used throughout:
 
 import operator
 from collections import namedtuple
-from functools import cache, total_ordering
+from functools import cache
 from math import comb
 
 
@@ -58,89 +60,60 @@ def format_parts(parts):
     return ",".join(map(str, parts)) if parts else "-"
 
 
-@total_ordering
-class StrictPartition:
+class StrictPartition(tuple):
     """Strictly decreasing positive parts, canonical zero-free form.
 
-    Immutable, hashed and ordered by its parts.  It iterates over its parts,
-    so it is a slotted class rather than a tuple."""
+    The tuple of its parts, checked when it is built: immutable, and equal,
+    hashed and ordered as the plain tuple of its parts, as the other frozen
+    records are."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = as_int_parts(parts)
         if parts and min(parts) <= 0:
             raise ValueError("parts must be positive (pad zeros are implicit)")
         if not all(map(operator.gt, parts, parts[1:])):
             raise ValueError("parts must be strictly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        # the default reduce would restore the slot through __setattr__
-        return type(self), (self.parts,)
+        return tuple.__new__(cls, parts)
 
     def __repr__(self):
         return "%s(parts=%r)" % (type(self).__name__, self.parts)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts < other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
 
     @staticmethod
     def from_string(text):
         return StrictPartition(parse_parts(text))
 
     @property
+    def parts(self):
+        """The parts as a plain tuple."""
+        return tuple(self)
+
+    @property
     def size(self):
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self):
-        return len(self.parts)
+        return len(self)
 
     def even_padded(self):
-        """The part list padded with one 0 when the length is odd."""
-        if len(self.parts) % 2 == 1:
-            return self.parts + (0,)
-        return self.parts
+        """The parts as a plain tuple, padded with one 0 when the length is
+        odd."""
+        return self + (0,) if len(self) % 2 else tuple(self)
 
     def contains(self, other):
-        if other.length > self.length:
-            return False
-        return all(self.parts[i] >= other.parts[i] for i in range(other.length))
+        return len(other) <= len(self) and all(map(operator.ge, self, other))
 
     def __str__(self):
-        return format_parts(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
-_set_parts = StrictPartition.parts.__set__
+        return format_parts(self)
 
 
 def _trusted(parts):
     """The StrictPartition of a tuple already known to be strictly
     decreasing positive ints, with no check: the enumerator's members are
     built so by construction."""
-    lam = object.__new__(StrictPartition)
-    _set_parts(lam, parts)
-    return lam
+    return tuple.__new__(StrictPartition, parts)
 
 
 class ResidueSplit(namedtuple("ResidueSplit", "p0 p1 p2")):
@@ -228,24 +201,23 @@ def enumerate_added(core, i, n):
         raise ValueError("node count must be non-negative")
     if not n:
         return {core}
-    base = core.parts
-    rows = len(base)
-    reach = [_reachable(b, i, n) for b in base]
+    rows = len(core)
+    reach = [_reachable(b, i, n) for b in core]
     below = _reachable(0, i, n)[1:]  # the lengths of a new row (none for i = 1)
     # room[row]: the most nodes that rows row, row+1, ... and the new rows
     # below the core can add together
     room = [sum(below)]
-    for b, lengths in zip(reversed(base), reversed(reach)):
+    for b, lengths in zip(reversed(core), reversed(reach)):
         room.append(room[-1] + lengths[-1] - b)
     room.reverse()
     found = set()
     # (length of the last row, nodes left) -> the row tuples that end so;
     # the first bound is above the longest reachable first row
-    frontier = {((base[0] if base else 0) + n + 1, n): [()]}
+    frontier = {((core[0] if core else 0) + n + 1, n): [()]}
     row = 0
     while frontier:
         if row < rows:
-            b, later, lengths, tail = base[row], room[row + 1], reach[row], base[row + 1:]
+            b, later, lengths, tail = core[row], room[row + 1], reach[row], core[row + 1:]
         else:  # a new row below the core
             b, later, lengths, tail = 0, n, below, ()
         grown = {}
@@ -272,9 +244,9 @@ def is_added_member(core, i, n, lam):
     i, n = _as_int(i, "i"), _as_int(n, "n")
     if lam.size != core.size + n or lam.length < core.length:
         return False
-    base = core.parts + (0,) * (lam.length - core.length)
+    base = core + (0,) * (lam.length - core.length)
     return all(_reachable(b, i, length - b)[-1] == length
-               for b, length in zip(base, lam.parts))
+               for b, length in zip(base, lam))
 
 
 def residue_split(lam):

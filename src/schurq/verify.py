@@ -110,8 +110,7 @@ def _core(i, m):
 def _members(i, m, n):
     """The n-fold color-i addition family over _core(i, m), highest member
     first: the order of the checks' renderings and of `schurq enumerate`."""
-    return sorted(enumerate_added(_core(i, m), i, n), key=lambda p: p.parts,
-                  reverse=True)
+    return sorted(enumerate_added(_core(i, m), i, n), reverse=True)
 
 
 def check_main1(m, n):
@@ -390,6 +389,7 @@ class SuiteConfig(_Record):
     __slots__ = ("max_m", "max_n", "families")
 
     def __init__(self, max_m=4, max_n=4, families=FAMILIES):
+        max_m, max_n = _as_int(max_m, "max_m"), _as_int(max_n, "max_n")
         if max_m < 0 or max_n < 0:
             raise ValueError("grid bounds must be non-negative")
         if isinstance(families, str):

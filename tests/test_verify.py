@@ -11,8 +11,8 @@ from schurq.fock import FockVector, phi, phi_closed_form
 from schurq.partitions import (StrictPartition, bar_core, bar_quotient, delta0,
                                delta1, enumerate_added, residue_split)
 from schurq.symfunc import schur, schur_q, schur_sum, subst_odd, subst_q_u, subst_u
-from schurq.verify import (FAMILY_TABLE, CheckResult, SuiteConfig,
-                           _f_power_terms, check_core_states, check_f_power,
+from schurq.verify import (FAMILY_TABLE, CheckResult, SuiteConfig, _core,
+                           _f_power_terms, _members, check_core_states, check_f_power,
                            check_main1, check_main2, check_phi_consistency,
                            check_symfunc_antisymmetry,
                            check_symfunc_bialternant,
@@ -285,6 +285,17 @@ class TestSuite:
         with pytest.raises(ValueError):
             SuiteConfig(max_m=-1)
 
+    @pytest.mark.parametrize("bound, value, error, message", [
+        ("max_m", 2.5, TypeError, "max_m must be an int, not 2.5"),
+        ("max_n", "3", TypeError, "max_n must be an int, not '3'"),
+        ("max_n", -2, ValueError, "grid bounds must be non-negative"),
+    ], ids=["float", "string", "negative"])
+    def test_a_bad_bound_fails_when_the_config_is_built(self, bound, value, error,
+                                                        message):
+        with pytest.raises(error) as info:
+            SuiteConfig(**{bound: value})
+        assert str(info.value) == message
+
     def test_result_serialization(self):
         res = check_main1(1, 1)
         payload = res.as_dict()
@@ -418,6 +429,16 @@ class TestFastPathsAgainstSlowPaths:
                                         subst_odd(schur(bar_quotient(mu).q1)))
                                        for mu in empty)
                     assert check_trapezoid(m, n).rhs_rendering == str(want)
+
+    def test_members_sort_as_their_parts(self):
+        # a member is the tuple of its parts, so _members sorts with no key
+        for m in range(-8, 9):
+            for i in (0, 1):
+                for n in range(7):
+                    want = sorted(enumerate_added(_core(i, m), i, n),
+                                  key=lambda p: p.parts, reverse=True)
+                    assert [p.parts for p in _members(i, m, n)] == [
+                        p.parts for p in want], (i, m, n)
 
     def test_f_power_expected_side_matches_the_residue_split(self):
         # each member's word and its sqrt(2) power counted in one pass over
