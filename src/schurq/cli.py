@@ -37,9 +37,7 @@ def _parse_state(text):
 
 
 def _fock_json(vec):
-    terms = vec.terms  # each read decodes every word, so read it once
-    return [{"coeff": str(terms[w]), "word": list(w)}
-            for w in sorted(terms, reverse=True)]
+    return [{"coeff": text, "word": list(word)} for word, text in vec.word_texts()]
 
 
 def _boson_json(image):

@@ -378,6 +378,16 @@ def _pack(mono):
     return packed
 
 
+def _slot_mask(variables, field):
+    """The bits `field` placed in the slot of each variable that has one
+    (a variable with no slot is in no monomial), ORed together."""
+    mask = 0
+    for v in variables:
+        if v in _SLOTS:
+            mask |= field << _SLOTS[v]
+    return mask
+
+
 def _check_guard(*parts):
     for monos in parts:
         for m in monos:
@@ -482,13 +492,12 @@ class SparsePoly(_IntCombination):
         the mapped slots, over the one lcm denominator of all terms, and is
         multiplied by one power per mapped slot; the last product adds into
         the sum, which is brought to canonical form once."""
-        mask = 0
+        mask = _slot_mask(mapping, _MASK)
         slots = []  # (offset, power table, den) of each mapped variable
         for v, image in mapping.items():
             if v in _SLOTS:  # else no monomial contains v
                 image = SparsePoly._promote(image)
                 offset = _SLOTS[v]
-                mask |= _MASK << offset
                 slots.append((offset, [_ONE_PARTS, (image._num, image._root)], image._den))
         keys = self._keys()
         dens = {}
@@ -517,10 +526,7 @@ class SparsePoly(_IntCombination):
     def vanish(self, variables):
         """This polynomial with the given variables set to zero: its terms
         free of them, kept by a mask over the packed monomials."""
-        mask = 0
-        for v in variables:
-            if v in _SLOTS:
-                mask |= _MASK << _SLOTS[v]
+        mask = _slot_mask(variables, _MASK)
         num = {m: c for m, c in self._num.items() if not m & mask}
         root = {m: c for m, c in self._root.items() if not m & mask}
         return self._make(self._den, num, root)
@@ -529,10 +535,7 @@ class SparsePoly(_IntCombination):
         """This polynomial with v -> -v for the given variables: a term
         changes sign when its total exponent in them is odd, the parity of
         the low bits of their slots in the packed monomial."""
-        mask = 0
-        for v in variables:
-            if v in _SLOTS:
-                mask |= 1 << _SLOTS[v]
+        mask = _slot_mask(variables, 1)
         num = {m: -c if (m & mask).bit_count() & 1 else c for m, c in self._num.items()}
         root = {m: -c if (m & mask).bit_count() & 1 else c for m, c in self._root.items()}
         return self._make(self._den, num, root)

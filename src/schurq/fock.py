@@ -58,14 +58,15 @@ sorted terms of its two factors (BosonElement.sector_texts).
 import operator
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from types import MappingProxyType
 
 from .exactalg import (SQRT2, ZERO, Sqrt2Rational, _IntCombination,
                        _render_product, _scalar_str, _sqrt2_pow_parts,
                        _sum_of_products)
-from .partitions import (StrictPartition, _as_int, as_int_parts, bar_core,
-                         bar_quotient, color, is_added_member, stats)
+from .partitions import (StrictPartition, _as_int, as_int_parts, bar_quotient,
+                         color, color_core, is_added_member, stats)
 from .symfunc import schur, schur_q
 
 
@@ -119,23 +120,19 @@ class FockVector(_IntCombination):
             return ZERO  # not a word, so no term carries it
         return Sqrt2Rational._promote(self._coeff(bits))
 
-    def __str__(self):
-        """One line "coefficient * |word>" per word, highest word first
-        (|vac> for the empty word), or "0"; each distinct coefficient is
-        formatted once."""
-        if self.is_zero():
-            return "0"
-        num, root = self._num, self._root
-        texts = {}  # (p, q) -> the text of (p + q*sqrt2)/_den
-        lines = []
+    def word_texts(self):
+        """(word, coefficient text) of each term, highest word first, with
+        each distinct coefficient formatted once: the text form and the
+        CLI's JSON both read it (the twin of BosonElement.sector_texts)."""
+        text = cache(lambda p, q: _scalar_str(p, q, self._den))
         for bits in sorted(self._keys(), reverse=True):
-            pq = num.get(bits, 0), root.get(bits, 0)
-            text = texts.get(pq)
-            if text is None:
-                text = texts[pq] = _scalar_str(*pq, self._den)
-            ket = ",".join(map(str, _bits_word(bits))) or "vac"
-            lines.append("%s * |%s>" % (text, ket))
-        return "\n".join(lines)
+            yield _bits_word(bits), text(self._num.get(bits, 0), self._root.get(bits, 0))
+
+    def __str__(self):
+        """One line "coefficient * |word>" per word (word_texts; |vac> for
+        the empty word), or "0"."""
+        return "\n".join("%s * |%s>" % (text, ",".join(map(str, word)) or "vac")
+                         for word, text in self.word_texts()) or "0"
 
     def __repr__(self):
         return "FockVector(%r)" % (dict(sorted(self.terms.items(), reverse=True)),)
@@ -180,12 +177,19 @@ def _node_sum(vec, nodes):
     return FockVector._make(2 * vec._den, num, root)
 
 
+def _operator_index(i):
+    """The index i of F_i as an int, read through _as_int: 0 or 1."""
+    i = _as_int(i, "i")
+    if i not in (0, 1):
+        raise ValueError("operator index must be 0 or 1")
+    return i
+
+
 def f_apply(i, vec):
     """One application of F0 or F1: the single-node actions of the p with
     color(p + 1) == i, summed (the m and 1-m mode terms of F1 coincide,
     hence its factor 2; b_{-p} kills a word without the part p > 0)."""
-    if i not in (0, 1):
-        raise ValueError("operator index must be 0 or 1")
+    i = _operator_index(i)
     top = max(vec._keys(), default=0).bit_length()
     nodes = sum(1 << p for p in range(max(top, 1)) if color(p + 1) == i)
     return _node_sum(vec, nodes).scale(SQRT2 if i == 0 else 2)
@@ -194,9 +198,7 @@ def f_apply(i, vec):
 def f_power_normalized(i, n, vec):
     """F_i^n / n! applied to a vector: n calls of the module-global f_apply
     (which tests and the tracer replace), then one scale."""
-    if i not in (0, 1):
-        raise ValueError("operator index must be 0 or 1")
-    n = _as_int(n, "n")
+    i, n = _operator_index(i), _as_int(n, "n")
     if n < 0:
         raise ValueError("power must be non-negative")
     for _ in range(n):
@@ -360,7 +362,7 @@ def phi_closed_form(lam, i, m, n):
         raise ValueError("color must be 0 or 1")
     if m < 0 or n < 0:
         raise ValueError("m and n must be non-negative")
-    core = bar_core(m if i == 1 else -m)
+    core = color_core(i, m)
     if not is_added_member(core, i, n, lam):
         raise ValueError("%s is not an n=%d color-%d addition over %s"
                          % (lam, n, i, core))
@@ -379,6 +381,7 @@ def phi_closed_form(lam, i, m, n):
 def core_state_image(m):
     """The boson image of the staircase core state indexed by m (any sign):
     a scalar in the sector (|m| mod 2, m)."""
+    m = _as_int(m, "m")
     k = abs(m)
     eps = k % 2
     exponent = k if m >= 0 else k * (k - 1) // 2 + k

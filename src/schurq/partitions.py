@@ -102,9 +102,6 @@ class StrictPartition(tuple):
         odd."""
         return self + (0,) if len(self) % 2 else tuple(self)
 
-    def contains(self, other):
-        return len(other) <= len(self) and all(map(operator.ge, self, other))
-
     def __str__(self):
         return format_parts(self)
 
@@ -168,6 +165,12 @@ def _bar_core(m):
     if m > 0:
         return StrictPartition(tuple(3 * i - 2 for i in range(m, 0, -1)))
     return StrictPartition(tuple(3 * i - 1 for i in range(-m, 0, -1)))
+
+
+def color_core(i, m):
+    """The staircase core of color i indexed by m: bar_core(m) for i = 1,
+    bar_core(-m) for i = 0."""
+    return bar_core(m if i else -m)
 
 
 def _reachable(length, i, n):
@@ -276,7 +279,7 @@ def bar_quotient(lam, k=None):
     """
     split = residue_split(lam)
     kmin = _canonical_k(split)
-    if k is not None and operator.index(k) < kmin:
+    if k is not None and _as_int(k, "k") < kmin:
         raise ValueError("k too small for the residue-2 parts")
     q0 = tuple(p // 3 for p in split.p0 if p > 0)
     a_list = [(p - 1) // 3 for p in split.p1]
@@ -302,12 +305,12 @@ def stats(lam):
 
 def delta1(lam, n):
     """Sign (-1)^(f + C(n,2)) attached to a color-1 addition of n nodes."""
-    return -1 if (stats(lam).f + comb(n, 2)) % 2 else 1
+    return -1 if (stats(lam).f + comb(_as_int(n, "n"), 2)) % 2 else 1
 
 
 def delta0(lam, m):
     """Sign for a color-0 addition over the negative core indexed by m:
     (-1)^(f+g) for even m, (-1)^(f+g+h) for odd m."""
     st = stats(lam)
-    e = st.f + st.g + (st.h if m % 2 else 0)
+    e = st.f + st.g + (st.h if _as_int(m, "m") % 2 else 0)
     return -1 if e % 2 else 1

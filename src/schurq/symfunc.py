@@ -63,39 +63,26 @@ def _newton(n, family, name):
 def poly_det(rows):
     """Exact determinant of a square matrix of SparsePoly entries.
 
-    Laplace expansion along successive rows, memoized over the active
-    column set (fine at the sizes the verification grids produce).  It
-    divides nothing: a quotient of SparsePolys need not be one, so the
-    fraction-free elimination of _int_det, whose ints divide exactly, does
-    not carry over.
+    Laplace expansion along successive rows, memoized per call over the
+    columns left (fine at the sizes the verification grids produce): the
+    row is the next one down, and the k-th column left takes the sign
+    (-1)^k.  It divides nothing: a quotient of SparsePolys need not be
+    one, so the fraction-free elimination of _int_det, whose ints divide
+    exactly, does not carry over.
     """
     d = len(rows)
     if any(len(r) != d for r in rows):
         raise ValueError("matrix must be square")
-    full = (1 << d) - 1
-    memo = {}
 
-    def minor(row, colmask):
-        if row == d:
+    @cache  # one memo per call, over the columns left
+    def minor(cols):
+        if not cols:
             return SparsePoly.constant(1)
-        key = colmask
-        got = memo.get(key)
-        if got is not None:
-            return got
-        terms = []
-        sign = 1
-        for col in range(d):
-            bit = 1 << col
-            if not colmask & bit:
-                continue
-            entry = rows[row][col]
-            if not entry.is_zero():
-                terms.append((sign, entry, minor(row + 1, colmask & ~bit)))
-            sign = -sign
-        memo[key] = acc = _sum_of_products(terms)
-        return acc
+        row = rows[d - len(cols)]
+        return _sum_of_products(((-1) ** k, row[c], minor(cols[:k] + cols[k + 1:]))
+                                for k, c in enumerate(cols) if not row[c].is_zero())
 
-    return minor(0, full)
+    return minor(tuple(range(d)))
 
 
 def _vertical_strips(lam, k):

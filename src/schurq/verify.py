@@ -22,8 +22,8 @@ from itertools import chain, product
 
 from .exactalg import (S, SparsePoly, _sqrt2_pow_parts, _sum_of_products,
                        svar, tvar, zvar)
-from .partitions import (_as_int, bar_core, bar_quotient, delta0, delta1,
-                         enumerate_added)
+from .partitions import (_as_int, bar_core, bar_quotient, color_core as _core,
+                         delta0, delta1, enumerate_added)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
                       schur_sum, subst_2t2, subst_q_u, subst_u)
@@ -99,12 +99,6 @@ def _point(name, *point):
     if problem is not None:
         raise ValueError(problem)
     return point
-
-
-def _core(i, m):
-    """The staircase core of color i indexed by m: bar_core(m) for i = 1,
-    bar_core(-m) for i = 0."""
-    return bar_core(m if i else -m)
 
 
 def _members(i, m, n):
@@ -198,17 +192,33 @@ def check_f_power(i, m, n):
     return _result("f-power", {"i": i, "m": m, "n": n}, lhs, rhs, t0)
 
 
+def _states_result(name, params, states, t0):
+    """The CheckResult of a state-by-state comparison of boson images over
+    (label, left, right) triples: one line "label -> image" per state on
+    each side.  The verdict compares labels, which render with no
+    polynomial built; a state's right image renders only where it differs
+    from its left."""
+    lhs_lines, rhs_lines = [], []
+    passed = True
+    for label, left, right in states:
+        line = "%s -> %s" % (label, left)
+        lhs_lines.append(line)
+        if left != right:
+            passed = False
+            line = "%s -> %s" % (label, right)
+        rhs_lines.append(line)
+    return _result(name, params, "\n".join(lhs_lines), "\n".join(rhs_lines),
+                   t0, passed)
+
+
 def check_core_states(m):
     """Boson image of the two core states indexed by +-m against the stated
-    sign and sqrt(2)-power, compared and rendered as labels."""
+    sign and sqrt(2)-power."""
     (m,) = _point("core-states", m)
     t0 = time.perf_counter()
-    lhs_pos, lhs_neg = phi(FockVector.basis(bar_core(m))), phi(FockVector.basis(bar_core(-m)))
-    rhs_pos, rhs_neg = core_state_image(m), core_state_image(-m)
-    lhs = "core +%d -> %s\ncore -%d -> %s" % (m, lhs_pos, m, lhs_neg)
-    rhs = "core +%d -> %s\ncore -%d -> %s" % (m, rhs_pos, m, rhs_neg)
-    passed = lhs_pos == rhs_pos and lhs_neg == rhs_neg
-    return _result("core-states", {"m": m}, lhs, rhs, t0, passed)
+    return _states_result("core-states", {"m": m}, (
+        ("core %+d" % k, phi(FockVector.basis(bar_core(k))), core_state_image(k))
+        for k in (m, -m)), t0)
 
 
 def check_phi_consistency(i, m, n):
@@ -216,21 +226,9 @@ def check_phi_consistency(i, m, n):
     state over a whole added-node family."""
     i, m, n = _point("phi-consistency", i, m, n)
     t0 = time.perf_counter()
-    lhs_lines, rhs_lines = [], []
-    passed = True
-    for lam in _members(i, m, n):
-        # the verdict compares labels, which render with no polynomial
-        # built; only a failing state renders its right side on its own
-        left = phi(FockVector.basis(lam))
-        right = phi_closed_form(lam, i, m, n)
-        line = "%s -> %s" % (lam, left)
-        lhs_lines.append(line)
-        if left != right:
-            passed = False
-            line = "%s -> %s" % (lam, right)
-        rhs_lines.append(line)
-    return _result("phi-consistency", {"i": i, "m": m, "n": n},
-                   "\n".join(lhs_lines), "\n".join(rhs_lines), t0, passed)
+    return _states_result("phi-consistency", {"i": i, "m": m, "n": n}, (
+        (lam, phi(FockVector.basis(lam)), phi_closed_form(lam, i, m, n))
+        for lam in _members(i, m, n)), t0)
 
 
 # ---------------------------------------------------------------------------

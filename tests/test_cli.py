@@ -403,7 +403,9 @@ class TestFockCommands:
         assert json.loads(out) == [{"coeff": "2", "word": [2, 0]}]
 
     def test_apply_f_json_reads_terms_once(self, capsys, monkeypatch):
-        # `terms` decodes every word, so a read per term is quadratic
+        # `terms` decodes every word and builds every coefficient as a
+        # Fraction; the JSON reads word_texts(), the text form's source,
+        # and never `terms`
         from schurq.fock import FockVector
         terms, reads = FockVector.terms, []
 
@@ -419,7 +421,20 @@ class TestFockCommands:
             {"coeff": "1", "word": [7, 2]}, {"coeff": "2", "word": [6, 3]},
             {"coeff": "2", "word": [6, 2, 1, 0]}, {"coeff": "1", "word": [5, 4]},
             {"coeff": "2", "word": [5, 3, 1, 0]}]
-        assert len(reads) == 1
+        assert len(reads) == 0
+
+    def test_apply_f_json_coefficients_match_text(self, capsys):
+        # F0^7/7! on the core c_-7: 750 words with sqrt(2) coefficients
+        argv = ("fock", "apply-f", "--i", "0", "--n", "7", "--state", "c:-7")
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        lines = text.splitlines()
+        assert len(lines) == 750
+        assert any("r2" in line for line in lines)
+        assert ["%s * |%s>" % (t["coeff"], ",".join(map(str, t["word"])))
+                for t in json.loads(out)] == lines
 
     def test_apply_f_partition_state(self, capsys):
         code, out, _ = run_cli(capsys, "fock", "apply-f", "--i", "0",

@@ -380,6 +380,20 @@ class TestLoweringOperators:
                 f_power_normalized(0, bad, v)
         assert f_power_normalized(0, True, v) == f_apply(0, v)
 
+    @pytest.mark.parametrize("bad", [0.0, 1.0, "0", None])
+    def test_non_int_operator_index_is_named(self, bad):
+        # 0.0 once ran F0 and 1.0 ran F1, as 0.0 in (0, 1) holds
+        v = FockVector.basis(bar_core(-2))
+        message = r"^i must be an int, not %s$" % re.escape(repr(bad))
+        with pytest.raises(TypeError, match=message):
+            f_apply(bad, v)
+        for n in (0, 1):  # refused even when no step runs
+            with pytest.raises(TypeError, match=message):
+                f_power_normalized(bad, n, v)
+        assert f_apply(True, v) == f_apply(1, v)
+        with pytest.raises(ValueError, match="^operator index must be 0 or 1$"):
+            f_apply(2, v)
+
     def test_divided_power_coefficient(self):
         # the padded word (10,6,2,0) has two entries divisible by three and
         # one trailing zero, so its coefficient in the cube image is
@@ -733,6 +747,13 @@ class TestBosonImage:
         assert core_state_image(-2).expand()[(0, -2)] == SparsePoly.constant(-1)
         odd = core_state_image(3).expand()[(1, 3)]
         assert odd == SparsePoly.constant(Sqrt2Rational(0, Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("bad", [2.5, "2", None])
+    def test_non_int_core_index_is_named(self, bad):
+        with pytest.raises(TypeError, match=r"^m must be an int, not %s$"
+                           % re.escape(repr(bad))):
+            core_state_image(bad)
+        assert core_state_image(True) == core_state_image(1)
 
     def test_phi_matches_core_state_formula(self):
         for m in range(-4, 5):

@@ -78,11 +78,6 @@ class TestStrictPartition:
         assert P("7,4,1").even_padded() == (7, 4, 1, 0)
         assert P("-").even_padded() == ()
 
-    def test_contains(self):
-        assert P("7,2").contains(P("5,2"))
-        assert not P("5,2").contains(P("7,2"))
-        assert not P("5").contains(P("5,2"))
-
     @given(strict_parts)
     def test_even_padded_has_even_length(self, lam):
         assert len(lam.even_padded()) % 2 == 0
@@ -185,7 +180,7 @@ class TestEnumeration:
         core = bar_core(m)
         members = enumerate_added(core, i, n)
         for lam in members:
-            assert lam.contains(core)
+            assert _contains(lam, core)
             assert lam.size == core.size + n
             assert is_added_member(core, i, n, lam)
             # every added node sits in a column of color i
@@ -206,6 +201,11 @@ class TestEnumeration:
             assert not is_added_member(core, i, n, lam)
 
 
+def _contains(lam, core):
+    """Whether the diagram of lam contains that of core, row by row."""
+    return len(core) <= len(lam) and all(a >= b for a, b in zip(lam, core))
+
+
 def _strict_partitions(size, cap=None):
     """Every strict partition of `size` with parts at most `cap`."""
     if size == 0:
@@ -222,7 +222,7 @@ def _added_by_definition(core, i, n):
     out = set()
     for parts in _strict_partitions(core.size + n):
         lam = StrictPartition(parts)
-        if not lam.contains(core):
+        if not _contains(lam, core):
             continue
         base = core.parts + (0,) * (lam.length - core.length)
         if all(color(col) == i for b, p in zip(base, parts)
@@ -433,6 +433,13 @@ class TestQuotient:
         with pytest.raises(TypeError):
             bar_quotient(P("5,2"), k=2.5)
 
+    @pytest.mark.parametrize("k", [2.5, "3"])
+    def test_non_int_k_is_named(self, k):
+        with pytest.raises(TypeError, match="^k must be an int, not %s$"
+                           % re.escape(repr(k))):
+            bar_quotient(P("4,1"), k=k)
+        assert bar_quotient(P("4,1"), k=True) == bar_quotient(P("4,1"))
+
     @given(strict_parts)
     def test_quotient_shapes(self, lam):
         quot = bar_quotient(lam)
@@ -487,6 +494,15 @@ class TestSignStatistics:
         # no residue-2 parts in a positive core, so only the n-dependence
         for n in range(5):
             assert delta1(bar_core(4), n) == (-1) ** (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("sign, name", [(delta0, "m"), (delta1, "n")])
+    @pytest.mark.parametrize("bad", [2.5, "2", None])
+    def test_non_int_sign_parameter_is_named(self, sign, name, bad):
+        # delta0 once read 2.5 as odd, and delta1 failed inside comb
+        with pytest.raises(TypeError, match="^%s must be an int, not %s$"
+                           % (name, re.escape(repr(bad)))):
+            sign(P("10,6,2"), bad)
+        assert sign(P("10,6,2"), True) == sign(P("10,6,2"), 1)
 
     @given(strict_parts, st.integers(min_value=0, max_value=5))
     def test_delta1_values(self, lam, n):

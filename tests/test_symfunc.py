@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from schurq import symfunc
 from schurq.exactalg import (SQRT2, S, T, Z, SparsePoly, Sqrt2Rational,
-                             _linear_sum, _unpack, svar, tvar, zvar)
+                             _linear_sum, _sum_of_products, _unpack, svar,
+                             tvar, zvar)
 from schurq.partitions import bar_core, bar_quotient, delta0, enumerate_added
 from schurq.symfunc import (_vertical_strips, bialternant_eval, h_poly,
                             pfaffian, poly_det, power_sum_specialize, q_poly,
@@ -699,6 +700,61 @@ class TestIntDetAgainstLaplace:
                     if d and not rows[0][0]:
                         seen["zero pivot"] += 1
         assert min(seen.values()) > 50, seen
+
+
+def _poly_det_by_column_mask(rows):
+    """Reference: the column-mask poly_det that the per-call cache over the
+    columns left replaced, a Laplace expansion along successive rows
+    memoized over the active column set as a bitmask."""
+    d = len(rows)
+    memo = {}
+
+    def minor(row, colmask):
+        if row == d:
+            return SparsePoly.constant(1)
+        got = memo.get(colmask)
+        if got is not None:
+            return got
+        terms = []
+        sign = 1
+        for col in range(d):
+            bit = 1 << col
+            if not colmask & bit:
+                continue
+            entry = rows[row][col]
+            if not entry.is_zero():
+                terms.append((sign, entry, minor(row + 1, colmask & ~bit)))
+            sign = -sign
+        memo[colmask] = acc = _sum_of_products(terms)
+        return acc
+
+    return minor(0, (1 << d) - 1)
+
+
+class TestPolyDetAgainstColumnMask:
+    def test_seeded_poly_matrices(self):
+        rng = random.Random(2027)
+        gens = [SparsePoly.constant(1), _t(1), _t(2), _s(1), _s(3),
+                _t(1) * _s(1) + SparsePoly.constant(Fraction(1, 2))]
+        seen = Counter()
+        for d in range(7):
+            for _ in range(8):
+                # about half the entries are zero, so rows skip columns
+                rows = [[SparsePoly.constant(rng.randint(-3, 3)) * rng.choice(gens)
+                         if rng.random() < 0.5 else SparsePoly.zero()
+                         for _ in range(d)] for _ in range(d)]
+                want = _poly_det_by_column_mask(rows)
+                assert poly_det(rows) == want, rows
+                seen["zero" if want.is_zero() else "nonzero"] += 1
+        assert seen["zero"] and seen["nonzero"] > 20, seen
+
+    def test_int_matrices_against_int_det(self):
+        rng = random.Random(2028)
+        for d in range(7):
+            for _ in range(4):
+                for rows in TestIntDetAgainstLaplace._matrices(rng, d):
+                    polys = [[SparsePoly.constant(x) for x in row] for row in rows]
+                    assert poly_det(polys) == symfunc._int_det(rows), rows
 
 
 class TestPowerSumMemo:

@@ -687,6 +687,25 @@ class TestNegativeControls:
         self._assert_fails(capsys, lambda: check_core_states(2),
                            ["core-states", "--m", "2"])
 
+    def test_perturbed_minus_image_shows_only_its_line(self, monkeypatch):
+        # with only the -m image perturbed, the right side renders the +m
+        # line as the left does and only the -m line differs
+        import schurq.verify
+        original = schurq.verify.core_state_image
+
+        def core_state_image(m):
+            image = original(m)
+            return image.scale(-1) if m == -2 else image
+
+        monkeypatch.setattr(schurq.verify, "core_state_image", core_state_image)
+        res = check_core_states(2)
+        assert not res.passed
+        lhs, rhs = res.lhs_rendering.split("\n"), res.rhs_rendering.split("\n")
+        assert [line.split(" -> ")[0] for line in rhs] == ["core +2", "core -2"]
+        assert rhs[0] == lhs[0]
+        assert rhs[1] != lhs[1]
+        assert rhs[1] == "core -2 -> %s" % core_state_image(-2)
+
     def test_dropped_normal_word_fails_phi_consistency(self, monkeypatch, capsys):
         import schurq.fock
         original = schurq.fock.to_normal_words
