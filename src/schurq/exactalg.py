@@ -203,12 +203,6 @@ class Sqrt2Rational(_IntCombination):
     def b(self):
         return Fraction(self._root.get(0, 0), self._den)
 
-    @staticmethod
-    def sqrt2_pow(k):
-        """sqrt(2)**k for any integer k (negative allowed)."""
-        p, q, d = _sqrt2_pow_parts(k)
-        return Sqrt2Rational._make(d, {0: p}, {0: q})
-
     @classmethod
     def _promote(cls, x):
         if isinstance(x, Sqrt2Rational):

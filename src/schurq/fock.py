@@ -62,11 +62,11 @@ from functools import cache
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import (SQRT2, ZERO, Sqrt2Rational, _IntCombination,
-                       _render_product, _scalar_str, _sqrt2_pow_parts,
-                       _sum_of_products)
-from .partitions import (StrictPartition, _as_int, as_int_parts, bar_quotient,
-                         color, color_core, is_added_member, stats)
+from .exactalg import (SQRT2, _IntCombination, _render_product, _scalar_str,
+                       _sqrt2_pow_parts, _sum_of_products)
+from .partitions import (StrictPartition, _as_int, _check, _color_problem,
+                         _mn_problem, as_int_parts, bar_quotient, color,
+                         color_core, is_added_member, stats)
 from .symfunc import schur, schur_q
 
 
@@ -112,13 +112,6 @@ class FockVector(_IntCombination):
         strictly decreasing and non-negative by construction."""
         bits = sum(map((1).__lshift__, lam.even_padded()))
         return FockVector._make(1, {bits: 1}, {})
-
-    def coefficient(self, word):
-        try:
-            bits = _word_bits(word)
-        except ValueError:
-            return ZERO  # not a word, so no term carries it
-        return Sqrt2Rational._promote(self._coeff(bits))
 
     def word_texts(self):
         """(word, coefficient text) of each term, highest word first, with
@@ -177,11 +170,16 @@ def _node_sum(vec, nodes):
     return FockVector._make(2 * vec._den, num, root)
 
 
+def _operator_problem(i):
+    """The rule of the index of F_i: the problem with the int i, None for 0
+    and 1."""
+    return None if i in (0, 1) else "operator index must be 0 or 1"
+
+
 def _operator_index(i):
     """The index i of F_i as an int, read through _as_int: 0 or 1."""
     i = _as_int(i, "i")
-    if i not in (0, 1):
-        raise ValueError("operator index must be 0 or 1")
+    _check(_operator_problem(i))
     return i
 
 
@@ -353,15 +351,21 @@ def phi(vec):
     return BosonElement._of_parts(parts)
 
 
+def _closed_form_problem(i, m, n):
+    """The rule of phi_closed_form's ints i, m and n, and so of the
+    phi-consistency family: the problem with the color first, then with
+    the signs of m and n; None when there is none."""
+    return _color_problem(i) or _mn_problem(m, n)
+
+
 def phi_closed_form(lam, i, m, n):
     """The boson image of the basis state of lam by the closed formula for
     members of the n-fold color-i addition family over the staircase core
-    (c_m for i = 1, c_{-m} for i = 0): one label."""
+    (c_m for i = 1, c_{-m} for i = 0): one label.  Every call reads i, m
+    and n as ints in that order and checks them by their rule
+    (_closed_form_problem) before lam's membership."""
     i, m, n = _as_int(i, "i"), _as_int(m, "m"), _as_int(n, "n")
-    if i not in (0, 1):
-        raise ValueError("color must be 0 or 1")
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be non-negative")
+    _check(_closed_form_problem(i, m, n))
     core = color_core(i, m)
     if not is_added_member(core, i, n, lam):
         raise ValueError("%s is not an n=%d color-%d addition over %s"

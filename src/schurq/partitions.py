@@ -42,6 +42,23 @@ def _as_int(value, name):
         raise TypeError("%s must be an int, not %r" % (name, value)) from None
 
 
+def _check(problem):
+    """Raise a point rule's problem text as a ValueError; None passes."""
+    if problem is not None:
+        raise ValueError(problem)
+
+
+def _color_problem(i):
+    """The rule of a color: the problem with the int i, None for 0 and 1."""
+    return None if i in (0, 1) else "color must be 0 or 1"
+
+
+def _mn_problem(m, n):
+    """The rule of a family's core index m and node count n: the problem
+    with the ints, None when neither is negative."""
+    return "m and n must be non-negative" if m < 0 or n < 0 else None
+
+
 def parse_parts(text):
     """The int parts of comma-separated text such as "5,4,2", () for "" or
     "-", blanks around it ignored.  Text that is not that is a ValueError
@@ -89,14 +106,6 @@ class StrictPartition(tuple):
         """The parts as a plain tuple."""
         return tuple(self)
 
-    @property
-    def size(self):
-        return sum(self)
-
-    @property
-    def length(self):
-        return len(self)
-
     def even_padded(self):
         """The parts as a plain tuple, padded with one 0 when the length is
         odd."""
@@ -117,14 +126,6 @@ class ResidueSplit(namedtuple("ResidueSplit", "p0 p1 p2")):
     """Even-padded parts split by residue mod 3 (p0 may contain the pad 0)."""
 
     __slots__ = ()
-
-    @property
-    def l1(self):
-        return len(self.p1)
-
-    @property
-    def l2(self):
-        return len(self.p2)
 
 
 class BarQuotient(namedtuple("BarQuotient", "q0 q1")):
@@ -184,6 +185,17 @@ def _reachable(length, i, n):
     return out
 
 
+def _family(i, n):
+    """The color i and node count n of an added-node family, read through
+    _as_int, for both the enumerator and the membership test: a color other
+    than 0 or 1, or a negative count, is a ValueError."""
+    i, n = _as_int(i, "i"), _as_int(n, "n")
+    _check(_color_problem(i))
+    if n < 0:
+        raise ValueError("node count must be non-negative")
+    return i, n
+
+
 def enumerate_added(core, i, n):
     """All strict partitions containing `core` with n added nodes, every
     added node of color i.
@@ -197,11 +209,7 @@ def enumerate_added(core, i, n):
     one step.  Every row is a positive int, so each member is built with no
     re-check (_trusted).
     """
-    i, n = _as_int(i, "i"), _as_int(n, "n")
-    if i not in (0, 1):
-        raise ValueError("color must be 0 or 1")
-    if n < 0:
-        raise ValueError("node count must be non-negative")
+    i, n = _family(i, n)
     if not n:
         return {core}
     rows = len(core)
@@ -243,11 +251,11 @@ def enumerate_added(core, i, n):
 def is_added_member(core, i, n, lam):
     """Membership test for enumerate_added(core, i, n) without enumerating:
     each row of lam is a reachable length of the core row above it (of 0
-    below the core)."""
-    i, n = _as_int(i, "i"), _as_int(n, "n")
-    if lam.size != core.size + n or lam.length < core.length:
+    below the core), (i, n) read as enumerate_added reads them."""
+    i, n = _family(i, n)
+    if sum(lam) != sum(core) + n or len(lam) < len(core):
         return False
-    base = core + (0,) * (lam.length - core.length)
+    base = core + (0,) * (len(lam) - len(core))
     return all(_reachable(b, i, length - b)[-1] == length
                for b, length in zip(base, lam))
 
@@ -272,10 +280,11 @@ def bar_quotient(lam, k=None):
     q0 is the residue-0 parts divided by 3 (zeros stripped).  q1 is built
     from the merged index list: (p-1)/3 for each residue-1 part, followed by
     the negatives -1..-k with the slots -(p+1)/3 of the residue-2 parts
-    removed; subtracting the staircase that starts at l1-l2-1 and stepping
-    down by one yields a partition once trailing zeros are stripped.  Any k
-    at least ceil((max residue-2 part + 1)/3) gives the same q1, so a
-    larger k is checked and the list is built with the smallest one.
+    removed; subtracting the staircase that starts at l1-l2-1 (l1 and l2
+    count the residue-1 and residue-2 parts) and stepping down by one
+    yields a partition once trailing zeros are stripped.  Any k at least
+    ceil((max residue-2 part + 1)/3) gives the same q1, so a larger k is
+    checked and the list is built with the smallest one.
     """
     split = residue_split(lam)
     kmin = _canonical_k(split)
@@ -286,7 +295,7 @@ def bar_quotient(lam, k=None):
     removed = {-((p + 1) // 3) for p in split.p2}
     b_list = [b for b in range(-1, -kmin - 1, -1) if b not in removed]
     merged = a_list + b_list
-    start = split.l1 - split.l2 - 1
+    start = len(split.p1) - len(split.p2) - 1
     q1 = [merged[idx] - (start - idx) for idx in range(len(merged))]
     while q1 and q1[-1] == 0:
         q1.pop()
@@ -298,9 +307,9 @@ def stats(lam):
     split = residue_split(lam)
     f = sum(split.p2)
     g = sum(1 for p0 in split.p0 for p1 in split.p1 if p1 > p0)
-    h = split.l2
+    h = len(split.p2)
     a = len(split.p0)
-    return Stats(f, g, h, a, lam.length % 2)
+    return Stats(f, g, h, a, len(lam) % 2)
 
 
 def delta1(lam, n):

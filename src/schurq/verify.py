@@ -22,13 +22,13 @@ from itertools import chain, product
 
 from .exactalg import (S, SparsePoly, _sqrt2_pow_parts, _sum_of_products,
                        svar, tvar, zvar)
-from .partitions import (_as_int, bar_core, bar_quotient, color_core as _core,
-                         delta0, delta1, enumerate_added)
+from .partitions import (_as_int, _check, _mn_problem, bar_core, bar_quotient,
+                         color_core as _core, delta0, delta1, enumerate_added)
 from .symfunc import (bialternant_eval, pfaffian, poly_det,
                       power_sum_specialize, qq_pair, schur, schur_q,
                       schur_sum, subst_2t2, subst_q_u, subst_u)
-from .fock import (FockVector, core_state_image, f_power_normalized, phi,
-                   phi_closed_form)
+from .fock import (FockVector, _closed_form_problem, _operator_problem,
+                   core_state_image, f_power_normalized, phi, phi_closed_form)
 
 
 class _Record:
@@ -95,9 +95,7 @@ def _point(name, *point):
     ValueError with the rule's text."""
     family = FAMILY_TABLE[name]
     point = tuple(map(_as_int, point, family.params))
-    problem = family.rule(*point)
-    if problem is not None:
-        raise ValueError(problem)
+    _check(family.rule(*point))
     return point
 
 
@@ -349,34 +347,30 @@ def check_symfunc_props():
 # suite runner
 # ---------------------------------------------------------------------------
 
-_NEGATIVE = "m and n must be non-negative"
-
 # a family's point parameters (a subset of "imn", in that order), its rule:
 # point -> the problem with it, or None where the family admits it, and its
-# run: point -> results
+# run: point -> results.  The rules that a family shares with the functions
+# it calls have one home there: the signs of m and n (partitions), the
+# index of F_i and the closed form's point (fock)
 Family = namedtuple("Family", "params rule run")
 
 # Each run names its check_* when it is called, so the lookup goes through
 # this module's globals: a check replaced there (a timer, a test's perturbed
 # check) sees every call that a suite or a single point makes.
 FAMILY_TABLE = {
-    "main1": Family("mn", lambda m, n: _NEGATIVE if m < 0 or n < 0 else
-                    "needs n <= m" if n > m else None,
+    "main1": Family("mn", lambda m, n: _mn_problem(m, n) or
+                    ("needs n <= m" if n > m else None),
                     lambda m, n: [check_main1(m, n)]),
-    "main2": Family("mn", lambda m, n: _NEGATIVE if m < 0 or n < 0 else None,
-                    lambda m, n: [check_main2(m, n)]),
-    "trapezoid": Family("mn", lambda m, n: _NEGATIVE if m < 0 or n < 0 else
-                        "needs m - n + 1 >= 0" if m - n + 1 < 0 else None,
+    "main2": Family("mn", _mn_problem, lambda m, n: [check_main2(m, n)]),
+    "trapezoid": Family("mn", lambda m, n: _mn_problem(m, n) or
+                        ("needs m - n + 1 >= 0" if m - n + 1 < 0 else None),
                         lambda m, n: [check_trapezoid(m, n)]),
-    "f-power": Family("imn", lambda i, m, n: "operator index must be 0 or 1"
-                      if i not in (0, 1) else
-                      _NEGATIVE if m < 0 or n < 0 else None,
+    "f-power": Family("imn", lambda i, m, n: _operator_problem(i) or
+                      _mn_problem(m, n),
                       lambda i, m, n: [check_f_power(i, m, n)]),
     "core-states": Family("m", lambda m: "needs m >= 1" if m < 1 else None,
                           lambda m: [check_core_states(m)]),
-    "phi-consistency": Family("imn", lambda i, m, n: "color must be 0 or 1"
-                              if i not in (0, 1) else
-                              _NEGATIVE if m < 0 or n < 0 else None,
+    "phi-consistency": Family("imn", _closed_form_problem,
                               lambda i, m, n: [check_phi_consistency(i, m, n)]),
     "symfunc-props": Family("", lambda: None, lambda: check_symfunc_props()),
 }

@@ -79,11 +79,11 @@ class TestSqrt2Rational:
         assert SQRT2 ** 3 == Sqrt2Rational(0, 2)
 
     def test_sqrt2_pow_negative(self):
-        assert Sqrt2Rational.sqrt2_pow(-1) == Sqrt2Rational(0, Fraction(1, 2))
-        assert Sqrt2Rational.sqrt2_pow(-2) == Fraction(1, 2)
-        assert Sqrt2Rational.sqrt2_pow(0) == 1
+        assert SQRT2 ** -1 == Sqrt2Rational(0, Fraction(1, 2))
+        assert SQRT2 ** -2 == Fraction(1, 2)
+        assert SQRT2 ** 0 == 1
         for k in range(-6, 7):
-            assert Sqrt2Rational.sqrt2_pow(k) * Sqrt2Rational.sqrt2_pow(-k) == 1
+            assert SQRT2 ** k * SQRT2 ** -k == 1
 
     def test_sqrt2_pow_parts(self):
         for k in range(-9, 10):
@@ -91,7 +91,7 @@ class TestSqrt2Rational:
                 p, q, d = _sqrt2_pow_parts(k, c)
                 assert d > 0
                 assert Sqrt2Rational(Fraction(p, d), Fraction(q, d)) == \
-                    c * Sqrt2Rational.sqrt2_pow(k)
+                    c * SQRT2 ** k
 
     def test_inverse(self):
         x = Sqrt2Rational(3, 2)  # 3 + 2*sqrt2, norm 1

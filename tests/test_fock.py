@@ -2,6 +2,7 @@
 operators, normal ordering, and the boson image."""
 
 import copy
+import operator
 import pickle
 import random
 import re
@@ -134,6 +135,15 @@ def _fock_str_line_by_line(vec):
     return "\n".join(lines)
 
 
+def coefficient(vec, word):
+    """The coefficient of a word in vec, read from `terms` as a
+    Sqrt2Rational: 0 for a word that vec lacks or a tuple that is not a
+    word.  Its entries are read through operator.index, as FockVector reads
+    a word's modes."""
+    c = vec.terms.get(tuple(map(operator.index, word)), 0)
+    return c if isinstance(c, Sqrt2Rational) else Sqrt2Rational(c)
+
+
 def _vec(*pairs):
     out = FockVector.zero()
     for coeff, word in pairs:
@@ -171,9 +181,10 @@ class TestFockVector:
         # int-like modes are read as ints, from a tuple or a list
         v = FockVector({(3, 0): 5})
         for word in ((3, False), (Int(3), 0), (Index(3), Index(0)), [3, 0]):
-            assert v.coefficient(word) == 5
+            assert coefficient(v, word) == 5
+            assert FockVector({tuple(word): 5}) == v
         assert FockVector({(True, False): 1}) == FockVector({(1, 0): 1})
-        assert v.coefficient([0, 3]) == 0  # not a word
+        assert coefficient(v, [0, 3]) == 0  # not a word
         # the sign is checked before order
         with pytest.raises(ValueError, match="non-negative mode indices"):
             FockVector({(-1, 3): 1})
@@ -194,14 +205,14 @@ class TestFockVector:
         v = FockVector({(3, 0): 1, (3,): 2})
         assert dict(v.terms) == {(3, 0): 1, (3,): 2}
         assert FockVector({(3, 0): 1}) != FockVector({(3,): 1})
-        assert v.coefficient((3, 3)) == 0 and v.coefficient((0, 3)) == 0
+        assert coefficient(v, (3, 3)) == 0 and coefficient(v, (0, 3)) == 0
 
     def test_vector_space_ops(self):
         v = _vec((1, (2, 0)), (2, (3, 1)))
         w = _vec((-1, (2, 0)))
-        assert (v + w).coefficient((2, 0)).is_zero()
+        assert coefficient(v + w, (2, 0)).is_zero()
         assert (v - v).is_zero()
-        assert v.scale(Fraction(1, 2)).coefficient((3, 1)) == 1
+        assert coefficient(v.scale(Fraction(1, 2)), (3, 1)) == 1
 
     def test_unsupported_operand_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -232,10 +243,10 @@ class TestFockVector:
 
     def test_coefficient_is_a_scalar(self):
         v = FockVector({(4, 1): 3})
-        assert v.coefficient((4, 1)) == Sqrt2Rational(3)
-        assert isinstance(v.coefficient((4, 1)), Sqrt2Rational)
-        assert v.coefficient((5, 1)) == Sqrt2Rational(0)
-        assert isinstance(v.coefficient((5, 1)), Sqrt2Rational)
+        assert coefficient(v, (4, 1)) == Sqrt2Rational(3)
+        assert isinstance(coefficient(v, (4, 1)), Sqrt2Rational)
+        assert coefficient(v, (5, 1)) == Sqrt2Rational(0)
+        assert isinstance(coefficient(v, (5, 1)), Sqrt2Rational)
 
     def test_float_scalar_rejected(self):
         with pytest.raises(TypeError):
@@ -289,7 +300,7 @@ class TestFastPathsAgainstReferences:
         for core, i, n in ((bar_core(-5), 0, 5), (bar_core(4), 1, 4)):
             members += sorted(enumerate_added(core, i, n))
         assert len(members) == 1 + 96 + 1
-        assert {lam.length % 2 for lam in members} == {0, 1}
+        assert {len(lam) % 2 for lam in members} == {0, 1}
         for lam in members:
             got = FockVector.basis(lam)
             want = FockVector({lam.even_padded(): ONE})
@@ -399,7 +410,7 @@ class TestLoweringOperators:
         # one trailing zero, so its coefficient in the cube image is
         # sqrt2^(2 - 1)
         out = f_power_normalized(0, 3, FockVector.basis(bar_core(-3)))
-        assert out.coefficient((10, 6, 2, 0)) == SQRT2
+        assert coefficient(out, (10, 6, 2, 0)) == SQRT2
 
     def test_node_sum_matches_mode_sum_along_chains(self):
         # every vector on the f-power chains of the cores for m, n <= 5, with
@@ -726,7 +737,7 @@ class TestBosonImage:
         (nw,) = to_normal_words(P("20,18,16,12,8,7,2"))
         ((key, poly),) = BosonElement._of_parts([normal_word_image(nw)]).expand().items()
         assert key == (1, -1)
-        scalar = SparsePoly.constant(Sqrt2Rational.sqrt2_pow(-3))
+        scalar = SparsePoly.constant(SQRT2 ** -3)
         assert poly == scalar * schur_q((6, 4)) * schur((7, 5, 2, 1, 1, 1))
 
     def test_linearity(self):
@@ -806,6 +817,37 @@ class TestClosedForm:
         assert set(phi_closed_form(mu, 0, 2, 2).expand()) == {(0, 0)}
 
 
+class TestClosedFormMessages:
+    """phi_closed_form's refusals, text and order: i, m and n are read as
+    ints in that order, then the color, then the signs of m and n, then
+    membership; the first problem found is the one raised."""
+
+    @pytest.mark.parametrize("lam, i, m, n, error, message", [
+        ("6,2,1", 2, 2, 2, ValueError, "color must be 0 or 1"),
+        ("6,2,1", -1, 2, 2, ValueError, "color must be 0 or 1"),
+        ("6,2,1", 0, -1, 2, ValueError, "m and n must be non-negative"),
+        ("6,2,1", 0, 2, -1, ValueError, "m and n must be non-negative"),
+        ("3", 0, -1, 1, ValueError, "m and n must be non-negative"),
+        ("6,2", 0, 2, 2, ValueError, "6,2 is not an n=2 color-0 addition over 5,2"),
+        ("5,2", 0, 2, 2, ValueError, "5,2 is not an n=2 color-0 addition over 5,2"),
+        ("6,2,1", 1, 2, 2, ValueError,
+         "6,2,1 is not an n=2 color-1 addition over 4,1"),
+        # two problems at once: the first in that order is named
+        ("6,2,1", 2, -1, 2, ValueError, "color must be 0 or 1"),
+        ("6,2,1", 2, 2, -1, ValueError, "color must be 0 or 1"),
+        ("6,2,1", -1, -1, -1, ValueError, "color must be 0 or 1"),
+        ("6,2,1", 0, -1, -1, ValueError, "m and n must be non-negative"),
+        ("6,2,1", 2, 2.5, 0, TypeError, "m must be an int, not 2.5"),
+        ("6,2,1", 0.0, -1, 0, TypeError, "i must be an int, not 0.0"),
+        ("6,2,1", 0, "2", -1, TypeError, "m must be an int, not '2'"),
+    ])
+    def test_first_problem_is_named(self, lam, i, m, n, error, message):
+        with pytest.raises(error) as info:
+            phi_closed_form(P(lam), i, m, n)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # differential tests: the label path against the per-word polynomial path
 # ---------------------------------------------------------------------------
@@ -815,7 +857,7 @@ def _ref_normal_word_image(nw):
     a, r, q = len(nw.phis), len(nw.psis), nw.charge
     s_index = tuple(nw.psis[j] - q - (r - 1 - j) for j in range(r))
     poly = schur_q(tuple(p for p in nw.phis if p > 0)) * schur(s_index)
-    scalar = Sqrt2Rational(nw.coeff) * Sqrt2Rational.sqrt2_pow(-a)
+    scalar = Sqrt2Rational(nw.coeff) * SQRT2 ** -a
     return (a % 2, q + r), SparsePoly.constant(scalar) * poly
 
 
@@ -836,10 +878,10 @@ def _ref_phi_closed_form(lam, i, m, n):
     st_, quot, eps = stats(lam), bar_quotient(lam), m % 2
     if i == 1:
         sign = -1 if (st_.f + m) % 2 else 1
-        scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-eps)
+        scalar = Sqrt2Rational(sign) * SQRT2 ** -eps
         return {(eps, m - 2 * n): SparsePoly.constant(scalar) * schur(quot.q1)}
     sign = -1 if (st_.f + st_.g + (st_.h if eps else 0)) % 2 else 1
-    scalar = Sqrt2Rational(sign) * Sqrt2Rational.sqrt2_pow(-st_.a)
+    scalar = Sqrt2Rational(sign) * SQRT2 ** -st_.a
     poly = SparsePoly.constant(scalar) * schur_q(quot.q0) * schur(quot.q1)
     return {((n + m) % 2, n - m): poly}
 
@@ -869,7 +911,7 @@ class TestLabelsAgainstPolynomials:
         for m in range(-6, 7):
             k, eps = abs(m), abs(m) % 2
             exponent = k if m >= 0 else k * (k - 1) // 2 + k
-            scalar = Sqrt2Rational((-1) ** exponent) * Sqrt2Rational.sqrt2_pow(-eps)
+            scalar = Sqrt2Rational((-1) ** exponent) * SQRT2 ** -eps
             assert core_state_image(m).expand() == {(eps, m): SparsePoly.constant(scalar)}
 
     def test_labels_are_canonical(self):

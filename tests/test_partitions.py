@@ -39,8 +39,8 @@ class TestStrictPartition:
     def test_construction(self):
         lam = StrictPartition((4, 1))
         assert lam.parts == (4, 1)
-        assert lam.size == 5
-        assert lam.length == 2
+        assert sum(lam) == 5
+        assert len(lam) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -118,7 +118,7 @@ class TestColorsAndCores:
         # staircase sizes: m(3m-1)/2 on one side, m(3m+1)/2 on the other
         k = abs(m)
         expected = k * (3 * k - 1) // 2 if m >= 0 else k * (3 * k + 1) // 2
-        assert bar_core(m).size == expected
+        assert sum(bar_core(m)) == expected
 
 
 class TestEnumeration:
@@ -174,6 +174,23 @@ class TestEnumeration:
         assert not is_added_member(bar_core(-2), 0, 2, P("6,2"))
         assert not is_added_member(bar_core(-2), 1, 2, P("6,2,1"))
 
+    @pytest.mark.parametrize("i, n, message", [
+        (2, 0, "color must be 0 or 1"),
+        (-1, 1, "color must be 0 or 1"),
+        (2, -1, "color must be 0 or 1"),
+        (0, -1, "node count must be non-negative"),
+        (1, -2, "node count must be non-negative"),
+    ])
+    def test_membership_refuses_what_enumeration_refuses(self, i, n, message):
+        # the predicate reads (i, n) by the enumerator's rule: a color
+        # outside {0, 1} once answered True for the core itself
+        core = bar_core(2)
+        for call in (lambda: enumerate_added(core, i, n),
+                     lambda: is_added_member(core, i, n, core)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
     @given(st.integers(min_value=-3, max_value=3), st.sampled_from((0, 1)),
            st.integers(min_value=0, max_value=3))
     def test_members_contain_core_and_add_n_color_i_nodes(self, m, i, n):
@@ -181,11 +198,11 @@ class TestEnumeration:
         members = enumerate_added(core, i, n)
         for lam in members:
             assert _contains(lam, core)
-            assert lam.size == core.size + n
+            assert sum(lam) == sum(core) + n
             assert is_added_member(core, i, n, lam)
             # every added node sits in a column of color i
-            base = core.parts + (0,) * (lam.length - core.length)
-            for row in range(lam.length):
+            base = core.parts + (0,) * (len(lam) - len(core))
+            for row in range(len(lam)):
                 for col in range(base[row] + 1, lam.parts[row] + 1):
                     assert color(col) == i
 
@@ -220,11 +237,11 @@ def _added_by_definition(core, i, n):
     """The strict partitions of size |core| + n that contain `core` and
     whose added cells all have color i."""
     out = set()
-    for parts in _strict_partitions(core.size + n):
+    for parts in _strict_partitions(sum(core) + n):
         lam = StrictPartition(parts)
         if not _contains(lam, core):
             continue
-        base = core.parts + (0,) * (lam.length - core.length)
+        base = core.parts + (0,) * (len(lam) - len(core))
         if all(color(col) == i for b, p in zip(base, parts)
                for col in range(b + 1, p + 1)):
             out.add(lam)
@@ -305,7 +322,7 @@ class TestEnumerationAgainstReferences:
             for n in range(5):
                 want = _added_by_definition(core, i, n)
                 assert enumerate_added(core, i, n) == want
-                for parts in _strict_partitions(core.size + n):
+                for parts in _strict_partitions(sum(core) + n):
                     lam = StrictPartition(parts)
                     assert is_added_member(core, i, n, lam) == (lam in want)
 
@@ -333,7 +350,7 @@ class TestEnumerationAgainstReferences:
         for n in (0, 1):
             members = enumerate_added(core, i, n)
             counts.append(len(members))
-            assert all(lam.size == core.size + n and is_added_member(core, i, n, lam)
+            assert all(sum(lam) == sum(core) + n and is_added_member(core, i, n, lam)
                        for lam in members)
         assert counts == ([1, 1201] if m < 0 else [1, 1200])
         # no node of the other color fits on a row of the core
@@ -365,7 +382,7 @@ def _q1_with_k(lam, k):
     removed = {-((p + 1) // 3) for p in split.p2}
     merged = [(p - 1) // 3 for p in split.p1]
     merged += [b for b in range(-1, -k - 1, -1) if b not in removed]
-    start = split.l1 - split.l2 - 1
+    start = len(split.p1) - len(split.p2) - 1
     q1 = [merged[idx] - (start - idx) for idx in range(len(merged))]
     while q1 and q1[-1] == 0:
         q1.pop()
@@ -454,7 +471,7 @@ class TestQuotient:
         # |lambda| = |core weight| + 3|q0| + 3|q1| with the core determined
         # by the residue counts
         quot = bar_quotient(lam)
-        rest = lam.size - 3 * (sum(quot.q0) + sum(quot.q1))
+        rest = sum(lam) - 3 * (sum(quot.q0) + sum(quot.q1))
         assert rest >= 0
 
 
@@ -464,8 +481,8 @@ class TestResidueSplit:
         assert split.p0 == (18, 12, 0)
         assert split.p1 == (16, 7)
         assert split.p2 == (20, 8, 2)
-        assert split.l1 == 2
-        assert split.l2 == 3
+        assert len(split.p1) == 2
+        assert len(split.p2) == 3
 
     @given(strict_parts)
     def test_split_partitions_the_padded_parts(self, lam):
