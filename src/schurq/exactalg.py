@@ -169,8 +169,12 @@ class _IntCombination:
 
     def scale(self, scalar):
         """This combination times a scalar, on the int numerators:
-        (A + sqrt2 B)(p + sqrt2 q) = pA + 2qB + sqrt2 (qA + pB)."""
+        (A + sqrt2 B)(p + sqrt2 q) = pA + 2qB + sqrt2 (qA + pB).  A scalar
+        1/d changes only the denominator: no value mutates its dicts, so
+        the result may share them."""
         p, q, d = _int_parts(scalar)
+        if p == 1 and not q:
+            return self._make(self._den * d, self._num, self._root)
         num = {k: p * c for k, c in self._num.items()} if p else {}
         root = {k: p * c for k, c in self._root.items()} if p else {}
         if q:
@@ -480,19 +484,20 @@ class SparsePoly(_IntCombination):
     def substitute(self, mapping):
         """Ring-homomorphic substitution; unmapped variables pass through.
 
-        On the int numerators: each mapped variable with a slot gets a
-        power table [1, image, image**2, ...] of (num, root) pairs over
-        den**e, built on demand.  A monomial's term starts as its key less
-        the mapped slots, over the one lcm denominator of all terms, and is
-        multiplied by one power per mapped slot; the last product adds into
-        the sum, which is brought to canonical form once."""
+        On the int numerators: each mapped variable with a slot reads the
+        power table {0: 1, 1: image, 2: image**2, ...} of (num, root) pairs
+        over den**e of its image (_power_table), built on demand.  A
+        monomial's term starts as its key less the mapped slots, over the
+        one lcm denominator of all terms, and is multiplied by one power per
+        mapped slot; the last product adds into the sum, which is brought
+        to canonical form once."""
         mask = _slot_mask(mapping, _MASK)
         slots = []  # (offset, power table, den) of each mapped variable
         for v, image in mapping.items():
             if v in _SLOTS:  # else no monomial contains v
                 image = SparsePoly._promote(image)
                 offset = _SLOTS[v]
-                slots.append((offset, [_ONE_PARTS, (image._num, image._root)], image._den))
+                slots.append((offset, _power_table(image), image._den))
         keys = self._keys()
         dens = {}
         for offset, _, den in slots:
@@ -743,13 +748,29 @@ def _product_parts(num, root, a, b, scale=1):
 _ONE_PARTS = ({0: 1}, {})  # the (num, root) pair of the polynomial 1
 
 
+_POWER_TABLES = {}  # an image's parts -> its power table
+
+
+def _power_table(image):
+    """The power table {0: 1, 1: image, 2: image**2, ...} of (num, root)
+    pairs of a polynomial, one per image for the life of the process,
+    extended on demand by _power.  It is keyed by the image's parts, so a
+    lookup compares no polynomials."""
+    key = (image._den, frozenset(image._num.items()), frozenset(image._root.items()))
+    return _POWER_TABLES.setdefault(key, {0: _ONE_PARTS, 1: (image._num, image._root)})
+
+
 def _power(table, e):
-    """Entry e of a power table [1, x, x**2, ...] of (num, root) pairs,
-    extended on demand: each new power is the last one times x."""
+    """Entry e of a power table {0: 1, 1: x, 2: x**2, ...} of (num, root)
+    pairs, extended on demand: each new power is the last one times x,
+    stored only once its exponents fit.  Its exponents run 0..len - 1, and
+    setdefault keeps the first of two equal powers that two threads store,
+    so a table shared by threads stays right."""
     while len(table) <= e:
-        power = _product_parts({}, {}, table[-1], table[1])
+        k = len(table)
+        power = _product_parts({}, {}, table[k - 1], table[1])
         _check_guard(*power)
-        table.append(power)
+        table.setdefault(k, power)
     return table[e]
 
 

@@ -32,7 +32,8 @@ p = 1 (mod 3), with p over 0 and the parts of the words.  On bitsets A_p
 moves a part p with p + 1 free to p + 1, w -> w + 2^p, with weight 1 (1/2
 for p = 0), and A_0 also sends a word without the parts 1 and 0 to w | 3
 with weight 1; the signs cancel.  So F_i is one pass of bit moves over the
-words, in integer arithmetic.
+words, in integer arithmetic, with its scalar (sqrt(2) or 2) applied to
+each coefficient in that pass.
 
 Words map to charged-boson components by splitting the modes mod 3 into a
 neutral family (phi_j = b_{3j}), a charged family (psi_k = b_{3k+1}) and its
@@ -59,11 +60,11 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd
 from types import MappingProxyType
 
-from .exactalg import (SQRT2, _IntCombination, _render_product, _scalar_str,
-                       _sqrt2_pow_parts, _sum_of_products)
+from .exactalg import (SQRT2, _IntCombination, _int_parts, _render_product,
+                       _scalar_str, _sqrt2_pow_parts, _sum_of_products)
 from .partitions import (StrictPartition, _as_int, _check, _color_problem,
                          _mn_problem, as_int_parts, bar_quotient, color,
                          color_core, is_added_member, stats)
@@ -95,6 +96,20 @@ def _bits_word(bits):
     return tuple(word)
 
 
+_MODE_TEXTS = []  # str(p) of each mode p below the highest one rendered
+
+
+def _mode_texts(top):
+    """The per-process table of mode texts, covering the modes below top.
+    A longer table replaces it and no table is changed once stored, so the
+    table a caller holds stays right whatever another thread renders."""
+    global _MODE_TEXTS
+    texts = _MODE_TEXTS
+    if len(texts) < top:
+        texts = _MODE_TEXTS = texts + [str(p) for p in range(len(texts), top)]
+    return texts
+
+
 class FockVector(_IntCombination):
     """Immutable linear combination of words, stored as a polynomial is (see
     exactalg._IntCombination) with each word as its bitset.  Bitsets order
@@ -123,9 +138,11 @@ class FockVector(_IntCombination):
 
     def __str__(self):
         """One line "coefficient * |word>" per word (word_texts; |vac> for
-        the empty word), or "0"."""
-        return "\n".join("%s * |%s>" % (text, ",".join(map(str, word)) or "vac")
-                         for word, text in self.word_texts()) or "0"
+        the empty word), or "0".  Each mode's text is formatted once per
+        process (_mode_texts)."""
+        text = _mode_texts(max(self._keys(), default=0).bit_length()).__getitem__
+        return "\n".join("%s * |%s>" % (coeff, ",".join(map(text, word)) or "vac")
+                         for word, coeff in self.word_texts()) or "0"
 
     def __repr__(self):
         return "FockVector(%r)" % (dict(sorted(self.terms.items(), reverse=True)),)
@@ -151,23 +168,40 @@ def beta_apply(n, vec):
     return FockVector._make(2 * vec._den if n == 0 else vec._den, num, root)
 
 
-def _node_sum(vec, nodes):
-    """The sum of the single-node actions A_p over the bits p of `nodes`:
-    A_p moves a part p to p + 1 when p + 1 is free (w -> w + 2^p, weight 1,
-    or 1/2 for p = 0, whose mode contracts), and A_0 also adds the parts 1
-    and 0 to a word that has neither (w -> w | 3, weight 1)."""
+def _node_sum(vec, nodes, scalar=1):
+    """The sum of the single-node actions A_p over the bits p of `nodes`,
+    times a scalar: A_p moves a part p to p + 1 when p + 1 is free (w -> w +
+    2^p, weight 1, or 1/2 for p = 0, whose mode contracts), and A_0 also
+    adds the parts 1 and 0 to a word that has neither (w -> w | 3, weight
+    1).  Only A_0 has the weight 1/2, so the denominator doubles only when
+    p = 0 is a node.  The scalar (a + b*sqrt2)/d acts in the same pass, as
+    scale does, (A + sqrt2 B)(a + sqrt2 b) = aA + 2bB + sqrt2 (bA + aB),
+    less the factor that a and b share with the denominator."""
+    a, b, d = _int_parts(scalar)
+    half = 2 if nodes & 1 else 1
+    g = gcd(a, b, half * d)
+    a, b = a // g, b // g
     num, root = {}, {}
-    for part, out in ((vec._num, num), (vec._root, root)):
+    for part, out, f in ((vec._num, num, a), (vec._num, root, b),
+                         (vec._root, num, 2 * b), (vec._root, root, a)):
+        if not f:
+            continue
         get = out.get
         for w, c in part.items():
+            c *= f
+            whole = half * c
             moves = w & ~(w >> 1) & nodes
+            if moves & 1:
+                out[w + 1] = get(w + 1, 0) + c
+                moves ^= 1
             while moves:
                 low = moves & -moves
                 moves ^= low
-                out[w + low] = get(w + low, 0) + (c if low == 1 else 2 * c)
-            if nodes & 1 and not w & 3:
-                out[w | 3] = get(w | 3, 0) + 2 * c
-    return FockVector._make(2 * vec._den, num, root)
+                t = w + low
+                out[t] = get(t, 0) + whole
+            if half == 2 and not w & 3:
+                out[w | 3] = get(w | 3, 0) + whole
+    return FockVector._make(half * d // g * vec._den, num, root)
 
 
 def _operator_problem(i):
@@ -186,16 +220,19 @@ def _operator_index(i):
 def f_apply(i, vec):
     """One application of F0 or F1: the single-node actions of the p with
     color(p + 1) == i, summed (the m and 1-m mode terms of F1 coincide,
-    hence its factor 2; b_{-p} kills a word without the part p > 0)."""
+    hence its factor 2; b_{-p} kills a word without the part p > 0), with
+    F_i's scalar, read from the module-global SQRT2, applied in the same
+    pass."""
     i = _operator_index(i)
     top = max(vec._keys(), default=0).bit_length()
     nodes = sum(1 << p for p in range(max(top, 1)) if color(p + 1) == i)
-    return _node_sum(vec, nodes).scale(SQRT2 if i == 0 else 2)
+    return _node_sum(vec, nodes, SQRT2 if i == 0 else 2)
 
 
 def f_power_normalized(i, n, vec):
     """F_i^n / n! applied to a vector: n calls of the module-global f_apply
-    (which tests and the tracer replace), then one scale."""
+    (which tests and the tracer replace), then one scale by 1/n!, which
+    touches only the denominator."""
     i, n = _operator_index(i), _as_int(n, "n")
     if n < 0:
         raise ValueError("power must be non-negative")

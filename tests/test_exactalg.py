@@ -2,8 +2,10 @@
 
 import os
 import pickle
+import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from itertools import chain
 
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 import schurq.exactalg
 from schurq.exactalg import (ONE, S, SQRT2, T, ZERO, Z, SparsePoly, Sqrt2Rational,
-                             _LIMIT, _linear_sum, _pack,
-                             _render_product, _sqrt2_pow_parts,
+                             _LIMIT, _check_guard, _linear_sum, _pack,
+                             _power_table, _render_product, _sqrt2_pow_parts,
                              _sum_of_products, _unpack, svar, tvar, var_name,
                              zvar)
 
@@ -375,6 +377,59 @@ class TestSparsePoly:
         # ... and in the last product, straight into the sum
         with pytest.raises(OverflowError):
             (t1 * t3 ** 20000).substitute({tvar(1): t3 ** 20000})
+
+    def test_overflowing_image_raises_on_every_call(self):
+        # the power table of an image outlives the call that overflowed it,
+        # keeping only the powers that fit: t1**20000 squared passes the slot
+        t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                (t1 ** 4 * t2).substitute({tvar(1): t1 ** 20000})
+        table = _power_table(t1 ** 20000)
+        assert len(table) == 2
+        for power in table.values():
+            _check_guard(*power)
+
+    def test_power_tables_are_shared_by_equal_images(self):
+        t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))
+        p = t1 ** 3 * t2 + t1
+        first = p.substitute({tvar(1): t1 - t2})
+        table = _power_table(t1 - t2)
+        assert len(table) >= 4
+        # an equal image built anew reads the same table, and the powers
+        # stored by the first call give the same result
+        again = SparsePoly.variable(tvar(1)) - SparsePoly.variable(tvar(2))
+        assert _power_table(again) is table
+        assert p.substitute({tvar(1): again}) == first == (t1 - t2) ** 3 * t2 + t1 - t2
+
+    def test_power_tables_shared_by_threads(self):
+        # threads extending the tables of fresh images at once, in different
+        # exponent orders, with a short switch interval: a lost or repeated
+        # power would give a wrong substitution
+        t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))
+        images = [t1 + SparsePoly.constant(Fraction(k, 7)) * t2 + 1009 for k in range(1, 6)]
+        want = [[image ** e for e in range(25)] for image in images]
+        wrong = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for j, image in enumerate(images):
+                for e in rng.sample(range(1, 25), 24):
+                    if (t1 ** e).substitute({tvar(1): image}) != want[j][e]:
+                        wrong.append((j, e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
 
     def test_substitution_is_simultaneous(self):
         t1, t2 = SparsePoly.variable(tvar(1)), SparsePoly.variable(tvar(2))

@@ -6,8 +6,10 @@ import operator
 import pickle
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,85 @@ class TestFastPathsAgainstReferences:
         for i, m in ((0, -7), (1, 8)):
             vec = f_power_normalized(i, 7, FockVector.basis(bar_core(m)))
             assert str(vec) == _fock_str_line_by_line(vec)
+
+    def test_rendering_past_every_earlier_mode(self, monkeypatch):
+        # from an empty mode-text table: a small vector, then one whose
+        # modes run far past it (the table grows mid-process), then the
+        # small one again; the vacuum still renders as |vac>
+        import schurq.fock
+        monkeypatch.setattr(schurq.fock, "_MODE_TEXTS", [])
+        small = FockVector({(3, 1, 0): ONE, (): SQRT2})
+        rng = random.Random(32)
+        wide = {tuple(sorted(rng.sample(range(1501), 40), reverse=True)): ONE
+                for _ in range(5)}
+        wide = FockVector({**wide, (1500, 999, 0): -SQRT2, (): Fraction(1, 3)})
+        for vec in (small, wide, small):
+            assert str(vec) == _fock_str_line_by_line(vec)
+        assert len(schurq.fock._MODE_TEXTS) == 1501
+        assert str(small).endswith("(0+1*r2) * |vac>")
+        assert str(wide).endswith("1/3 * |vac>")
+
+    def test_rendering_from_threads(self, monkeypatch):
+        # threads growing the mode-text table at once, each to its own
+        # widths, with a short switch interval: a table grown twice from the
+        # same length would misplace every later mode
+        import schurq.fock
+        monkeypatch.setattr(schurq.fock, "_MODE_TEXTS", [])
+        rng = random.Random(7)
+        vectors = [FockVector({tuple(sorted(rng.sample(range(top), min(top, 12)),
+                                            reverse=True)): ONE})
+                   for top in range(5, 3000, 23)]
+        wrong = []
+
+        def work(seed):
+            for vec in random.Random(seed).sample(vectors, len(vectors)):
+                if str(vec) != _fock_str_line_by_line(vec):
+                    wrong.append(vec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+
+    def test_divided_power_against_the_scaled_power(self):
+        # the numerators of F_i^n on a core share factors with n!, so 1/n!
+        # must reduce them, as the term-by-term quotient does
+        for i, m, n in ((0, -4, 4), (1, 5, 5), (0, -6, 6), (1, 6, 6)):
+            vec = FockVector.basis(bar_core(m))
+            power = vec
+            for _ in range(n):
+                power = f_apply(i, power)
+            assert gcd(factorial(n), *power._num.values(), *power._root.values()) > 1
+            scaled = power.scale(Fraction(1, factorial(n)))
+            want = FockVector({w: c * Fraction(1, factorial(n))
+                               for w, c in power.terms.items()})
+            assert f_power_normalized(i, n, vec) == scaled == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(repeating_vectors, st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=720))
+    def test_scale_by_a_reciprocal(self, vec, k, d):
+        # 1/d touches only the denominator; k/d takes the general path
+        vec = vec.scale(k)
+        for c in (Fraction(1, d), Fraction(k, d)):
+            want = FockVector({w: x * c for w, x in vec.terms.items()})
+            assert vec.scale(c) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_vectors, st.integers(min_value=0, max_value=(1 << 12) - 1),
+           fock_coeffs)
+    def test_node_sum_with_its_scalar(self, vec, nodes, c):
+        # the scalar applied inside the pass against the pass, then scale
+        for scalar in (c, 2, SQRT2, Sqrt2Rational(2), Fraction(-3, 4)):
+            assert _node_sum(vec, nodes, scalar) == _node_sum(vec, nodes).scale(scalar)
 
     def test_basis_against_checked_word(self):
         # the bitset built straight from the padded parts against the
